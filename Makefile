@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test lint fmt check vet-tool
+.PHONY: build test lint fmt check vet-tool bench
 
 build:
 	$(GO) build ./...
@@ -40,5 +40,13 @@ fmt:
 		echo "$$out" >&2; \
 		exit 1; \
 	fi
+
+# bench runs one workload of the repo benchmark (BENCHMARK.json, bench/README.md)
+# from this checkout: make bench WORKLOAD=oltp_mem SEED=1. Workloads: oltp_mem,
+# oltp_tcp, oltp_wal, htap_branch. The result JSON goes to stdout.
+WORKLOAD ?= oltp_mem
+SEED ?= 1
+bench:
+	bash bench/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds 20 --trace 0
 
 check: build lint test

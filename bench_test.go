@@ -1,6 +1,7 @@
 // Benchmark entry points for every figure in the paper's evaluation (§6,
 // Figs 10-18), plus micro-benchmarks of the core operations and ablation
-// benches for the design choices DESIGN.md calls out.
+// benches for individual design choices (proxy cache, blocking snapshot
+// creation, allocator extents); docs/ARCHITECTURE.md has the layer map.
 //
 // Figure benches run a scaled-down experiment per iteration and report the
 // figure's headline metric through b.ReportMetric, so `go test -bench=Fig`

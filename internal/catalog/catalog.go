@@ -11,7 +11,8 @@
 // at space.CatalogAddr(t, s) — written atomically on every memnode when a
 // snapshot or branch is created, read and validated at whichever memnode a
 // transaction already engages, and cached at proxies. The cost structure is
-// identical to the paper's replicated leaves (see DESIGN.md §2).
+// identical to the paper's replicated leaves (docs/ARCHITECTURE.md, "What
+// stays format-specific").
 package catalog
 
 import (

@@ -1,36 +1,42 @@
 package core
 
 import (
-	"errors"
+	"fmt"
 	"sort"
 
-	"minuet/internal/catalog"
 	"minuet/internal/dyntx"
 	"minuet/internal/wire"
 )
 
-// Batched writes. A batch groups many Put/Delete operations into one
-// dynamic transaction that commits in as few minitransaction round trips as
-// possible:
+// The write path. Every write — one key or ten thousand, at the tip or at an
+// addressed version, on a linear or a branching tree — is the same four
+// steps:
 //
-//   - keys are sorted and swept leaf by leaf, so each touched leaf is read,
-//     validated, and rewritten once — one OCC validate+apply per leaf-group
-//     rather than per key;
-//   - the touched leaves are prefetched with one multi-read minitransaction
-//     per memnode, issued concurrently (Client.ExecIndependent), so the
-//     fetch phase costs roughly one round trip regardless of batch size;
-//   - the commit is a single minitransaction; when its writes span several
-//     memnodes, the two-phase protocol prepares all of them in parallel.
+//	resolve   the version id (tipSid = "the tip") becomes a target: snapshot
+//	          id, root, and the replicated cell that holds the root, which
+//	          joins the read set so the commit validates that the version is
+//	          still the writable one (tree.go);
+//	sweep     the sorted ops are applied leaf by leaf, so each touched leaf is
+//	          read, validated, and rewritten once, with copy-on-write and
+//	          splits propagating up the traversal path (batchSweep, ops.go);
+//	setRoot   root growth rewrites the target's root cell, and later
+//	          leaf-groups of the same transaction descend from the new root;
+//	retry     the whole transaction commits as a single minitransaction in
+//	          the one optimistic loop (RunMulti); on a validation failure the
+//	          stale proxy caches are dropped and every step runs again.
+//
+// A batch of more than one key first prefetches its leaves with one
+// multi-read minitransaction per memnode, issued concurrently
+// (Client.ExecIndependent), so the fetch phase costs roughly one round trip
+// regardless of batch size; a single key skips that, since the sweep's own
+// traversal fetches the one leaf in the same single round trip. When the
+// commit's writes span several memnodes, the two-phase protocol prepares all
+// of them in parallel.
 //
 // The whole batch is atomic: every mutation applies, or (on conflict or
-// crash) none does. Conflicts with concurrent writers surface as validation
-// failures and retry the batch with backoff, like any other operation.
-//
-// On branching trees (§5) the same sweep targets a writable version: the
-// catalog slot is validated instead of the tip objects (injectBranch), leaf
-// copies along each touched root-to-leaf path go through the redirect-set
-// machinery (markCopiedBranching), and root growth lands in the snapshot
-// catalog (writeBranchRoot) rather than the fixed tip-root cell.
+// crash) none does. The two tree formats differ only below this file: which
+// cell resolve validates and setRoot rewrites, and how a copied node records
+// where its copy lives (markCopied).
 
 // BatchOp is one operation in a write batch: a Put of (Key, Val), or a
 // Delete of Key when Delete is set.
@@ -58,159 +64,126 @@ func normalizeBatch(ops []BatchOp) []BatchOp {
 	return out
 }
 
-// ApplyBatch applies ops as one atomic batch at the tip, retrying on
-// optimistic conflicts with the same loop single-key operations use. On a
-// branching tree the batch lands on the mainline tip (the writable version
-// ResolveTip finds from the initial snapshot); use ApplyBatchAt to target a
-// specific branch.
-func (bt *BTree) ApplyBatch(ops []BatchOp) error {
-	if len(ops) == 0 {
-		return nil
-	}
-	norm := normalizeBatch(ops)
-	if bt.cfg.Branching {
-		return bt.applyBatchMainline(norm)
-	}
-	return bt.run(func(t *dyntx.Txn) error { return bt.batchTxnTip(t, norm) })
+// Put inserts or updates k at the tip.
+func (bt *BTree) Put(k wire.Key, v []byte) error { return bt.PutAt(tipSid, k, v) }
+
+// PutAt inserts or updates k in writable version sid.
+func (bt *BTree) PutAt(sid uint64, k wire.Key, v []byte) error {
+	_, err := bt.applyAt(sid, []BatchOp{{Key: k, Val: v}})
+	return err
 }
 
-// applyBatchMainline applies a normalized batch to the current mainline tip,
-// re-resolving when a concurrent branch freezes the tip mid-flight (the
-// paper's default retry rule, §5.1).
-func (bt *BTree) applyBatchMainline(norm []BatchOp) error {
-	var lastErr error
-	for attempt := 0; attempt < 64; attempt++ {
-		tip, err := bt.ResolveTip(initialSnapID)
-		if err != nil {
-			return err
-		}
-		err = bt.run(func(t *dyntx.Txn) error { return bt.batchTxnAt(t, tip, norm) })
-		if err == nil || !errors.Is(err, ErrNotWritable) {
-			return err
-		}
-		lastErr = err
-	}
-	return lastErr
+// PutTxn inserts or updates k at the tip inside an existing transaction.
+func (bt *BTree) PutTxn(t *dyntx.Txn, k wire.Key, v []byte) error {
+	_, err := bt.writeAt(t, tipSid, []BatchOp{{Key: k, Val: v}})
+	return err
 }
 
-// ApplyBatchAt applies ops as one atomic batch to writable version sid of a
-// branching tree, retrying on optimistic conflicts. Writing to a version
-// that has been branched returns ErrNotWritable, like PutAt.
+// Remove deletes k at the tip, reporting whether it was present.
+func (bt *BTree) Remove(k wire.Key) (existed bool, err error) { return bt.RemoveAt(tipSid, k) }
+
+// RemoveAt deletes k in writable version sid, reporting whether it was
+// present. Minuet does not merge under-full nodes (docs/ARCHITECTURE.md,
+// "Why no node merging"): empty leaves keep their fences and remain correct.
+func (bt *BTree) RemoveAt(sid uint64, k wire.Key) (existed bool, err error) {
+	n, err := bt.applyAt(sid, []BatchOp{{Key: k, Delete: true}})
+	return n == 1, err
+}
+
+// RemoveTxn deletes k at the tip inside an existing transaction, reporting
+// whether the key was present.
+func (bt *BTree) RemoveTxn(t *dyntx.Txn, k wire.Key) (bool, error) {
+	n, err := bt.writeAt(t, tipSid, []BatchOp{{Key: k, Delete: true}})
+	return n == 1, err
+}
+
+// ApplyBatch applies ops as one atomic batch at the tip.
+func (bt *BTree) ApplyBatch(ops []BatchOp) error { return bt.ApplyBatchAt(tipSid, ops) }
+
+// ApplyBatchAt applies ops as one atomic batch to writable version sid,
+// retrying on optimistic conflicts. Addressing a real version id requires a
+// branching tree (ErrNotBranching otherwise), and writing to a version that
+// has been branched returns ErrNotWritable, like PutAt.
 func (bt *BTree) ApplyBatchAt(sid uint64, ops []BatchOp) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	if !bt.cfg.Branching {
-		return ErrNotBranching
-	}
-	norm := normalizeBatch(ops)
-	return bt.run(func(t *dyntx.Txn) error { return bt.batchTxnAt(t, sid, norm) })
+	_, err := bt.applyAt(sid, normalizeBatch(ops))
+	return err
 }
 
-// BatchTxn assembles ops into an existing dynamic transaction. The caller
-// owns commit (and retry); ops from several batches or trees may share one
-// transaction and commit atomically together. On a branching tree the batch
-// targets the mainline tip, like ApplyBatch.
-func (bt *BTree) BatchTxn(t *dyntx.Txn, ops []BatchOp) error {
-	if len(ops) == 0 {
-		return nil
-	}
-	norm := normalizeBatch(ops)
-	if bt.cfg.Branching {
-		tip, err := bt.ResolveTip(initialSnapID)
-		if err != nil {
-			return err
-		}
-		return bt.batchTxnAt(t, tip, norm)
-	}
-	return bt.batchTxnTip(t, norm)
-}
+// BatchTxn assembles ops, targeting the tip, into an existing dynamic
+// transaction.
+func (bt *BTree) BatchTxn(t *dyntx.Txn, ops []BatchOp) error { return bt.BatchTxnAt(t, tipSid, ops) }
 
 // BatchTxnAt assembles ops targeting writable version sid into an existing
-// dynamic transaction (branching trees only). The caller owns commit.
+// dynamic transaction. The caller owns commit (and retry); ops from several
+// batches or trees may share one transaction and commit atomically together.
 func (bt *BTree) BatchTxnAt(t *dyntx.Txn, sid uint64, ops []BatchOp) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	if !bt.cfg.Branching {
-		return ErrNotBranching
-	}
-	return bt.batchTxnAt(t, sid, normalizeBatch(ops))
+	_, err := bt.writeAt(t, sid, normalizeBatch(ops))
+	return err
 }
 
-// batchTxnTip targets the linear tip: the replicated tip objects join the
-// read set and a root split mid-batch is observed through the pending write
-// of the tip-root cell.
-func (bt *BTree) batchTxnTip(t *dyntx.Txn, ops []BatchOp) error {
-	sid, root, err := bt.injectTip(t)
+// applyAt runs writeAt as its own transaction in the retry loop.
+func (bt *BTree) applyAt(sid uint64, ops []BatchOp) (removed int, err error) {
+	err = bt.run(func(t *dyntx.Txn) error {
+		var e error
+		removed, e = bt.writeAt(t, sid, ops)
+		return e
+	})
+	return removed, err
+}
+
+// writeAt assembles normalized ops against version sid into t, reporting how
+// many of its deletes found their key.
+func (bt *BTree) writeAt(t *dyntx.Txn, sid uint64, ops []BatchOp) (removed int, err error) {
+	tg, err := bt.resolve(t, sid)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	curRoot := func() Ptr {
-		if d, ok := t.PendingWrite(bt.refTipRoot()); ok {
-			return decodePtr(d) // the batch split the root earlier in this txn
-		}
-		return root
+	if !tg.validate {
+		return 0, fmt.Errorf("%w: snapshot %d branched to %d", ErrNotWritable, tg.sid, tg.ent.BranchID)
 	}
-	return bt.batchSweep(t, sid, root, curRoot, ops)
+	if len(ops) > 1 {
+		// Prefetch the touched leaves into the read set. Best-effort: on any
+		// planning hiccup the sweep fetches leaves itself (one round trip
+		// each).
+		bt.prefetchLeaves(t, &tg, ops)
+	}
+	return bt.batchSweep(t, &tg, ops)
 }
 
-// batchTxnAt targets writable version sid of a branching tree: the catalog
-// slot joins the read set (injectBranch) and root growth is observed through
-// the pending write of that slot, where writeBranchRoot lands it.
-func (bt *BTree) batchTxnAt(t *dyntx.Txn, sid uint64, ops []BatchOp) error {
-	root, err := bt.injectBranch(t, sid)
-	if err != nil {
-		return err
-	}
-	rootRef := bt.cat.Ref(sid)
-	curRoot := func() Ptr {
-		if d, ok := t.PendingWrite(rootRef); ok {
-			if e, err := catalog.Decode(d); err == nil {
-				return e.Root // the batch grew the root earlier in this txn
-			}
-		}
-		return root
-	}
-	return bt.batchSweep(t, sid, root, curRoot, ops)
-}
-
-// batchSweep is the sorted leaf sweep shared by the tip and branch paths.
-// ops must be normalized; curRoot reports the root as of the transaction's
-// buffered writes so later leaf-groups observe earlier root growth.
-func (bt *BTree) batchSweep(t *dyntx.Txn, sid uint64, root Ptr, curRoot func() Ptr, ops []BatchOp) error {
-	// Prefetch the touched leaves into the read set, one concurrent
-	// multi-read minitransaction per memnode. Best-effort: on any planning
-	// hiccup the sweep below fetches leaves itself (one round trip each).
-	bt.prefetchBatchLeaves(t, root, sid, ops)
-
-	// Sweep the sorted ops leaf by leaf. Each group re-traverses through
-	// the transaction: dirty reads are shadowed by the write set, so a
-	// parent (or root) rewritten by an earlier group in this same
-	// transaction is observed by later groups with no network traffic.
+// batchSweep applies sorted, duplicate-free ops to tg leaf by leaf; it is the
+// only code that edits a leaf image. Each group re-traverses through the
+// transaction: dirty reads are shadowed by the write set, so a parent
+// rewritten by an earlier group in this same transaction is observed by
+// later groups with no network traffic, and root growth is observed through
+// tg.root, which setRoot keeps current.
+func (bt *BTree) batchSweep(t *dyntx.Txn, tg *target, ops []BatchOp) (removed int, err error) {
 	for i := 0; i < len(ops); {
-		path, err := bt.traverse(t, curRoot(), sid, ops[i].Key, true)
+		path, err := bt.descend(t, tg, ops[i].Key, 0)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		leaf := path[len(path)-1]
 		nl := leaf.node.clone()
 		changed := false
-		j := i
-		for ; j < len(ops) && leaf.node.inRange(ops[j].Key); j++ {
-			op := ops[j]
+		for ; i < len(ops) && leaf.node.inRange(ops[i].Key); i++ {
+			op := ops[i]
 			idx, found := nl.search(op.Key)
-			if op.Delete {
-				if found {
-					nl.Keys = append(nl.Keys[:idx], nl.Keys[idx+1:]...)
-					nl.Vals = append(nl.Vals[:idx], nl.Vals[idx+1:]...)
-					changed = true
-				}
+			switch {
+			case op.Delete && !found:
 				continue
-			}
-			if found {
+			case op.Delete:
+				nl.Keys = append(nl.Keys[:idx], nl.Keys[idx+1:]...)
+				nl.Vals = append(nl.Vals[:idx], nl.Vals[idx+1:]...)
+				removed++
+			case found:
 				nl.Vals[idx] = op.Val
-			} else {
+			default:
 				nl.Keys = append(nl.Keys, nil)
 				copy(nl.Keys[idx+1:], nl.Keys[idx:])
 				nl.Keys[idx] = op.Key
@@ -221,120 +194,62 @@ func (bt *BTree) batchSweep(t *dyntx.Txn, sid uint64, root Ptr, curRoot func() P
 			changed = true
 		}
 		if changed {
-			if err := bt.applyUpdate(t, sid, path, len(path)-1, nl); err != nil {
-				return err
+			if err := bt.applyUpdate(t, tg, path, len(path)-1, nl); err != nil {
+				return 0, err
 			}
 		}
-		i = j
 	}
-	return nil
+	return removed, nil
 }
 
-// prefetchBatchLeaves plans the leaf for every op by walking interior nodes
-// (proxy cache first, dirty reads on miss), following branching-mode
-// redirects along the way, and fetches all distinct planned leaves with one
-// concurrent multi-read minitransaction per memnode, injecting them into the
-// read set. On branching trees the fetched leaves may themselves carry
-// redirects toward sid (their copy lives elsewhere), so a few extra rounds
-// chase those copies into the read set too. Planning errors abandon the
-// prefetch — the authoritative sweep re-traverses and reports them properly.
-func (bt *BTree) prefetchBatchLeaves(t *dyntx.Txn, root Ptr, sid uint64, ops []BatchOp) {
+// prefetchLeaves plans the leaf for every op by descending to the leaf's
+// parent (interior nodes come from the proxy cache, dirty reads on a miss)
+// and fetches all distinct planned leaves with one concurrent multi-read
+// minitransaction per memnode, injecting them into the read set. A fetched
+// leaf may itself carry a redirect toward tg.sid (its copy lives elsewhere),
+// so a few extra rounds chase those copies into the read set too. Planning
+// errors abandon the prefetch — the authoritative sweep re-traverses and
+// reports them properly.
+func (bt *BTree) prefetchLeaves(t *dyntx.Txn, tg *target, ops []BatchOp) {
 	var refs []dyntx.Ref
-	seen := make(map[Ptr]struct{})
-	haveHigh := false
-	var high wire.Fence
+	planned := false
+	var high wire.Fence // upper fence of the last planned leaf
 	for _, op := range ops {
-		if haveHigh && (high.IsPosInf() || high.CompareKey(op.Key) < 0) {
+		if planned && (high.IsPosInf() || high.CompareKey(op.Key) < 0) {
 			continue // same planned leaf as the previous op
 		}
-		curPtr := root
-		cur, _, err := bt.loadInner(t, curPtr)
+		path, err := bt.descend(t, tg, op.Key, 1)
 		if err != nil {
 			return
 		}
-		if curPtr, cur, err = bt.planRedirects(t, curPtr, cur, sid); err != nil {
-			return
-		}
-		if cur.IsLeaf() || !bt.checkNode(cur, sid, op.Key) {
-			return
-		}
-		for cur.Height > 1 {
-			i := cur.childIndex(op.Key)
-			nextPtr := cur.Kids[i]
-			next, _, err := bt.loadInner(t, nextPtr)
-			if err != nil {
-				return
-			}
-			if nextPtr, next, err = bt.planRedirects(t, nextPtr, next, sid); err != nil {
-				return
-			}
-			if next.Height != cur.Height-1 || !bt.checkNode(next, sid, op.Key) {
-				return
-			}
-			cur, curPtr = next, nextPtr
-		}
-		i := cur.childIndex(op.Key)
-		leafPtr := cur.Kids[i]
-		_, high = cur.childFences(i)
-		haveHigh = true
-		if _, dup := seen[leafPtr]; !dup {
-			seen[leafPtr] = struct{}{}
-			refs = append(refs, refNode(leafPtr))
-		}
+		parent := path[len(path)-1].node
+		i := parent.childIndex(op.Key)
+		_, high = parent.childFences(i)
+		planned = true
+		refs = append(refs, refNode(parent.Kids[i]))
 	}
-	// Fetch the planned leaves; on branching trees chase leaf-level
-	// redirects with follow-up rounds so the copies the sweep will actually
-	// rewrite are prefetched too.
 	const maxRedirectRounds = 4
-	for round := 0; len(refs) > 0; round++ {
+	for round := 0; len(refs) > 0 && round <= maxRedirectRounds; round++ {
 		objs, err := t.ReadBatch(refs)
-		if err != nil || !bt.cfg.Branching || round == maxRedirectRounds {
+		if err != nil {
 			return
 		}
-		var next []dyntx.Ref
+		refs = refs[:0]
 		for _, o := range objs {
-			if !o.Exists {
+			if !o.Exists || !hasRedirects(o.Data) {
 				continue
 			}
 			n, err := decodeNode(o.Data)
-			if err != nil || len(n.Redirects) == 0 {
+			if err != nil {
 				continue
 			}
-			p, ok, err := bt.bestRedirect(n, sid)
+			p, ok, err := bt.bestRedirect(n, tg.sid)
 			if err != nil {
 				return
 			}
-			if !ok {
-				continue
-			}
-			if _, dup := seen[p]; !dup {
-				seen[p] = struct{}{}
-				next = append(next, refNode(p))
+			if ok {
+				refs = append(refs, refNode(p))
 			}
 		}
-		refs = next
 	}
-}
-
-// planRedirects resolves branching-mode redirects on interior nodes during
-// batch planning, using dirty loads only (no read-set growth). A no-op on
-// linear trees.
-func (bt *BTree) planRedirects(t *dyntx.Txn, p Ptr, n *Node, sid uint64) (Ptr, *Node, error) {
-	if !bt.cfg.Branching {
-		return p, n, nil
-	}
-	for hops := 0; hops < 64; hops++ {
-		tp, ok, err := bt.bestRedirect(n, sid)
-		if err != nil {
-			return Ptr{}, nil, err
-		}
-		if !ok {
-			return p, n, nil
-		}
-		p = tp
-		if n, _, err = bt.loadInner(t, p); err != nil {
-			return Ptr{}, nil, err
-		}
-	}
-	return Ptr{}, nil, dyntx.ErrRetry
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"minuet/internal/dyntx"
 )
 
 // versionRoot fetches sid's current root straight from the catalog replica.
@@ -38,13 +40,37 @@ func TestBatchBranchBasic(t *testing.T) {
 	}
 }
 
-// TestBatchBranchNotBranching: version-addressed batches require branching
-// mode.
-func TestBatchBranchNotBranching(t *testing.T) {
+// TestNotBranching: every version-addressed or catalog-reading entry point
+// returns ErrNotBranching on a linear tree (the single-key ones used to
+// dereference the absent catalog and panic).
+func TestNotBranching(t *testing.T) {
 	e := newEnv(t, 1, smallCfg())
-	err := e.bt.ApplyBatchAt(1, []BatchOp{{Key: batchKey(1), Val: []byte("x")}})
-	if !errors.Is(err, ErrNotBranching) {
-		t.Fatalf("ApplyBatchAt on linear tree: %v", err)
+	k, ops := batchKey(1), []BatchOp{{Key: batchKey(1), Val: []byte("x")}}
+	for name, call := range map[string]func() error{
+		"PutAt":        func() error { return e.bt.PutAt(1, k, []byte("x")) },
+		"GetAt":        func() error { _, _, err := e.bt.GetAt(1, k); return err },
+		"RemoveAt":     func() error { _, err := e.bt.RemoveAt(1, k); return err },
+		"ScanAt":       func() error { _, err := e.bt.ScanAt(1, nil, 10); return err },
+		"ApplyBatchAt": func() error { return e.bt.ApplyBatchAt(1, ops) },
+		"BatchTxnAt": func() error {
+			return e.bt.run(func(tx *dyntx.Txn) error { return e.bt.BatchTxnAt(tx, 1, ops) })
+		},
+		"CreateBranch": func() error { _, err := e.bt.CreateBranch(1); return err },
+		"ResolveTip":   func() error { _, err := e.bt.ResolveTip(1); return err },
+		"ListVersions": func() error { _, err := e.bt.ListVersions(); return err },
+		"DiffVersions": func() error { _, err := e.bt.DiffVersions(1, 1, 0); return err },
+		"KeyHistory":   func() error { _, err := e.bt.KeyHistory(1, k); return err },
+	} {
+		if err := call(); !errors.Is(err, ErrNotBranching) {
+			t.Errorf("%s on linear tree: %v", name, err)
+		}
+	}
+	// The tree is still healthy, and un-addressed calls still work.
+	if err := e.bt.Put(k, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok, err := e.bt.Get(k); err != nil || !ok || string(v) != "x" {
+		t.Fatalf("get after rejected calls: %q %v %v", v, ok, err)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"minuet/internal/catalog"
 	"minuet/internal/dyntx"
 	"minuet/internal/space"
-	"minuet/internal/wire"
 )
 
 // Writable clones / branching versions (§5). Snapshot ids form a version
@@ -29,23 +28,19 @@ var ErrNotWritable = errors.New("core: snapshot is read-only (has a branch)")
 // ErrBranchLimit is returned when a snapshot already has β branches.
 var ErrBranchLimit = errors.New("core: version-tree branching factor (β) exceeded")
 
-// ErrNotBranching is returned by version-addressed operations (PutAt,
-// ApplyBatchAt, ...) on a tree whose configuration has Branching disabled.
+// ErrNotBranching is returned by every operation that addresses a version by
+// id or reads the snapshot catalog (PutAt, GetAt, RemoveAt, ScanAt,
+// ApplyBatchAt, BatchTxnAt, CreateBranch, ResolveTip, ListVersions, ...) on a
+// tree whose configuration has Branching disabled.
 var ErrNotBranching = errors.New("core: tree is not in branching mode")
 
-// injectBranch validates that sid is a writable tip by adding its catalog
-// slot to the read set (the branching analogue of validating the tip
-// snapshot id), and returns the branch's root location.
-func (bt *BTree) injectBranch(t *dyntx.Txn, sid uint64) (Ptr, error) {
-	e, err := bt.cat.Get(sid)
-	if err != nil {
-		return Ptr{}, err
+// requireBranching gates the entry points that need the snapshot catalog;
+// version-addressed reads and writes are gated by resolve.
+func (bt *BTree) requireBranching() error {
+	if !bt.cfg.Branching {
+		return ErrNotBranching
 	}
-	if !e.Writable() {
-		return Ptr{}, fmt.Errorf("%w: snapshot %d branched to %d", ErrNotWritable, sid, e.BranchID)
-	}
-	t.InjectRead(bt.cat.Ref(sid), e.Version, catalog.Encode(e), true)
-	return e.Root, nil
+	return nil
 }
 
 // CreateBranchTxn branches a new writable version off snapshot `from`
@@ -54,6 +49,9 @@ func (bt *BTree) injectBranch(t *dyntx.Txn, sid uint64) (Ptr, error) {
 // replicated next-snapshot-id counter. Like snapshot creation it commits
 // with a blocking minitransaction across all memnodes.
 func (bt *BTree) CreateBranchTxn(t *dyntx.Txn, from uint64) (Snapshot, error) {
+	if err := bt.requireBranching(); err != nil {
+		return Snapshot{}, err
+	}
 	t.Blocking = true
 
 	nextObj, err := t.Read(bt.refNextSnap())
@@ -128,6 +126,9 @@ func (bt *BTree) CreateBranch(from uint64) (Snapshot, error) {
 // move to its first branch (the paper's default retry rule, §5.1). The
 // result is a writable tip at the time of inspection.
 func (bt *BTree) ResolveTip(sid uint64) (uint64, error) {
+	if err := bt.requireBranching(); err != nil {
+		return 0, err
+	}
 	for hops := 0; hops < 1<<20; hops++ {
 		e, err := bt.cat.Refresh(sid)
 		if err != nil {
@@ -141,111 +142,12 @@ func (bt *BTree) ResolveTip(sid uint64) (uint64, error) {
 	return 0, fmt.Errorf("core: mainline from %d did not terminate", sid)
 }
 
-// GetAt looks up k in version sid. Writable tips are read with validation
-// (catalog slot + leaf), read-only versions with pure dirty traversals.
-func (bt *BTree) GetAt(sid uint64, k wire.Key) (val []byte, ok bool, err error) {
-	e, err := bt.cat.Get(sid)
-	if err != nil {
-		return nil, false, err
-	}
-	err = bt.run(func(t *dyntx.Txn) error {
-		root := e.Root
-		validate := e.Writable()
-		if validate {
-			var err2 error
-			if root, err2 = bt.injectBranch(t, sid); err2 != nil {
-				// Lost its writability mid-retry: fall back to snapshot read.
-				if errors.Is(err2, ErrNotWritable) {
-					validate = false
-					root = e.Root
-				} else {
-					return err2
-				}
-			}
-		}
-		path, e2 := bt.traverse(t, root, sid, k, validate)
-		if e2 != nil {
-			return e2
-		}
-		leaf := path[len(path)-1].node
-		i, found := leaf.search(k)
-		if !found {
-			val, ok = nil, false
-			return nil
-		}
-		val, ok = leaf.Vals[i], true
-		return nil
-	})
-	return val, ok, err
-}
-
-// PutAt inserts or updates k in writable version sid.
-func (bt *BTree) PutAt(sid uint64, k wire.Key, v []byte) error {
-	return bt.run(func(t *dyntx.Txn) error {
-		root, err := bt.injectBranch(t, sid)
-		if err != nil {
-			return err
-		}
-		return bt.putAt(t, sid, root, k, v)
-	})
-}
-
-// RemoveAt deletes k in writable version sid.
-func (bt *BTree) RemoveAt(sid uint64, k wire.Key) (existed bool, err error) {
-	err = bt.run(func(t *dyntx.Txn) error {
-		root, err := bt.injectBranch(t, sid)
-		if err != nil {
-			return err
-		}
-		var e error
-		existed, e = bt.removeAt(t, sid, root, k)
-		return e
-	})
-	return existed, err
-}
-
-// ScanAt returns up to limit pairs with key ≥ start from version sid.
-// Read-only versions scan without validation; writable tips validate every
-// leaf (short ranges only, like ScanTip).
-func (bt *BTree) ScanAt(sid uint64, start wire.Key, limit int) ([]KV, error) {
-	e, err := bt.cat.Get(sid)
-	if err != nil {
-		return nil, err
-	}
-	if !e.Writable() {
-		return bt.ScanSnapshot(Snapshot{Sid: sid, Root: e.Root}, start, limit)
-	}
-	var out []KV
-	err = bt.run(func(t *dyntx.Txn) error {
-		root, err := bt.injectBranch(t, sid)
-		if err != nil {
-			return err
-		}
-		out = out[:0]
-		k := start
-		for len(out) < limit {
-			path, err := bt.traverse(t, root, sid, k, true)
-			if err != nil {
-				return err
-			}
-			leaf := path[len(path)-1].node
-			i, _ := leaf.search(k)
-			for ; i < len(leaf.Keys) && len(out) < limit; i++ {
-				out = append(out, KV{Key: leaf.Keys[i], Val: leaf.Vals[i]})
-			}
-			if leaf.High.IsPosInf() {
-				break
-			}
-			k = leaf.High.Key()
-		}
-		return nil
-	})
-	return out, err
-}
-
 // ListVersions returns the catalog entries of all versions, in id order.
 // Intended for tooling and tests, not the data path.
 func (bt *BTree) ListVersions() ([]catalog.Entry, error) {
+	if err := bt.requireBranching(); err != nil {
+		return nil, err
+	}
 	res, err := bt.c.Read(ctlPtr(bt.local, bt.idx, space.CtlNextSnapID))
 	if err != nil {
 		return nil, err
@@ -262,17 +164,22 @@ func (bt *BTree) ListVersions() ([]catalog.Entry, error) {
 	return out, nil
 }
 
-// markCopiedBranching records on the old node that its sid-state lives at
-// copyPtr, maintaining the §5.2 invariant: the redirect set stays ≤ β by
-// materializing discretionary copies at common ancestors when necessary.
-func (bt *BTree) markCopiedBranching(t *dyntx.Txn, e pathEntry, sid uint64, copyPtr Ptr, inReadSet bool) error {
+// markCopied records on the old node that its state now lives at copyPtr for
+// snapshot sid. The linear format sets the copied-snapshot id (§4.2); the
+// branching format inserts a redirect, keeping the set ≤ β by materializing
+// discretionary copies at common ancestors when necessary (§5.2).
+func (bt *BTree) markCopied(t *dyntx.Txn, e pathEntry, sid uint64, copyPtr Ptr, inReadSet bool) error {
 	old := e.node.clone()
-	entries := append(append([]Redirect(nil), old.Redirects...), Redirect{Sid: sid, Ptr: copyPtr})
-	packed, err := bt.packRedirects(t, e.node, old.Created, entries, e.ptr)
-	if err != nil {
-		return err
+	if bt.cfg.Branching {
+		entries := append(old.Redirects, Redirect{Sid: sid, Ptr: copyPtr})
+		packed, err := bt.packRedirects(t, e.node, old.Created, entries, e.ptr)
+		if err != nil {
+			return err
+		}
+		old.Redirects = packed
+	} else {
+		old.Copied = sid
 	}
-	old.Redirects = packed
 	bt.writeNodeBack(t, e, old, inReadSet)
 	return nil
 }
@@ -393,29 +300,4 @@ func redirectIndexOf(rs []Redirect, sid uint64) int {
 		}
 	}
 	return -1
-}
-
-// writeBranchRoot updates the catalog slot of a writable tip after a root
-// split. The slot is already in the read set (injectBranch), so the write
-// validates against the version observed at operation start. A batch can
-// grow the root more than once inside one transaction, so an earlier pending
-// write of the slot — not the committed entry — is the base when present.
-func (bt *BTree) writeBranchRoot(t *dyntx.Txn, sid uint64, rootPtr Ptr) error {
-	ref := bt.cat.Ref(sid)
-	var e catalog.Entry
-	if d, ok := t.PendingWrite(ref); ok {
-		var err error
-		if e, err = catalog.Decode(d); err != nil {
-			return dyntx.ErrRetry
-		}
-	} else {
-		var err error
-		if e, err = bt.cat.Get(sid); err != nil {
-			return err
-		}
-	}
-	e.Root = rootPtr
-	t.Write(ref, catalog.Encode(e))
-	bt.cat.Invalidate(sid)
-	return nil
 }

@@ -355,6 +355,29 @@ func TestCreateTwiceFails(t *testing.T) {
 	}
 }
 
+// TestRootGrowthInsideOneTxn: single-key operations assembled into one
+// transaction observe the root growth of the ones before them (they used to
+// restart from the committed root and retry until giving up).
+func TestRootGrowthInsideOneTxn(t *testing.T) {
+	e := newEnv(t, 2, smallCfg())
+	const n = 40
+	err := e.bt.run(func(tx *dyntx.Txn) error {
+		for i := 0; i < n; i++ {
+			if err := e.bt.PutTxn(tx, key(i), val(i)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sid, root := tipRoot(t, e)
+	if got := walkInvariants(t, e, root, sid); got != n {
+		t.Fatalf("tip holds %d keys, want %d", got, n)
+	}
+}
+
 func TestMultiTreeTransaction(t *testing.T) {
 	e := newEnv(t, 3, smallCfg())
 	bt2, err := Create(e.c, e.al, 1, e.nodes[0], e.bt.cfg)
@@ -454,8 +477,9 @@ func TestQuickDecodeNeverPanics(t *testing.T) {
 	}
 }
 
-// TestQuickSplitNodeInvariants: splitting any over-full node partitions its
-// keys exactly, with correct fences on both halves.
+// TestQuickSplitNodeInvariants: splitting any node that is over-full by one
+// (the single-key case of splitNodeMany) yields two halves that partition its
+// keys exactly, with correct fences on both.
 func TestQuickSplitNodeInvariants(t *testing.T) {
 	f := func(nKeys uint8, leaf bool) bool {
 		n := int(nKeys%32) + 2 // ≥2 keys so both halves are non-empty
@@ -475,7 +499,11 @@ func TestQuickSplitNodeInvariants(t *testing.T) {
 				src.Kids = append(src.Kids, Ptr{Addr: sinfonia.Addr(i)})
 			}
 		}
-		left, right, sep := splitNode(src)
+		parts, seps := splitNodeMany(src, n-1)
+		if len(parts) != 2 || len(seps) != 1 {
+			return false
+		}
+		left, right, sep := parts[0], parts[1], seps[0]
 		// Fences meet at the separator.
 		if left.High.Compare(wire.FenceAt(sep)) != 0 || right.Low.Compare(wire.FenceAt(sep)) != 0 {
 			return false

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"minuet/internal/dyntx"
-	"minuet/internal/wire"
-)
+import "minuet/internal/wire"
 
 // Cursor streams a snapshot's key-value pairs in key order without
 // materializing the whole range: it fetches one leaf at a time (one round
@@ -14,11 +11,7 @@ import (
 // Cursors are the streaming complement to ScanSnapshot: analytics that
 // aggregate more data than fits in memory iterate instead of collecting.
 type Cursor struct {
-	bt   *BTree
-	snap Snapshot
-
-	leaf *Node
-	pos  int
+	w    leafWalk
 	err  error
 	done bool
 }
@@ -26,83 +19,39 @@ type Cursor struct {
 // NewCursor opens a cursor over a read-only snapshot, positioned at the
 // first key ≥ start (nil = the smallest key).
 func (bt *BTree) NewCursor(s Snapshot, start wire.Key) *Cursor {
-	c := &Cursor{bt: bt, snap: s}
-	c.seek(start)
+	c := &Cursor{w: leafWalk{bt: bt, tg: snapTarget(s), next: start}}
+	c.fill()
 	return c
 }
 
-// seek loads the leaf responsible for k and positions at the first key ≥ k.
-func (c *Cursor) seek(k wire.Key) {
-	c.leaf = nil
-	c.pos = 0
-	err := c.bt.run(func(t *dyntx.Txn) error {
-		path, e := c.bt.traverse(t, c.snap.Root, c.snap.Sid, k, false)
-		if e != nil {
-			return e
-		}
-		c.leaf = path[len(path)-1].node
-		return nil
-	})
-	if err != nil {
-		c.err = err
-		c.done = true
-		return
-	}
-	c.pos, _ = c.leaf.search(k)
-	c.skipEmptyLeaves()
-}
-
-// skipEmptyLeaves advances across exhausted leaves (deletions can leave
-// empty ones) until a key is available or the key space ends.
-func (c *Cursor) skipEmptyLeaves() {
-	for c.leaf != nil && c.pos >= len(c.leaf.Keys) {
-		if c.leaf.High.IsPosInf() {
+// fill advances across exhausted leaves (deletions can leave empty ones)
+// until a key is available or the key space ends.
+func (c *Cursor) fill() {
+	for !c.done && (c.w.leaf == nil || c.w.pos >= len(c.w.leaf.Keys)) {
+		if c.w.last {
 			c.done = true
-			return
-		}
-		next := c.leaf.High.Key()
-		c.leaf = nil
-		err := c.bt.run(func(t *dyntx.Txn) error {
-			path, e := c.bt.traverse(t, c.snap.Root, c.snap.Sid, next, false)
-			if e != nil {
-				return e
-			}
-			c.leaf = path[len(path)-1].node
-			return nil
-		})
-		if err != nil {
-			c.err = err
+		} else if c.err = c.w.step(); c.err != nil {
 			c.done = true
-			return
 		}
-		c.pos, _ = c.leaf.search(next)
 	}
 }
 
 // Next advances to the next pair, reporting false at the end of the key
 // space or on error (check Err).
 func (c *Cursor) Next() bool {
-	if c.done || c.err != nil {
-		return false
-	}
-	if c.leaf == nil || c.pos >= len(c.leaf.Keys) {
-		c.skipEmptyLeaves()
-	}
-	if c.done || c.err != nil || c.leaf == nil {
-		return false
-	}
-	return true
+	c.fill()
+	return !c.done
 }
 
 // Key returns the current key. Valid after Next returns true, until the
 // next call to Next.
-func (c *Cursor) Key() wire.Key { return c.leaf.Keys[c.pos] }
+func (c *Cursor) Key() wire.Key { return c.w.leaf.Keys[c.w.pos] }
 
 // Value returns the current value.
-func (c *Cursor) Value() []byte { return c.leaf.Vals[c.pos] }
+func (c *Cursor) Value() []byte { return c.w.leaf.Vals[c.w.pos] }
 
 // Advance moves past the current pair (call after consuming Key/Value).
-func (c *Cursor) Advance() { c.pos++ }
+func (c *Cursor) Advance() { c.w.pos++ }
 
 // Err returns the first error the cursor hit, if any.
 func (c *Cursor) Err() error { return c.err }

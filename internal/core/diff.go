@@ -1,6 +1,9 @@
 package core
 
 import (
+	"bytes"
+	"math"
+
 	"minuet/internal/dyntx"
 	"minuet/internal/wire"
 )
@@ -55,41 +58,10 @@ type DiffEntry struct {
 // limit). Subtrees physically shared between the versions are skipped
 // without being read.
 func (bt *BTree) DiffSnapshots(a, b Snapshot, limit int) ([]DiffEntry, error) {
-	return bt.diffRoots(a.Root, a.Sid, b.Root, b.Sid, limit)
-}
-
-// DiffVersions is DiffSnapshots for branching mode: it diffs any two
-// versions in the version tree by their catalog entries. Writable tips are
-// allowed but the result is only stable if they are quiescent.
-func (bt *BTree) DiffVersions(a, b uint64, limit int) ([]DiffEntry, error) {
-	ea, err := bt.cat.Get(a)
-	if err != nil {
-		return nil, err
-	}
-	eb, err := bt.cat.Get(b)
-	if err != nil {
-		return nil, err
-	}
-	return bt.diffRoots(ea.Root, a, eb.Root, b, limit)
-}
-
-// diffWalker accumulates differences during a parallel tree walk.
-type diffWalker struct {
-	bt    *BTree
-	t     *dyntx.Txn
-	sidA  uint64
-	sidB  uint64
-	rootA Ptr
-	rootB Ptr
-	limit int
-	out   []DiffEntry
-}
-
-func (bt *BTree) diffRoots(rootA Ptr, sidA uint64, rootB Ptr, sidB uint64, limit int) ([]DiffEntry, error) {
 	var out []DiffEntry
 	err := bt.run(func(t *dyntx.Txn) error {
-		w := &diffWalker{bt: bt, t: t, sidA: sidA, sidB: sidB, rootA: rootA, rootB: rootB, limit: limit}
-		if err := w.walk(rootA, rootB); err != nil {
+		w := &diffWalker{bt: bt, t: t, a: snapTarget(a), b: snapTarget(b), limit: limit}
+		if err := w.walk(a.Root, b.Root); err != nil {
 			return err
 		}
 		out = w.out
@@ -98,28 +70,45 @@ func (bt *BTree) diffRoots(rootA Ptr, sidA uint64, rootB Ptr, sidB uint64, limit
 	return out, err
 }
 
+// DiffVersions is DiffSnapshots for branching mode: it diffs any two
+// versions in the version tree by their catalog entries. Writable tips are
+// allowed but the result is only stable if they are quiescent.
+func (bt *BTree) DiffVersions(a, b uint64, limit int) ([]DiffEntry, error) {
+	if err := bt.requireBranching(); err != nil {
+		return nil, err
+	}
+	ea, err := bt.cat.Get(a)
+	if err != nil {
+		return nil, err
+	}
+	eb, err := bt.cat.Get(b)
+	if err != nil {
+		return nil, err
+	}
+	return bt.DiffSnapshots(Snapshot{Sid: a, Root: ea.Root}, Snapshot{Sid: b, Root: eb.Root}, limit)
+}
+
+// diffWalker accumulates differences during a parallel tree walk of
+// versions a and b, both read as frozen.
+type diffWalker struct {
+	bt    *BTree
+	t     *dyntx.Txn
+	a, b  target
+	limit int
+	out   []DiffEntry
+}
+
 func (w *diffWalker) full() bool { return w.limit > 0 && len(w.out) >= w.limit }
 
-// load fetches and version-resolves a node for the given snapshot.
-func (w *diffWalker) load(p Ptr, sid uint64) (*Node, error) {
-	var (
-		n   *Node
-		ver uint64
-		err error
-	)
-	n, ver, err = w.bt.loadInner(w.t, p) // interior loader also decodes leaves
+// load fetches the node at p as version tg sees it.
+func (w *diffWalker) load(p Ptr, tg *target) (*Node, error) {
+	// p's height is unknown; the interior loader also decodes leaves.
+	_, n, _, err := w.bt.loadNode(w.t, tg, p, false)
 	if err != nil {
 		return nil, err
 	}
-	_, n, _, err = w.bt.followRedirects(w.t, p, n, ver, sid, false)
-	if err != nil {
-		return nil, err
-	}
-	// Linear-mode version check: the stored node must belong to sid's past.
-	if !w.bt.cfg.Branching {
-		if n.Created > sid || (n.Copied != NoSnap && n.Copied <= sid) {
-			return nil, dyntx.ErrRetry
-		}
+	if !w.bt.checkNode(n, tg.sid) {
+		return nil, dyntx.ErrRetry
 	}
 	return n, nil
 }
@@ -144,7 +133,7 @@ func (w *diffWalker) diffLeaves(a, b *Node) {
 				w.out = append(w.out, DiffEntry{Kind: DiffAdded, Key: b.Keys[j], ValB: b.Vals[j]})
 				j++
 			default:
-				if !bytesEqual(a.Vals[i], b.Vals[j]) {
+				if !bytes.Equal(a.Vals[i], b.Vals[j]) {
 					w.out = append(w.out, DiffEntry{Kind: DiffChanged, Key: a.Keys[i], ValA: a.Vals[i], ValB: b.Vals[j]})
 				}
 				i++
@@ -160,11 +149,11 @@ func (w *diffWalker) walk(pa, pb Ptr) error {
 	if pa == pb || w.full() {
 		return nil
 	}
-	a, err := w.load(pa, w.sidA)
+	a, err := w.load(pa, &w.a)
 	if err != nil {
 		return err
 	}
-	b, err := w.load(pb, w.sidB)
+	b, err := w.load(pb, &w.b)
 	if err != nil {
 		return err
 	}
@@ -174,12 +163,12 @@ func (w *diffWalker) walk(pa, pb Ptr) error {
 		w.diffLeaves(a, b)
 		return nil
 	case a.IsLeaf() != b.IsLeaf():
-		// Height mismatch (one side split into another level): walk the
-		// taller side down toward the shorter one's key range.
+		// Height mismatch (one side split into another level): brute-force
+		// diff the leaf's key range.
 		if a.IsLeaf() {
-			return w.walkUneven(a, true, b)
+			return w.diffRange(a.Low, a.High)
 		}
-		return w.walkUneven(b, false, a)
+		return w.diffRange(b.Low, b.High)
 	}
 
 	// Both interior (same fences, guaranteed by the caller): sweep a
@@ -253,12 +242,6 @@ func nextCommonBoundary(a, b *Node, pos wire.Fence) wire.Fence {
 	return a.High
 }
 
-// walkUneven handles a leaf on one side vs an interior node on the other by
-// brute-force diffing the leaf's key range.
-func (w *diffWalker) walkUneven(leaf *Node, leafIsA bool, other *Node) error {
-	return w.diffRange(leaf.Low, leaf.High)
-}
-
 // diffRange diffs versions A and B over the key range [lo, hi) by scanning
 // both sides. Used only where structural pairing broke down.
 func (w *diffWalker) diffRange(lo, hi wire.Fence) error {
@@ -266,11 +249,11 @@ func (w *diffWalker) diffRange(lo, hi wire.Fence) error {
 	if !lo.IsNegInf() {
 		start = lo.Key()
 	}
-	aKVs, err := w.scanRange(w.sidA, start, hi)
+	aKVs, err := w.bt.scan(w.t, w.a, start, hi, math.MaxInt)
 	if err != nil {
 		return err
 	}
-	bKVs, err := w.scanRange(w.sidB, start, hi)
+	bKVs, err := w.bt.scan(w.t, w.b, start, hi, math.MaxInt)
 	if err != nil {
 		return err
 	}
@@ -286,50 +269,4 @@ func (w *diffWalker) diffRange(lo, hi wire.Fence) error {
 	}
 	w.diffLeaves(la, lb)
 	return nil
-}
-
-// scanRange reads [start, hi) of one version inside the walker's context.
-func (w *diffWalker) scanRange(sid uint64, start wire.Key, hi wire.Fence) ([]KV, error) {
-	root := w.rootA
-	if sid == w.sidB {
-		root = w.rootB
-	}
-	return w.scanFrom(root, sid, start, hi)
-}
-
-func (w *diffWalker) scanFrom(root Ptr, sid uint64, start wire.Key, hi wire.Fence) ([]KV, error) {
-	var out []KV
-	k := start
-	for {
-		path, err := w.bt.traverse(w.t, root, sid, k, false)
-		if err != nil {
-			return nil, err
-		}
-		leaf := path[len(path)-1].node
-		i, _ := leaf.search(k)
-		for ; i < len(leaf.Keys); i++ {
-			// Stop at the first key ≥ hi (CompareKey orders key vs fence:
-			// ≥0 ⇔ key ≥ fence).
-			if !hi.IsPosInf() && hi.CompareKey(leaf.Keys[i]) >= 0 {
-				return out, nil
-			}
-			out = append(out, KV{Key: leaf.Keys[i], Val: leaf.Vals[i]})
-		}
-		if leaf.High.IsPosInf() || (!hi.IsPosInf() && leaf.High.Compare(hi) >= 0) {
-			return out, nil
-		}
-		k = leaf.High.Key()
-	}
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"testing"
 
+	"minuet/internal/dyntx"
 	"minuet/internal/wire"
 )
 
@@ -100,6 +101,53 @@ func randomBatch(rng *rand.Rand, m fuzzModel, tag string) []BatchOp {
 	return ops
 }
 
+// fuzzTxn runs one multi-op transaction through RunMulti — a tip Put, a tip
+// Remove, a batch addressed to version sid (tipSid: BatchTxn), and a tip Get
+// that must observe all three — and applies the same ops, in the same order,
+// to the models (tip and target are the same map when sid is the tip). The
+// single-key ops and the batch share leaves, parents and, on tiny-fanout
+// trees, root growth inside one commit.
+func fuzzTxn(t *testing.T, e *testEnv, rng *rand.Rand, tag string, tip, target fuzzModel, sid uint64) {
+	t.Helper()
+	pk, rk, gk := fuzzKey(rng), fuzzKey(rng), fuzzKey(rng)
+	tip[string(pk)] = tag
+	_, wantExisted := tip[string(rk)]
+	delete(tip, string(rk))
+	batch := randomBatch(rng, target, tag+"b")
+	want, wantOK := tip[string(gk)]
+	err := RunMulti(e.c, []*BTree{e.bt}, func(tx *dyntx.Txn) error {
+		if err := e.bt.PutTxn(tx, pk, []byte(tag)); err != nil {
+			return err
+		}
+		existed, err := e.bt.RemoveTxn(tx, rk)
+		if err != nil {
+			return err
+		}
+		if existed != wantExisted {
+			return fmt.Errorf("RemoveTxn %q: existed=%v want %v", rk, existed, wantExisted)
+		}
+		if sid == tipSid {
+			err = e.bt.BatchTxn(tx, batch)
+		} else {
+			err = e.bt.BatchTxnAt(tx, sid, batch)
+		}
+		if err != nil {
+			return err
+		}
+		v, ok, err := e.bt.GetTxn(tx, gk)
+		if err != nil {
+			return err
+		}
+		if ok != wantOK || (ok && string(v) != want) {
+			return fmt.Errorf("GetTxn %q: %q/%v want %q/%v", gk, v, ok, want, wantOK)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("txn %s (batch@%d): %v", tag, sid, err)
+	}
+}
+
 // checkVersion compares a full scan of version sid against its model.
 func checkVersion(t *testing.T, e *testEnv, sid uint64, m fuzzModel) {
 	t.Helper()
@@ -134,8 +182,8 @@ func checkTip(t *testing.T, e *testEnv, m fuzzModel) {
 	}
 }
 
-// TestDifferentialFuzzLinear interleaves WriteBatch, Put, Remove, Get, and
-// snapshot creation on a linear tree, checking every read against the model,
+// TestDifferentialFuzzLinear interleaves WriteBatch, Put, Remove, Get,
+// multi-op transactions, and snapshot creation on a linear tree, checking every read against the model,
 // every frozen snapshot against its frozen model, and the structural
 // invariants after every batch.
 func TestDifferentialFuzzLinear(t *testing.T) {
@@ -152,7 +200,7 @@ func TestDifferentialFuzzLinear(t *testing.T) {
 
 			nops := fuzzOps(t)
 			for i := 0; i < nops; i++ {
-				switch r := rng.Intn(10); {
+				switch r := rng.Intn(11); {
 				case r < 3: // batch
 					ops := randomBatch(rng, model, fmt.Sprintf("b%d", i))
 					if err := e.bt.ApplyBatch(ops); err != nil {
@@ -189,6 +237,12 @@ func TestDifferentialFuzzLinear(t *testing.T) {
 					if ok != wantOK || (ok && string(v) != want) {
 						t.Fatalf("seed %d op %d get %q: %q/%v want %q/%v", seed, i, k, v, ok, want, wantOK)
 					}
+				case r < 10: // multi-op txn: single-key ops and a batch, one commit
+					fuzzTxn(t, e, rng, fmt.Sprintf("t%d", i), model, model, tipSid)
+					sid, root := tipRoot(t, e)
+					if got := walkInvariants(t, e, root, sid); got != len(model) {
+						t.Fatalf("seed %d op %d: tip holds %d keys after txn, model %d", seed, i, got, len(model))
+					}
 				default: // snapshot (bounded so walks stay cheap)
 					if len(snaps) < 6 {
 						snap, err := e.bt.CreateSnapshot()
@@ -221,7 +275,9 @@ func TestDifferentialFuzzLinear(t *testing.T) {
 }
 
 // TestDifferentialFuzzBranching interleaves WriteBatchAt, the mainline
-// WriteBatch, PutAt, RemoveAt, GetAt, and branch forks on a branching tree
+// WriteBatch, PutAt, RemoveAt, GetAt, multi-op transactions (tip single-key
+// ops plus a batch addressed to any writable version), and branch forks on a
+// branching tree
 // (β=2), checking every operation against per-version model maps and the
 // structural invariants of the touched version after every batch. Frozen
 // versions are re-verified at the end: copy-on-write must never let a batch
@@ -255,7 +311,7 @@ func TestDifferentialFuzzBranching(t *testing.T) {
 
 			nops := fuzzOps(t)
 			for i := 0; i < nops; i++ {
-				switch r := rng.Intn(12); {
+				switch r := rng.Intn(13); {
 				case r < 3: // version-addressed batch
 					sid := pickWritable()
 					ops := randomBatch(rng, models[sid], fmt.Sprintf("b%d", i))
@@ -304,6 +360,14 @@ func TestDifferentialFuzzBranching(t *testing.T) {
 					want, wantOK := models[sid][string(k)]
 					if ok != wantOK || (ok && string(v) != want) {
 						t.Fatalf("seed %d op %d get@%d %q: %q/%v want %q/%v", seed, i, sid, k, v, ok, want, wantOK)
+					}
+				case r < 12: // multi-op txn: mainline single-key ops + an addressed batch
+					tip, sid := mainline(), pickWritable()
+					fuzzTxn(t, e, rng, fmt.Sprintf("t%d", i), models[tip], models[sid], sid)
+					for _, v := range []uint64{tip, sid} {
+						if got := walkInvariants(t, e, versionRoot(t, e, v), v); got != len(models[v]) {
+							t.Fatalf("seed %d op %d: sid %d holds %d keys after txn, model %d", seed, i, v, got, len(models[v]))
+						}
 					}
 				default: // fork (bounded version count; respect β)
 					if len(models) >= 10 {

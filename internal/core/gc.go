@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"minuet/internal/sinfonia"
 	"minuet/internal/space"
@@ -43,21 +42,19 @@ func (bt *BTree) LowestSnapshot() (uint64, error) {
 	return decodeU64(res.Data), nil
 }
 
-// gcBusy serializes collectors within one handle.
-var gcBusy atomic.Int32
-
 // CollectGarbage sweeps every memnode and frees this tree's nodes whose
 // copied-snapshot id is at or below the watermark. It returns the number of
 // nodes freed. Linear (non-branching) snapshot mode only; branching trees
-// would need descendant-set-aware reachability (see DESIGN.md).
+// would need descendant-set-aware reachability (docs/ARCHITECTURE.md, "Why GC
+// is linear-only").
 func (bt *BTree) CollectGarbage() (int, error) {
 	if bt.cfg.Branching {
 		return 0, fmt.Errorf("core: garbage collection requires linear snapshot mode")
 	}
-	if !gcBusy.CompareAndSwap(0, 1) {
+	if !bt.gcBusy.CompareAndSwap(false, true) {
 		return 0, fmt.Errorf("core: a collection is already running")
 	}
-	defer gcBusy.Store(0)
+	defer bt.gcBusy.Store(false)
 
 	low, err := bt.LowestSnapshot()
 	if err != nil {

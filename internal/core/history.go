@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"bytes"
 
 	"minuet/internal/wire"
 )
@@ -26,8 +26,8 @@ type VersionValue struct {
 // every ancestor, ordered root-first (oldest history first). Branching
 // mode only.
 func (bt *BTree) KeyHistory(sid uint64, k wire.Key) ([]VersionValue, error) {
-	if bt.cat == nil {
-		return nil, fmt.Errorf("core: vertical queries require branching mode")
+	if err := bt.requireBranching(); err != nil {
+		return nil, err
 	}
 	// Collect the ancestor chain (immutable catalog fields).
 	var chain []uint64
@@ -73,7 +73,7 @@ func (bt *BTree) KeyChanges(sid uint64, k wire.Key) ([]VersionValue, error) {
 			}
 			continue
 		}
-		if h.Present != prev.Present || (h.Present && !bytesEqual(h.Val, prev.Val)) {
+		if h.Present != prev.Present || (h.Present && !bytes.Equal(h.Val, prev.Val)) {
 			out = append(out, h)
 		}
 		prev = &hist[i]
@@ -85,8 +85,8 @@ func (bt *BTree) KeyChanges(sid uint64, k wire.Key) ([]VersionValue, error) {
 // tip descending from version `from` (inclusive if `from` itself is still
 // writable), in version-id order. Branching mode only.
 func (bt *BTree) KeyAcrossTips(from uint64, k wire.Key) ([]VersionValue, error) {
-	if bt.cat == nil {
-		return nil, fmt.Errorf("core: horizontal queries require branching mode")
+	if err := bt.requireBranching(); err != nil {
+		return nil, err
 	}
 	entries, err := bt.ListVersions()
 	if err != nil {

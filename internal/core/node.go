@@ -142,6 +142,12 @@ const (
 	HeaderLen = 20
 )
 
+// hasRedirects reports whether an encoded node carries any redirects (the
+// count byte follows the fixed header), sparing a decode to find out.
+func hasRedirects(data []byte) bool {
+	return len(data) > HeaderLen && data[hdrMagic] == nodeMagic && data[HeaderLen] != 0
+}
+
 // encode serializes the node.
 func (n *Node) encode() []byte {
 	w := wire.NewBuffer(128 + 32*len(n.Keys))

@@ -45,50 +45,13 @@ func (bt *BTree) writeNewNode(t *dyntx.Txn, p Ptr, n *Node) {
 	}
 }
 
-// markCopied records on the old node that its state now lives at copyPtr for
-// snapshot sid: linear mode sets the copied-snapshot id (§4.2); branching
-// mode inserts a redirect, enforcing the β bound with discretionary copies
-// (§5.2).
-func (bt *BTree) markCopied(t *dyntx.Txn, e pathEntry, sid uint64, copyPtr Ptr, inReadSet bool) error {
-	if bt.cfg.Branching {
-		return bt.markCopiedBranching(t, e, sid, copyPtr, inReadSet)
-	}
-	old := e.node.clone()
-	old.Copied = sid
-	bt.writeNodeBack(t, e, old, inReadSet)
-	return nil
-}
-
-// splitNode splits an over-full node image into left and right halves and
-// returns the separator key. For leaves the separator stays in the right
-// half; for interior nodes it moves up to the parent.
-func splitNode(n *Node) (left, right *Node, sep wire.Key) {
-	mid := len(n.Keys) / 2
-	sep = n.Keys[mid]
-
-	left = &Node{Tree: n.Tree, Height: n.Height, Created: n.Created, Copied: NoSnap, Low: n.Low, High: wire.FenceAt(sep)}
-	right = &Node{Tree: n.Tree, Height: n.Height, Created: n.Created, Copied: NoSnap, Low: wire.FenceAt(sep), High: n.High}
-	if n.IsLeaf() {
-		left.Keys = append([]wire.Key(nil), n.Keys[:mid]...)
-		left.Vals = append([][]byte(nil), n.Vals[:mid]...)
-		right.Keys = append([]wire.Key(nil), n.Keys[mid:]...)
-		right.Vals = append([][]byte(nil), n.Vals[mid:]...)
-	} else {
-		left.Keys = append([]wire.Key(nil), n.Keys[:mid]...)
-		left.Kids = append([]Ptr(nil), n.Kids[:mid+1]...)
-		right.Keys = append([]wire.Key(nil), n.Keys[mid+1:]...)
-		right.Kids = append([]Ptr(nil), n.Kids[mid+1:]...)
-	}
-	return left, right, sep
-}
-
 // splitNodeMany splits an over-full node image into as many parts as needed
 // so that every part holds at most maxKeys keys, returning the parts in key
 // order and the separators between them. A single-key update overfills a
-// node by one (two parts, like splitNode); a batched update can overfill it
-// by an entire batch, so the part count is unbounded. For leaves each
-// separator is the first key of the part to its right; for interior nodes
-// the separators move up to the parent.
+// node by one (two parts); a batched update can overfill it by an entire
+// batch, so the part count is unbounded. For leaves each separator is the
+// first key of the part to its right; for interior nodes the separators move
+// up to the parent.
 func splitNodeMany(n *Node, maxKeys int) (parts []*Node, seps []wire.Key) {
 	k := len(n.Keys)
 	var m int // part count
@@ -144,8 +107,8 @@ func splitNodeMany(n *Node, maxKeys int) (parts []*Node, seps []wire.Key) {
 // splitting when it overflows, then propagates pointer changes to the
 // parent. newContent must be a private clone. The leaf (last path entry) is
 // assumed to be in the read set.
-func (bt *BTree) applyUpdate(t *dyntx.Txn, sid uint64, path []pathEntry, level int, newContent *Node) error {
-	e := path[level]
+func (bt *BTree) applyUpdate(t *dyntx.Txn, tg *target, path []pathEntry, level int, newContent *Node) error {
+	e, sid := path[level], tg.sid
 	isLeaf := newContent.IsLeaf()
 	inReadSet := isLeaf && level == len(path)-1
 	inPlace := e.node.Created == sid
@@ -175,7 +138,7 @@ func (bt *BTree) applyUpdate(t *dyntx.Txn, sid uint64, path []pathEntry, level i
 			return err
 		}
 		bt.copies.Add(1)
-		return bt.replaceChild(t, sid, path, level, e.ptr, copyPtr, nil)
+		return bt.replaceChild(t, tg, path, level, e.ptr, copyPtr, nil)
 	}
 
 	// Split. A single-key update produces two parts; a batched update may
@@ -217,14 +180,14 @@ func (bt *BTree) applyUpdate(t *dyntx.Txn, sid uint64, path []pathEntry, level i
 		bt.writeNewNode(t, p, part)
 		ins[i] = sepInsert{key: seps[i], right: p}
 	}
-	return bt.replaceChild(t, sid, path, level, e.ptr, leftPtr, ins)
+	return bt.replaceChild(t, tg, path, level, e.ptr, leftPtr, ins)
 }
 
 // replaceChild updates the parent of path[level] so that its child slot
 // pointing at oldPtr points at newPtr, inserting any separators produced by
 // a split. At the root it grows the tree (by as many levels as the
 // separators require) and updates the (replicated) root location.
-func (bt *BTree) replaceChild(t *dyntx.Txn, sid uint64, path []pathEntry, level int, oldPtr, newPtr Ptr, ins []sepInsert) error {
+func (bt *BTree) replaceChild(t *dyntx.Txn, tg *target, path []pathEntry, level int, oldPtr, newPtr Ptr, ins []sepInsert) error {
 	if level == 0 {
 		root := path[0]
 		if len(ins) == 0 {
@@ -233,16 +196,11 @@ func (bt *BTree) replaceChild(t *dyntx.Txn, sid uint64, path []pathEntry, level 
 			}
 			// The root's created-snapshot always equals the tip (it is
 			// copied at snapshot/branch creation), so it is never CoW'd
-			// here. Reaching this means the traversal used a stale root —
-			// the tip cache in linear mode, the catalog entry in branching.
-			if bt.cfg.Branching {
-				bt.cat.Invalidate(sid)
-			} else {
-				bt.invalidateTip()
-			}
+			// here. Reaching this means the traversal used a stale root.
+			bt.invalidateRoot(tg.sid)
 			return dyntx.ErrRetry
 		}
-		return bt.growRoot(t, sid, root.node, newPtr, ins)
+		return bt.growRoot(t, tg, root.node, newPtr, ins)
 	}
 
 	parent := path[level-1]
@@ -279,7 +237,7 @@ func (bt *BTree) replaceChild(t *dyntx.Txn, sid uint64, path []pathEntry, level 
 		kids = append(kids, pw.Kids[i+1:]...)
 		pw.Keys, pw.Kids = keys, kids
 	}
-	return bt.applyUpdate(t, sid, path, level-1, pw)
+	return bt.applyUpdate(t, tg, path, level-1, pw)
 }
 
 // growRoot grows the tree after a root split: newPtr plus the split's new
@@ -287,7 +245,8 @@ func (bt *BTree) replaceChild(t *dyntx.Txn, sid uint64, path []pathEntry, level 
 // update can split the root into more parts than one interior node may
 // hold, in which case whole levels are built bottom-up until a single root
 // fits.
-func (bt *BTree) growRoot(t *dyntx.Txn, sid uint64, oldRoot *Node, newPtr Ptr, ins []sepInsert) error {
+func (bt *BTree) growRoot(t *dyntx.Txn, tg *target, oldRoot *Node, newPtr Ptr, ins []sepInsert) error {
+	sid := tg.sid
 	keys := make([]wire.Key, 0, len(ins))
 	kids := make([]Ptr, 0, len(ins)+1)
 	kids = append(kids, newPtr)
@@ -343,130 +302,6 @@ func (bt *BTree) growRoot(t *dyntx.Txn, sid uint64, oldRoot *Node, newPtr Ptr, i
 		Low: wire.NegInf, High: wire.PosInf,
 		Keys: keys, Kids: kids,
 	})
-	return bt.writeRootLocation(t, sid, rootPtr)
-}
-
-// writeRootLocation records a new root for the tip: in linear mode the
-// replicated tip-root object, in branching mode the snapshot's catalog slot.
-// Updating a replicated object engages every memnode, which is why root
-// splits are rare-but-heavy events in both the paper and this code.
-func (bt *BTree) writeRootLocation(t *dyntx.Txn, sid uint64, rootPtr Ptr) error {
-	if bt.cfg.Branching {
-		return bt.writeBranchRoot(t, sid, rootPtr)
-	}
-	t.Write(bt.refTipRoot(), encodePtr(rootPtr))
-	// Our cached tip root is now stale regardless of commit outcome;
-	// refetch lazily.
-	bt.invalidateTip()
+	bt.setRoot(t, tg, rootPtr)
 	return nil
-}
-
-// GetTxn looks up k at the tip inside an existing transaction. The caller
-// owns commit; on success the read is strictly serializable.
-func (bt *BTree) GetTxn(t *dyntx.Txn, k wire.Key) ([]byte, bool, error) {
-	sid, root, err := bt.injectTip(t)
-	if err != nil {
-		return nil, false, err
-	}
-	path, err := bt.traverse(t, root, sid, k, true)
-	if err != nil {
-		return nil, false, err
-	}
-	leaf := path[len(path)-1].node
-	i, ok := leaf.search(k)
-	if !ok {
-		return nil, false, nil
-	}
-	return leaf.Vals[i], true, nil
-}
-
-// PutTxn inserts or updates k at the tip inside an existing transaction.
-func (bt *BTree) PutTxn(t *dyntx.Txn, k wire.Key, v []byte) error {
-	sid, root, err := bt.injectTip(t)
-	if err != nil {
-		return err
-	}
-	return bt.putAt(t, sid, root, k, v)
-}
-
-// putAt performs the write at an explicit (sid, root) target; shared by tip
-// and branch operations.
-func (bt *BTree) putAt(t *dyntx.Txn, sid uint64, root Ptr, k wire.Key, v []byte) error {
-	path, err := bt.traverse(t, root, sid, k, true)
-	if err != nil {
-		return err
-	}
-	leaf := path[len(path)-1].node
-	nl := leaf.clone()
-	i, found := nl.search(k)
-	if found {
-		nl.Vals[i] = v
-	} else {
-		nl.Keys = append(nl.Keys, nil)
-		copy(nl.Keys[i+1:], nl.Keys[i:])
-		nl.Keys[i] = k
-		nl.Vals = append(nl.Vals, nil)
-		copy(nl.Vals[i+1:], nl.Vals[i:])
-		nl.Vals[i] = v
-	}
-	return bt.applyUpdate(t, sid, path, len(path)-1, nl)
-}
-
-// RemoveTxn deletes k at the tip inside an existing transaction, reporting
-// whether the key was present. Minuet does not merge under-full nodes (see
-// DESIGN.md): empty leaves keep their fences and remain correct.
-func (bt *BTree) RemoveTxn(t *dyntx.Txn, k wire.Key) (bool, error) {
-	sid, root, err := bt.injectTip(t)
-	if err != nil {
-		return false, err
-	}
-	return bt.removeAt(t, sid, root, k)
-}
-
-func (bt *BTree) removeAt(t *dyntx.Txn, sid uint64, root Ptr, k wire.Key) (bool, error) {
-	path, err := bt.traverse(t, root, sid, k, true)
-	if err != nil {
-		return false, err
-	}
-	leaf := path[len(path)-1].node
-	i, found := leaf.search(k)
-	if !found {
-		return false, nil
-	}
-	nl := leaf.clone()
-	nl.Keys = append(nl.Keys[:i], nl.Keys[i+1:]...)
-	nl.Vals = append(nl.Vals[:i], nl.Vals[i+1:]...)
-	if err := bt.applyUpdate(t, sid, path, len(path)-1, nl); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-// Get looks up k at the tip (strictly serializable). On a branching tree
-// the tip is the mainline's current writable version (see injectTip).
-func (bt *BTree) Get(k wire.Key) (val []byte, ok bool, err error) {
-	err = bt.runTip(func(t *dyntx.Txn) error {
-		var e error
-		val, ok, e = bt.GetTxn(t, k)
-		return e
-	})
-	return val, ok, err
-}
-
-// Put inserts or updates k at the tip. On a branching tree the write lands
-// on the mainline's current writable version, re-resolving if a concurrent
-// branch freezes it mid-flight.
-func (bt *BTree) Put(k wire.Key, v []byte) error {
-	return bt.runTip(func(t *dyntx.Txn) error { return bt.PutTxn(t, k, v) })
-}
-
-// Remove deletes k at the tip, reporting whether it was present. Branching
-// trees resolve the tip like Put.
-func (bt *BTree) Remove(k wire.Key) (existed bool, err error) {
-	err = bt.runTip(func(t *dyntx.Txn) error {
-		var e error
-		existed, e = bt.RemoveTxn(t, k)
-		return e
-	})
-	return existed, err
 }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"minuet/internal/dyntx"
-	"minuet/internal/wire"
-)
+import "minuet/internal/dyntx"
 
 // Snapshot identifies a read-only version of the tree: its snapshot id and
 // the location of its root node. Holders of a Snapshot can read it forever
@@ -94,25 +91,4 @@ func (bt *BTree) CreateSnapshot() (Snapshot, error) {
 		return e
 	})
 	return s, err
-}
-
-// GetSnap looks up k in a read-only snapshot. No validation traffic is
-// generated: correctness rests on fence keys and copied-snapshot checks
-// (§4.2), and on the snapshot's immutability.
-func (bt *BTree) GetSnap(s Snapshot, k wire.Key) (val []byte, ok bool, err error) {
-	err = bt.run(func(t *dyntx.Txn) error {
-		path, e := bt.traverse(t, s.Root, s.Sid, k, false)
-		if e != nil {
-			return e
-		}
-		leaf := path[len(path)-1].node
-		i, found := leaf.search(k)
-		if !found {
-			val, ok = nil, false
-			return nil
-		}
-		val, ok = leaf.Vals[i], true
-		return nil
-	})
-	return val, ok, err
 }

@@ -326,6 +326,38 @@ func TestGarbageCollection(t *testing.T) {
 	}
 }
 
+// TestGCTwoTreesConcurrently: the one-collector-at-a-time gate belongs to a
+// handle, so collectors of different trees never refuse each other (it used
+// to be package-global and did).
+func TestGCTwoTreesConcurrently(t *testing.T) {
+	e := newEnv(t, 2, smallCfg())
+	bt2, err := Create(e.c, e.al, 1, e.nodes[0], e.bt.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		mustPut(t, e.bt, i)
+		mustPut(t, bt2, i)
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i, bt := range []*BTree{e.bt, bt2} {
+		wg.Add(1)
+		go func(i int, bt *BTree) {
+			defer wg.Done()
+			for round := 0; round < 200 && errs[i] == nil; round++ {
+				_, errs[i] = bt.CollectGarbage()
+			}
+		}(i, bt)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("tree %d: %v", i, err)
+		}
+	}
+}
+
 func TestGCWatermarkPersists(t *testing.T) {
 	e := newEnv(t, 2, smallCfg())
 	if err := e.bt.SetLowestSnapshot(7); err != nil {

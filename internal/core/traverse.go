@@ -109,27 +109,21 @@ func (bt *BTree) loadLeaf(t *dyntx.Txn, p Ptr, validate bool) (*Node, uint64, er
 	return n, obj.Version, nil
 }
 
-// checkNode applies the per-node safety checks that make dirty traversals
-// sound: the node must belong to snapshot sid's history, must not have been
-// copied toward sid (linear mode), and its fences must cover k.
-// In branching mode the caller has already followed redirects.
-func (bt *BTree) checkNode(n *Node, sid uint64, k wire.Key) bool {
+// checkNode applies the version half of the per-node safety checks that make
+// dirty traversals sound (callers add the fence check): the node must belong
+// to snapshot sid's history and — in the linear format, where the caller has
+// no redirects to follow — must not have been copied toward sid.
+func (bt *BTree) checkNode(n *Node, sid uint64) bool {
 	if bt.cfg.Branching {
 		ok, err := bt.cat.IsAncestorOrSelf(n.Created, sid)
-		if err != nil || !ok {
-			return false
-		}
-	} else {
-		if n.Created > sid {
-			return false // node from a later snapshot: stale pointer or reuse
-		}
-		if n.Copied != NoSnap && n.Copied <= sid {
-			// The traversal should be at the copy (or a copy of the copy);
-			// abort and retry — parents are already updated (§4.2).
-			return false
-		}
+		return err == nil && ok
 	}
-	return n.inRange(k)
+	if n.Created > sid {
+		return false // node from a later snapshot: stale pointer or reuse
+	}
+	// Once copied at or below sid the traversal should be at the copy (or a
+	// copy of the copy); abort and retry — parents are already updated (§4.2).
+	return n.Copied == NoSnap || n.Copied > sid
 }
 
 // bestRedirect returns the deepest (most specific) redirect of n whose
@@ -159,99 +153,90 @@ func (bt *BTree) bestRedirect(n *Node, sid uint64) (Ptr, bool, error) {
 	return n.Redirects[best].Ptr, true, nil
 }
 
-// followRedirects resolves branching-mode redirects (§5.2): while the node
-// carries a redirect whose snapshot is an ancestor-or-self of sid, hop to
-// that copy. Among several matches the deepest (most specific) wins.
-func (bt *BTree) followRedirects(t *dyntx.Txn, p Ptr, n *Node, ver uint64, sid uint64, validateLeaf bool) (Ptr, *Node, uint64, error) {
-	if !bt.cfg.Branching {
-		return p, n, ver, nil
-	}
+// loadNode fetches the node at p as version tg sees it: an interior node from
+// the proxy cache or a dirty read, a leaf transactionally when tg validates.
+// While the node carries a redirect whose snapshot is an ancestor-or-self of
+// tg.sid it hops to that copy (§5.2; only the branching format writes
+// redirects, so on a linear tree the first load returns). It reports where
+// the node was finally found.
+func (bt *BTree) loadNode(t *dyntx.Txn, tg *target, p Ptr, leaf bool) (Ptr, *Node, uint64, error) {
 	for hops := 0; hops < 64; hops++ {
-		tp, ok, err := bt.bestRedirect(n, sid)
-		if err != nil {
-			return Ptr{}, nil, 0, err
-		}
-		if !ok {
-			return p, n, ver, nil
-		}
-		p = tp
-		if n.Height == 0 {
-			n, ver, err = bt.loadLeaf(t, p, validateLeaf)
+		var n *Node
+		var ver uint64
+		var err error
+		if leaf {
+			n, ver, err = bt.loadLeaf(t, p, tg.validate)
 		} else {
 			n, ver, err = bt.loadInner(t, p)
 		}
 		if err != nil {
 			return Ptr{}, nil, 0, err
 		}
+		tp, ok, err := bt.bestRedirect(n, tg.sid)
+		if err != nil {
+			return Ptr{}, nil, 0, err
+		}
+		if !ok {
+			return p, n, ver, nil
+		}
+		p, leaf = tp, n.IsLeaf()
 	}
 	return Ptr{}, nil, 0, dyntx.ErrRetry // redirect cycle: torn state, retry
 }
 
-// traverse descends from root to the leaf responsible for k at snapshot sid,
-// following Fig 5: interior nodes are read dirtily (cache-first), fence keys
-// and height are checked at every step, and only the leaf is read
-// transactionally (when validateLeaf is set). It returns the visited path,
-// leaf last. On any inconsistency it invalidates the relevant cache entries
-// and returns dyntx.ErrRetry for the optimistic retry loop.
-func (bt *BTree) traverse(t *dyntx.Txn, root Ptr, sid uint64, k wire.Key, validateLeaf bool) ([]pathEntry, error) {
-	// A Minuet tree always has at least two levels, so the root is
-	// interior; a leaf here means a stale root pointer.
+// descend walks from tg's root toward the leaf responsible for k, stopping at
+// height floor (0 = the leaf), following Fig 5: interior nodes are read
+// dirtily (cache-first), fence keys and height are checked at every step, and
+// only the leaf is read transactionally (when tg validates). It returns the
+// visited path, deepest node last. On any inconsistency it invalidates the
+// relevant cache entries and returns dyntx.ErrRetry for the optimistic retry
+// loop.
+func (bt *BTree) descend(t *dyntx.Txn, tg *target, k wire.Key, floor uint8) ([]pathEntry, error) {
 	path := make([]pathEntry, 0, 8)
 
-	curPtr := root
-	cur, ver, err := bt.loadInner(t, curPtr)
+	anchor := tg.root
+	ptr, cur, ver, err := bt.loadNode(t, tg, anchor, false)
 	if err != nil {
 		return nil, err
 	}
-	anchor := root
-	curPtr, cur, ver, err = bt.followRedirects(t, curPtr, cur, ver, sid, validateLeaf)
-	if err != nil {
-		return nil, err
-	}
-	if cur.IsLeaf() || !bt.checkNode(cur, sid, k) {
-		// A bad root means the tip cache itself is stale — or, on a
-		// branching tree, the proxy's catalog entry for sid.
-		bt.invalidateTip()
-		if bt.cat != nil {
-			bt.cat.Invalidate(sid)
-		}
-		bt.invalidateTraversal(curPtr, nil)
+	// A Minuet tree always has at least two levels, so the root is interior;
+	// a leaf here means a stale root pointer — the proxy's cached root
+	// location for tg.sid is itself stale.
+	if cur.IsLeaf() || !bt.checkNode(cur, tg.sid) || !cur.inRange(k) {
+		bt.invalidateRoot(tg.sid)
+		bt.invalidateTraversal(ptr, nil)
 		return nil, dyntx.ErrRetry
 	}
-	path = append(path, pathEntry{ptr: curPtr, anchor: anchor, node: cur, version: ver})
+	path = append(path, pathEntry{ptr: ptr, anchor: anchor, node: cur, version: ver})
 
-	for !cur.IsLeaf() {
+	for cur.Height > floor {
 		i := cur.childIndex(k)
 		path[len(path)-1].childIdx = i
-		nextPtr := cur.Kids[i]
-		anchor = nextPtr // what the parent's slot holds, pre-redirect
-
-		var next *Node
-		var nver uint64
-		if cur.Height == 1 {
-			next, nver, err = bt.loadLeaf(t, nextPtr, validateLeaf)
-		} else {
-			next, nver, err = bt.loadInner(t, nextPtr)
-		}
-		if err != nil {
-			return nil, err
-		}
-		nextPtr, next, nver, err = bt.followRedirects(t, nextPtr, next, nver, sid, validateLeaf)
+		anchor = cur.Kids[i] // what the parent's slot holds, pre-redirect
+		ptr, next, ver, err := bt.loadNode(t, tg, anchor, cur.Height == 1)
 		if err != nil {
 			return nil, err
 		}
 		// Fatal-inconsistency checks (Fig 5 line 15 plus §4.2): height must
 		// decrease by exactly one, and the child must pass fence/version
 		// checks.
-		if next.Height != cur.Height-1 || !bt.checkNode(next, sid, k) {
-			bt.invalidateTraversal(nextPtr, &path[len(path)-1])
+		if next.Height != cur.Height-1 || !bt.checkNode(next, tg.sid) || !next.inRange(k) {
+			bt.invalidateTraversal(ptr, &path[len(path)-1])
 			return nil, dyntx.ErrRetry
 		}
-		path = append(path, pathEntry{ptr: nextPtr, anchor: anchor, node: next, version: nver})
+		path = append(path, pathEntry{ptr: ptr, anchor: anchor, node: next, version: ver})
 		cur = next
-		curPtr = nextPtr
 	}
 	return path, nil
+}
+
+// leafFor returns the leaf of tg responsible for k.
+func (bt *BTree) leafFor(t *dyntx.Txn, tg *target, k wire.Key) (*Node, error) {
+	path, err := bt.descend(t, tg, k, 0)
+	if err != nil {
+		return nil, err
+	}
+	return path[len(path)-1].node, nil
 }
 
 // invalidateTraversal drops the cache entries that led to an inconsistent

@@ -107,7 +107,9 @@ type BTree struct {
 	tipMu sync.Mutex
 	tip   tipState // guarded by tipMu
 
-	cat *catalog.Catalog // branching mode only
+	cat *catalog.Catalog // proxy view of the snapshot catalog; empty on a linear tree
+
+	gcBusy atomic.Bool // serializes collectors within this handle
 
 	ops        atomic.Int64
 	retries    atomic.Int64
@@ -222,12 +224,10 @@ func Open(c *sinfonia.Client, al *alloc.Allocator, treeIdx int, local sinfonia.N
 		c:     c,
 		al:    al,
 		local: local,
+		cat:   catalog.New(c, treeIdx, local),
 	}
 	if cfg.CacheEntries > 0 {
 		bt.cache = newNodeCache(cfg.CacheEntries)
-	}
-	if cfg.Branching {
-		bt.cat = catalog.New(c, treeIdx, local)
 	}
 	// Verify the tree exists.
 	res, err := c.Read(ctlPtr(local, treeIdx, space.CtlTipSnapID))
@@ -243,7 +243,7 @@ func Open(c *sinfonia.Client, al *alloc.Allocator, treeIdx int, local sinfonia.N
 // Config returns the handle's configuration.
 func (bt *BTree) Config() Config { return bt.cfg }
 
-// Catalog returns the tree's catalog view (branching mode only).
+// Catalog returns the tree's catalog view (no entries on a linear tree).
 func (bt *BTree) Catalog() *catalog.Catalog { return bt.cat }
 
 // Client returns the underlying Sinfonia client.
@@ -323,36 +323,125 @@ func (bt *BTree) invalidateTip() {
 	bt.tipMu.Unlock()
 }
 
-// injectTip adds the proxy's cached tip snapshot id and root location to t's
-// read set (§4.1) and returns them. Every up-to-date read and all writes
-// must validate these objects; replication makes the validation local to
-// whichever memnode the commit engages.
-//
-// On a branching tree the fixed tip cells are not maintained — root updates
-// live in the snapshot catalog — so the tip is instead resolved by following
-// the mainline (first-branch chain) from the initial snapshot, and the
-// resolved version's catalog slot joins the read set via injectBranch. A
-// concurrent branch that freezes the tip mid-flight surfaces as
-// ErrNotWritable; tip-level operations re-resolve and retry (runTip).
-func (bt *BTree) injectTip(t *dyntx.Txn) (sid uint64, root Ptr, err error) {
+// tipSid is the version id that addresses "the tip" in every addressed
+// entry point: the single writable version of a linear tree, the mainline's
+// current writable version (first-branch chain from the initial snapshot) of
+// a branching one. Real snapshot ids start at initialSnapID.
+const tipSid = 0
+
+// target is a resolved version: what an operation needs to run against one
+// version of the tree, whichever format the tree keeps its roots in.
+type target struct {
+	sid  uint64
+	root Ptr // as of the transaction's own pending writes
+	// rootRef is the replicated cell that holds the root: the tip-root cell
+	// of a linear tree, the version's catalog slot of a branching one.
+	rootRef dyntx.Ref
+	// validate is set for writable versions: leaves join the read set and
+	// the root cell is validated at commit. Frozen versions are read with
+	// dirty traversals alone (§4.2) and reject writes.
+	validate bool
+	ent      catalog.Entry // branching: the slot's entry, re-encoded by setRoot
+}
+
+// snapTarget addresses a frozen snapshot by its handle; no resolution (and no
+// catalog) is involved.
+func snapTarget(s Snapshot) target { return target{sid: s.Sid, root: s.Root} }
+
+// resolve turns a version id into a target inside t, adding the cells that
+// make the version current to t's read set (§4.1): the proxy's cached tip id
+// and root location on a linear tree, the version's catalog slot on a
+// branching one. Replication makes their validation local to whichever
+// memnode the commit engages. Once t holds the cells they are read back
+// through t, so a later operation of the same transaction sees the root (or
+// the freeze) an earlier one left pending. tipSid resolves the tip first; a
+// concurrent branch that freezes it between the two lookups returns
+// ErrRetry, so the retry loop re-resolves (the paper's default retry rule,
+// §5.1) and only explicitly addressed writes ever see ErrNotWritable.
+func (bt *BTree) resolve(t *dyntx.Txn, sid uint64) (target, error) {
+	if !bt.cfg.Branching {
+		if sid != tipSid {
+			return target{}, ErrNotBranching
+		}
+		idRef, rootRef := bt.refTipID(), bt.refTipRoot()
+		tg := target{rootRef: rootRef, validate: true}
+		if t.InReadSet(idRef) {
+			id, err := t.Read(idRef)
+			if err != nil {
+				return target{}, err
+			}
+			root, err := t.Read(rootRef)
+			if err != nil {
+				return target{}, err
+			}
+			tg.sid, tg.root = decodeU64(id.Data), decodePtr(root.Data)
+		} else {
+			tip, err := bt.loadTip()
+			if err != nil {
+				return target{}, err
+			}
+			t.InjectRead(idRef, tip.sidVer, encodeU64(tip.sid), true)
+			t.InjectRead(rootRef, tip.rootVer, encodePtr(tip.root), true)
+			tg.sid, tg.root = tip.sid, tip.root
+		}
+		return tg, nil
+	}
+	tip := sid == tipSid
+	if tip {
+		var err error
+		if sid, err = bt.ResolveTip(initialSnapID); err != nil {
+			return target{}, err
+		}
+	}
+	ref := bt.cat.Ref(sid)
+	var ent catalog.Entry
+	if t.InReadSet(ref) {
+		obj, err := t.Read(ref)
+		if err != nil {
+			return target{}, err
+		}
+		if ent, err = catalog.Decode(obj.Data); err != nil {
+			return target{}, dyntx.ErrRetry
+		}
+	} else {
+		var err error
+		if ent, err = bt.cat.Get(sid); err != nil {
+			return target{}, err
+		}
+	}
+	if !ent.Writable() {
+		if tip {
+			return target{}, dyntx.ErrRetry
+		}
+		return target{sid: sid, root: ent.Root, ent: ent}, nil
+	}
+	t.InjectRead(ref, ent.Version, catalog.Encode(ent), true) // no-op once t holds the slot
+	return target{sid: sid, root: ent.Root, rootRef: ref, validate: true, ent: ent}, nil
+}
+
+// setRoot records a new root for writable target tg after root growth. The
+// cell is already in the read set (resolve), so the write validates against
+// the version observed at operation start. Updating a replicated cell engages
+// every memnode, which is why root splits are rare-but-heavy events in both
+// the paper and this code.
+func (bt *BTree) setRoot(t *dyntx.Txn, tg *target, root Ptr) {
+	tg.root = root
 	if bt.cfg.Branching {
-		tip, err := bt.ResolveTip(initialSnapID)
-		if err != nil {
-			return 0, Ptr{}, err
-		}
-		root, err := bt.injectBranch(t, tip)
-		if err != nil {
-			return 0, Ptr{}, err
-		}
-		return tip, root, nil
+		tg.ent.Root = root
+		t.Write(tg.rootRef, catalog.Encode(tg.ent))
+	} else {
+		t.Write(tg.rootRef, encodePtr(root))
 	}
-	tip, err := bt.loadTip()
-	if err != nil {
-		return 0, Ptr{}, err
-	}
-	t.InjectRead(bt.refTipID(), tip.sidVer, encodeU64(tip.sid), true)
-	t.InjectRead(bt.refTipRoot(), tip.rootVer, encodePtr(tip.root), true)
-	return tip.sid, tip.root, nil
+	// The proxy's cached root is now stale regardless of commit outcome;
+	// refetch lazily.
+	bt.invalidateRoot(tg.sid)
+}
+
+// invalidateRoot drops the proxy's cached root location of version sid (the
+// tip cache and the catalog entry; whichever the tree does not use is empty).
+func (bt *BTree) invalidateRoot(sid uint64) {
+	bt.invalidateTip()
+	bt.cat.Invalidate(sid)
 }
 
 // handleStale reacts to a validation failure: it invalidates whatever proxy
@@ -370,9 +459,7 @@ func (bt *BTree) handleStale(err error) {
 		case a >= ctlBase && a < ctlBase+space.TreeDirStride:
 			bt.invalidateTip()
 		case a >= space.CatalogBase && a < space.SeqTableBase:
-			if bt.cat != nil {
-				bt.cat.Invalidate(uint64((a - space.CatalogAddr(bt.idx, 0)) / space.CatalogStride))
-			}
+			bt.cat.Invalidate(uint64((a - space.CatalogAddr(bt.idx, 0)) / space.CatalogStride))
 		case a >= space.SeqTableBase:
 			// Legacy seq-table entry: recover the node pointer from the
 			// address and invalidate just that node's cache entry.
@@ -389,74 +476,23 @@ func (bt *BTree) handleStale(err error) {
 	}
 }
 
-// run executes fn in an optimistic retry loop: build the transaction, commit
-// it, and on validation failure invalidate whatever proxy caches went stale
-// before retrying. The loop is owned here (rather than by dyntx.Run) so that
-// commit-time staleness also feeds cache invalidation.
+// run is RunMulti over this one tree.
 func (bt *BTree) run(fn func(t *dyntx.Txn) error) error {
-	const maxAttempts = 512
-	backoff := 20 * time.Microsecond
-	var lastErr error
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		if attempt > 0 {
-			bt.retries.Add(1)
-			time.Sleep(time.Duration(rand.Int63n(int64(backoff))) + backoff/2)
-			if backoff < time.Millisecond {
-				backoff *= 2
-			}
-		}
-		t := dyntx.New(bt.c)
-		err := fn(t)
-		if err == nil {
-			if err = t.Commit(); err == nil {
-				bt.ops.Add(1)
-				bt.rts.Add(int64(t.Roundtrips))
-				return nil
-			}
-		}
-		// The attempt did not commit: return any blocks it reserved.
-		bt.rts.Add(int64(t.Roundtrips))
-		t.Discard()
-		if dyntx.IsStale(err) || errors.Is(err, dyntx.ErrRetry) || errors.Is(err, dyntx.ErrAborted) {
-			bt.handleStale(err)
-			lastErr = err
-			continue
-		}
-		return err
-	}
-	return fmt.Errorf("core: giving up after %d attempts: %w", maxAttempts, lastErr)
-}
-
-// runTip is run for tip-addressed operations (Get/Put/Remove/ScanTip): on a
-// branching tree, a concurrent CreateBranch can freeze the mainline tip
-// between injectTip's resolution and commit, surfacing as ErrNotWritable.
-// The operation then re-resolves the mainline and retries (the paper's
-// default retry rule, §5.1) instead of leaking the error to a caller that
-// never addressed a version explicitly.
-func (bt *BTree) runTip(fn func(t *dyntx.Txn) error) error {
-	if !bt.cfg.Branching {
-		return bt.run(fn)
-	}
-	var lastErr error
-	for attempt := 0; attempt < 64; attempt++ {
-		err := bt.run(fn)
-		if err == nil || !errors.Is(err, ErrNotWritable) {
-			return err
-		}
-		lastErr = err
-	}
-	return lastErr
+	return RunMulti(bt.c, []*BTree{bt}, fn)
 }
 
 // SetNonBlockingSnapshots flips the snapshot-blocking ablation flag on an
 // open handle (benchmarks only; see Config.NonBlockingSnapshots).
 func SetNonBlockingSnapshots(bt *BTree) { bt.cfg.NonBlockingSnapshots = true }
 
-// RunMulti executes fn as one dynamic transaction spanning several trees
-// (the paper's multi-index transactions, §6.2 "Scalability for multi-index
-// transactions"). Validation failures invalidate the caches of every
-// involved tree before retrying. All trees must share the same Sinfonia
-// client.
+// RunMulti executes fn as one dynamic transaction in the optimistic retry
+// loop every operation shares: build the transaction, commit it, and on
+// validation failure invalidate whatever proxy caches went stale before
+// retrying with backoff. The loop is owned here (rather than by dyntx.Run) so
+// that commit-time staleness also feeds cache invalidation. fn may span
+// several trees (the paper's multi-index transactions, §6.2 "Scalability for
+// multi-index transactions"), which must share the Sinfonia client c; every
+// attempt, committed or discarded, is charged to each tree's counters.
 func RunMulti(c *sinfonia.Client, trees []*BTree, fn func(t *dyntx.Txn) error) error {
 	const maxAttempts = 512
 	backoff := 20 * time.Microsecond
@@ -474,22 +510,26 @@ func RunMulti(c *sinfonia.Client, trees []*BTree, fn func(t *dyntx.Txn) error) e
 		t := dyntx.New(c)
 		err := fn(t)
 		if err == nil {
-			if err = t.Commit(); err == nil {
-				for _, bt := range trees {
-					bt.ops.Add(1)
-				}
-				return nil
+			err = t.Commit()
+		}
+		for _, bt := range trees {
+			bt.rts.Add(int64(t.Roundtrips))
+			if err == nil {
+				bt.ops.Add(1)
 			}
 		}
+		if err == nil {
+			return nil
+		}
+		// The attempt did not commit: return any blocks it reserved.
 		t.Discard()
-		if dyntx.IsStale(err) || errors.Is(err, dyntx.ErrRetry) || errors.Is(err, dyntx.ErrAborted) {
-			for _, bt := range trees {
-				bt.handleStale(err)
-			}
-			lastErr = err
-			continue
+		if !dyntx.IsStale(err) && !errors.Is(err, dyntx.ErrRetry) && !errors.Is(err, dyntx.ErrAborted) {
+			return err
 		}
-		return err
+		for _, bt := range trees {
+			bt.handleStale(err)
+		}
+		lastErr = err
 	}
 	return fmt.Errorf("core: giving up after %d attempts: %w", maxAttempts, lastErr)
 }

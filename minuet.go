@@ -115,6 +115,10 @@ var ErrNotWritable = core.ErrNotWritable
 // ErrBranchLimit reports exceeding the version tree's branching factor.
 var ErrBranchLimit = core.ErrBranchLimit
 
+// ErrNotBranching reports a version-addressed call (PutAt, GetAt, Branch,
+// WriteBatchAt, ...) on a tree created without Options.Branching.
+var ErrNotBranching = core.ErrNotBranching
+
 // NewCluster starts a simulated cluster.
 func NewCluster(opts Options) *Cluster {
 	dirty := !opts.LegacyTraversals

@@ -126,6 +126,7 @@ func TestMultiTreeTxnAtomic(t *testing.T) {
 	users, _ := c.CreateTree("users")
 	orders, _ := c.CreateTree("orders")
 
+	rtUsers, rtOrders := users.Stats().Roundtrips, orders.Stats().Roundtrips
 	err := c.Txn([]*Tree{users, orders}, func(tx *Tx) error {
 		if err := tx.Put(users, []byte("u1"), []byte("alice")); err != nil {
 			return err
@@ -134,6 +135,10 @@ func TestMultiTreeTxnAtomic(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The transaction's minitransactions are charged to every participant.
+	if du, do := users.Stats().Roundtrips-rtUsers, orders.Stats().Roundtrips-rtOrders; du < 1 || do < 1 {
+		t.Fatalf("Cluster.Txn round trips not counted: users +%d, orders +%d", du, do)
 	}
 	v1, ok1, _ := users.Get([]byte("u1"))
 	v2, ok2, _ := orders.Get([]byte("o1"))
@@ -255,6 +260,31 @@ func TestBranchingThroughPublicAPI(t *testing.T) {
 	rows, err := tree.ScanAt(1, nil, 10)
 	if err != nil || len(rows) != 1 {
 		t.Fatalf("scan-at frozen version: %d %v", len(rows), err)
+	}
+}
+
+// TestVersionAddressedOnLinearTree: the reproduction from the issue — these
+// calls used to hit a nil catalog and panic on a non-branching tree.
+func TestVersionAddressedOnLinearTree(t *testing.T) {
+	c := newTestCluster(t, Options{Machines: 2})
+	tree, _ := c.CreateTree("linear")
+	k, v := []byte("k"), []byte("v")
+	b := tree.NewBatch()
+	b.Put(k, v)
+	for name, call := range map[string]func() error{
+		"PutAt":        func() error { return tree.PutAt(1, k, v) },
+		"GetAt":        func() error { _, _, err := tree.GetAt(1, k); return err },
+		"DeleteAt":     func() error { _, err := tree.DeleteAt(1, k); return err },
+		"ScanAt":       func() error { _, err := tree.ScanAt(1, nil, 10); return err },
+		"Branch":       func() error { _, err := tree.Branch(1); return err },
+		"WriteBatchAt": func() error { return tree.WriteBatchAt(1, b) },
+		"Tx.WriteBatchAt": func() error {
+			return c.Txn([]*Tree{tree}, func(tx *Tx) error { return tx.WriteBatchAt(tree, 1, b) })
+		},
+	} {
+		if err := call(); !errors.Is(err, ErrNotBranching) {
+			t.Errorf("%s on linear tree: %v", name, err)
+		}
 	}
 }
 
