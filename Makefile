@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test lint fmt check vet-tool bench
+.PHONY: build test lint fmt check vet-tool bench bench-table profile-get
 
 build:
 	$(GO) build ./...
@@ -48,5 +48,26 @@ WORKLOAD ?= oltp_mem
 SEED ?= 1
 bench:
 	bash bench/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds 20 --trace 0
+
+# bench-table runs all four workloads at SEED (~90 s) and prints their
+# end-to-end metrics as the markdown table README.md quotes under "Read
+# path"; the result JSON stays in .bench_build/results/.
+WORKLOADS := oltp_mem oltp_tcp oltp_wal htap_branch
+bench-table:
+	mkdir -p .bench_build/results
+	for w in $(WORKLOADS); do \
+		bash bench/run.sh --workload $$w --seed $(SEED) --seconds 20 --trace 0 > .bench_build/results/$$w.json || exit 1; \
+	done
+	$(GO) run ./cmd/minuet-benchtable $(WORKLOADS:%=.bench_build/results/%.json)
+
+# profile-get prints where a warm point read spends its CPU (test binary and
+# profile land in .bench_build/, which is ignored): start a read-path change
+# from this, not from a guess. `go tool pprof -list <func>` on the same two
+# files shows the lines.
+profile-get:
+	mkdir -p .bench_build
+	$(GO) test -run '^$$' -bench GetWarmCache -benchtime 200000x -benchmem \
+		-cpuprofile .bench_build/get.cpu.prof -o .bench_build/minuet.test .
+	$(GO) tool pprof -top -nodecount 25 .bench_build/minuet.test .bench_build/get.cpu.prof
 
 check: build lint test

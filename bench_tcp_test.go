@@ -27,7 +27,7 @@ func tcpKey(i uint64) []byte { return []byte(fmt.Sprintf("key%08d", i)) }
 
 // startTCPMemnodes boots n in-process memnodes behind real TCP listeners and
 // returns their address map plus a shutdown func.
-func startTCPMemnodes(b *testing.B, n int) (map[netsim.NodeID]string, []sinfonia.NodeID, func()) {
+func startTCPMemnodes(b testing.TB, n int) (map[netsim.NodeID]string, []sinfonia.NodeID, func()) {
 	b.Helper()
 	addrs := make(map[netsim.NodeID]string, n)
 	nodes := make([]sinfonia.NodeID, n)

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"minuet/internal/dyntx"
@@ -137,9 +139,25 @@ func (bt *BTree) applyAt(sid uint64, ops []BatchOp) (removed int, err error) {
 	return removed, err
 }
 
+// ErrTooLarge is returned by every write (Put, Remove, ApplyBatch, their *At
+// and *Txn forms) given a key or value longer than maxRecordLen. The whole
+// call is refused before anything is buffered: a batch with one oversized op
+// applies none of its ops.
+var ErrTooLarge = errors.New("core: key or value too large")
+
+// maxRecordLen is the longest key or value a node can hold: records carry a
+// 16-bit length prefix.
+const maxRecordLen = math.MaxUint16
+
 // writeAt assembles normalized ops against version sid into t, reporting how
 // many of its deletes found their key.
 func (bt *BTree) writeAt(t *dyntx.Txn, sid uint64, ops []BatchOp) (removed int, err error) {
+	for i := range ops {
+		if len(ops[i].Key) > maxRecordLen || len(ops[i].Val) > maxRecordLen {
+			return 0, fmt.Errorf("%w: op %d of %d has a %d-byte key and a %d-byte value, limit %d",
+				ErrTooLarge, i, len(ops), len(ops[i].Key), len(ops[i].Val), maxRecordLen)
+		}
+	}
 	tg, err := bt.resolve(t, sid)
 	if err != nil {
 		return 0, err
@@ -163,15 +181,16 @@ func (bt *BTree) writeAt(t *dyntx.Txn, sid uint64, ops []BatchOp) (removed int, 
 // later groups with no network traffic, and root growth is observed through
 // tg.root, which setRoot keeps current.
 func (bt *BTree) batchSweep(t *dyntx.Txn, tg *target, ops []BatchOp) (removed int, err error) {
+	var buf pathBuf
 	for i := 0; i < len(ops); {
-		path, err := bt.descend(t, tg, ops[i].Key, 0)
+		path, err := bt.descend(t, tg, ops[i].Key, 0, &buf)
 		if err != nil {
 			return 0, err
 		}
-		leaf := path[len(path)-1]
-		nl := leaf.node.clone()
+		leaf := path[len(path)-1].view
+		nl := leaf.materialize()
 		changed := false
-		for ; i < len(ops) && leaf.node.inRange(ops[i].Key); i++ {
+		for ; i < len(ops) && leaf.inRange(ops[i].Key); i++ {
 			op := ops[i]
 			idx, found := nl.search(op.Key)
 			switch {
@@ -214,19 +233,20 @@ func (bt *BTree) prefetchLeaves(t *dyntx.Txn, tg *target, ops []BatchOp) {
 	var refs []dyntx.Ref
 	planned := false
 	var high wire.Fence // upper fence of the last planned leaf
+	var buf pathBuf
 	for _, op := range ops {
 		if planned && (high.IsPosInf() || high.CompareKey(op.Key) < 0) {
 			continue // same planned leaf as the previous op
 		}
-		path, err := bt.descend(t, tg, op.Key, 1)
+		path, err := bt.descend(t, tg, op.Key, 1, &buf)
 		if err != nil {
 			return
 		}
-		parent := path[len(path)-1].node
+		parent := path[len(path)-1].view
 		i := parent.childIndex(op.Key)
 		_, high = parent.childFences(i)
 		planned = true
-		refs = append(refs, refNode(parent.Kids[i]))
+		refs = append(refs, refNode(parent.kid(i)))
 	}
 	const maxRedirectRounds = 4
 	for round := 0; len(refs) > 0 && round <= maxRedirectRounds; round++ {
@@ -239,7 +259,7 @@ func (bt *BTree) prefetchLeaves(t *dyntx.Txn, tg *target, ops []BatchOp) {
 			if !o.Exists || !hasRedirects(o.Data) {
 				continue
 			}
-			n, err := decodeNode(o.Data)
+			n, err := parseNode(o.Data)
 			if err != nil {
 				continue
 			}

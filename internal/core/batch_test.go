@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"minuet/internal/dyntx"
 	"minuet/internal/wire"
 )
 
@@ -247,4 +250,66 @@ func TestBatchConcurrentSingleWriters(t *testing.T) {
 	}
 	sid, root := tipRoot(t, e)
 	walkInvariants(t, e, root, sid)
+}
+
+// TestWriteTooLarge: every write entry point refuses a key or value the
+// 16-bit record length cannot carry, whole and before touching the
+// transaction, while records at the limit — and the over-64-KiB node images
+// they make, which take the view's 32-bit offset table — work.
+func TestWriteTooLarge(t *testing.T) {
+	e := newEnv(t, 2, smallCfg())
+	huge := make([]byte, maxRecordLen+1)
+	good := BatchOp{Key: batchKey(1), Val: []byte("ok")}
+	for _, tc := range []struct {
+		name string
+		ops  []BatchOp
+	}{
+		{"put value", []BatchOp{{Key: batchKey(0), Val: huge}}},
+		{"put key", []BatchOp{{Key: huge, Val: []byte("v")}}},
+		{"delete key", []BatchOp{{Key: huge, Delete: true}}},
+		{"batch, bad op in the middle", []BatchOp{good, {Key: batchKey(2), Val: huge}, {Key: batchKey(3), Val: []byte("ok")}}},
+	} {
+		if err := e.bt.ApplyBatch(tc.ops); !errors.Is(err, ErrTooLarge) {
+			t.Errorf("%s: ApplyBatch: got %v, want ErrTooLarge", tc.name, err)
+		}
+		txn := dyntx.New(e.c)
+		if err := e.bt.BatchTxn(txn, tc.ops); !errors.Is(err, ErrTooLarge) {
+			t.Errorf("%s: BatchTxn: got %v, want ErrTooLarge", tc.name, err)
+		}
+		if txn.ReadSetSize() != 0 || txn.Commit() != nil || txn.Roundtrips != 0 {
+			t.Errorf("%s: refused write left something in the transaction", tc.name)
+		}
+	}
+	if err := e.bt.Put(batchKey(0), huge); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("Put: got %v, want ErrTooLarge", err)
+	}
+	if _, err := e.bt.Remove(huge); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("Remove: got %v, want ErrTooLarge", err)
+	}
+	if kvs, err := e.bt.ScanTip(nil, 10); err != nil || len(kvs) != 0 {
+		t.Fatalf("refused writes left %d keys behind (%v)", len(kvs), err)
+	}
+
+	// At the limit: three maximal values share a leaf (4 keys per leaf).
+	atLimit := make([]byte, maxRecordLen)
+	for i := range atLimit {
+		atLimit[i] = byte(i)
+	}
+	for i := 0; i < 3; i++ {
+		if err := e.bt.Put(batchKey(i), atLimit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kvs, err := e.bt.ScanTip(nil, 10)
+	if err != nil || len(kvs) != 3 {
+		t.Fatalf("scan: %d keys, %v", len(kvs), err)
+	}
+	for i, kv := range kvs {
+		if !bytes.Equal(kv.Key, batchKey(i)) || !bytes.Equal(kv.Val, atLimit) {
+			t.Fatalf("pair %d mangled (key %q, %d-byte value)", i, kv.Key, len(kv.Val))
+		}
+	}
+	if v, ok, err := e.bt.Get(batchKey(2)); err != nil || !ok || !bytes.Equal(v, atLimit) {
+		t.Fatalf("get at the limit: %d bytes, %v %v", len(v), ok, err)
+	}
 }

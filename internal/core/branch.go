@@ -85,7 +85,7 @@ func (bt *BTree) CreateBranchTxn(t *dyntx.Txn, from uint64) (Snapshot, error) {
 	if !rootObj.Exists {
 		return Snapshot{}, dyntx.ErrRetry
 	}
-	oldRoot, err := decodeNode(rootObj.Data)
+	cp, err := decodeNode(rootObj.Data) // the new root starts as the old one's content
 	if err != nil {
 		return Snapshot{}, dyntx.ErrRetry
 	}
@@ -93,7 +93,6 @@ func (bt *BTree) CreateBranchTxn(t *dyntx.Txn, from uint64) (Snapshot, error) {
 	if err != nil {
 		return Snapshot{}, err
 	}
-	cp := oldRoot.clone()
 	cp.Created = newSid
 	cp.Copied = NoSnap
 	cp.Redirects = nil
@@ -169,10 +168,10 @@ func (bt *BTree) ListVersions() ([]catalog.Entry, error) {
 // branching format inserts a redirect, keeping the set ≤ β by materializing
 // discretionary copies at common ancestors when necessary (§5.2).
 func (bt *BTree) markCopied(t *dyntx.Txn, e pathEntry, sid uint64, copyPtr Ptr, inReadSet bool) error {
-	old := e.node.clone()
+	old := e.view.materialize()
 	if bt.cfg.Branching {
 		entries := append(old.Redirects, Redirect{Sid: sid, Ptr: copyPtr})
-		packed, err := bt.packRedirects(t, e.node, old.Created, entries, e.ptr)
+		packed, err := bt.packRedirects(t, e.view, old.Created, entries, e.ptr)
 		if err != nil {
 			return err
 		}
@@ -188,7 +187,7 @@ func (bt *BTree) markCopied(t *dyntx.Txn, e pathEntry, sid uint64, copyPtr Ptr, 
 // snapshot x whose content is `content`, emitting discretionary copy nodes
 // into t as needed. owner is the node being packed (discretionary copies are
 // placed on its memnode).
-func (bt *BTree) packRedirects(t *dyntx.Txn, content *Node, x uint64, entries []Redirect, owner Ptr) ([]Redirect, error) {
+func (bt *BTree) packRedirects(t *dyntx.Txn, content *nodeView, x uint64, entries []Redirect, owner Ptr) ([]Redirect, error) {
 	for len(entries) > bt.cfg.Beta {
 		// Group entries by the direct child of x their snapshot descends
 		// through. The version tree's branching factor is ≤ β, so β+1
@@ -245,7 +244,7 @@ func (bt *BTree) packRedirects(t *dyntx.Txn, content *Node, x uint64, entries []
 			if err != nil {
 				return nil, err
 			}
-			d := content.clone()
+			d := content.materialize()
 			d.Created = a
 			d.Copied = NoSnap
 			d.Redirects = sub
@@ -275,11 +274,11 @@ func (bt *BTree) pushRedirects(t *dyntx.Txn, p Ptr, rs []Redirect) error {
 	if !obj.Exists {
 		return dyntx.ErrRetry
 	}
-	n, err := decodeNode(obj.Data)
+	n, err := parseNode(obj.Data)
 	if err != nil {
 		return dyntx.ErrRetry
 	}
-	nn := n.clone()
+	nn := n.materialize()
 	entries := append(append([]Redirect(nil), nn.Redirects...), rs...)
 	packed, err := bt.packRedirects(t, n, n.Created, entries, p)
 	if err != nil {

@@ -5,10 +5,10 @@ import (
 	"sync/atomic"
 )
 
-// cacheEntry is a cached, decoded interior node image. node is shared
-// between operations and must never be mutated (see Node).
+// cacheEntry is a cached interior node: the view parsed once when the cache
+// was filled, shared by every operation that passes through it.
 type cacheEntry struct {
-	node    *Node
+	view    *nodeView
 	version uint64 // item version observed at fetch time
 	seqVer  uint64 // legacy mode: version of the replicated seq-table entry
 }

@@ -27,7 +27,7 @@ func (bt *BTree) NewCursor(s Snapshot, start wire.Key) *Cursor {
 // fill advances across exhausted leaves (deletions can leave empty ones)
 // until a key is available or the key space ends.
 func (c *Cursor) fill() {
-	for !c.done && (c.w.leaf == nil || c.w.pos >= len(c.w.leaf.Keys)) {
+	for !c.done && (c.w.leaf == nil || c.w.pos >= c.w.leaf.len()) {
 		if c.w.last {
 			c.done = true
 		} else if c.err = c.w.step(); c.err != nil {
@@ -44,11 +44,11 @@ func (c *Cursor) Next() bool {
 }
 
 // Key returns the current key. Valid after Next returns true, until the
-// next call to Next.
-func (c *Cursor) Key() wire.Key { return c.w.leaf.Keys[c.w.pos] }
+// next call to Next. Like a KV it aliases the leaf image: read-only.
+func (c *Cursor) Key() wire.Key { return c.w.leaf.key(c.w.pos) }
 
-// Value returns the current value.
-func (c *Cursor) Value() []byte { return c.w.leaf.Vals[c.w.pos] }
+// Value returns the current value (read-only, like Key).
+func (c *Cursor) Value() []byte { return c.w.leaf.val(c.w.pos) }
 
 // Advance moves past the current pair (call after consuming Key/Value).
 func (c *Cursor) Advance() { c.w.pos++ }

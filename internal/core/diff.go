@@ -43,7 +43,8 @@ func (k DiffKind) String() string {
 	return "?"
 }
 
-// DiffEntry is one key-level difference between two versions.
+// DiffEntry is one key-level difference between two versions. Like a KV, its
+// byte strings alias the leaf images they were read from: read-only.
 type DiffEntry struct {
 	Kind DiffKind
 	Key  wire.Key
@@ -101,7 +102,7 @@ type diffWalker struct {
 func (w *diffWalker) full() bool { return w.limit > 0 && len(w.out) >= w.limit }
 
 // load fetches the node at p as version tg sees it.
-func (w *diffWalker) load(p Ptr, tg *target) (*Node, error) {
+func (w *diffWalker) load(p Ptr, tg *target) (*nodeView, error) {
 	// p's height is unknown; the interior loader also decodes leaves.
 	_, n, _, err := w.bt.loadNode(w.t, tg, p, false)
 	if err != nil {
@@ -113,32 +114,41 @@ func (w *diffWalker) load(p Ptr, tg *target) (*Node, error) {
 	return n, nil
 }
 
-// diffLeaves merges two leaves into per-key differences.
-func (w *diffWalker) diffLeaves(a, b *Node) {
+// pairs lists a leaf's key-value pairs, aliasing its image.
+func (v *nodeView) pairs() []KV {
+	out := make([]KV, v.nk)
+	for i := range out {
+		out[i] = KV{Key: v.key(i), Val: v.val(i)}
+	}
+	return out
+}
+
+// diffPairs merges two key-ordered runs of pairs into per-key differences.
+func (w *diffWalker) diffPairs(a, b []KV) {
 	i, j := 0, 0
-	for (i < len(a.Keys) || j < len(b.Keys)) && !w.full() {
+	for (i < len(a) || j < len(b)) && !w.full() {
+		var c int
 		switch {
-		case j >= len(b.Keys):
-			w.out = append(w.out, DiffEntry{Kind: DiffRemoved, Key: a.Keys[i], ValA: a.Vals[i]})
+		case j >= len(b):
+			c = -1
+		case i >= len(a):
+			c = 1
+		default:
+			c = wire.CompareKeys(a[i].Key, b[j].Key)
+		}
+		switch c {
+		case -1:
+			w.out = append(w.out, DiffEntry{Kind: DiffRemoved, Key: a[i].Key, ValA: a[i].Val})
 			i++
-		case i >= len(a.Keys):
-			w.out = append(w.out, DiffEntry{Kind: DiffAdded, Key: b.Keys[j], ValB: b.Vals[j]})
+		case 1:
+			w.out = append(w.out, DiffEntry{Kind: DiffAdded, Key: b[j].Key, ValB: b[j].Val})
 			j++
 		default:
-			switch wire.CompareKeys(a.Keys[i], b.Keys[j]) {
-			case -1:
-				w.out = append(w.out, DiffEntry{Kind: DiffRemoved, Key: a.Keys[i], ValA: a.Vals[i]})
-				i++
-			case 1:
-				w.out = append(w.out, DiffEntry{Kind: DiffAdded, Key: b.Keys[j], ValB: b.Vals[j]})
-				j++
-			default:
-				if !bytes.Equal(a.Vals[i], b.Vals[j]) {
-					w.out = append(w.out, DiffEntry{Kind: DiffChanged, Key: a.Keys[i], ValA: a.Vals[i], ValB: b.Vals[j]})
-				}
-				i++
-				j++
+			if !bytes.Equal(a[i].Val, b[j].Val) {
+				w.out = append(w.out, DiffEntry{Kind: DiffChanged, Key: a[i].Key, ValA: a[i].Val, ValB: b[j].Val})
 			}
+			i++
+			j++
 		}
 	}
 }
@@ -160,7 +170,7 @@ func (w *diffWalker) walk(pa, pb Ptr) error {
 
 	switch {
 	case a.IsLeaf() && b.IsLeaf():
-		w.diffLeaves(a, b)
+		w.diffPairs(a.pairs(), b.pairs())
 		return nil
 	case a.IsLeaf() != b.IsLeaf():
 		// Height mismatch (one side split into another level): brute-force
@@ -178,12 +188,12 @@ func (w *diffWalker) walk(pa, pb Ptr) error {
 	// next boundary present on both sides.
 	pos := a.Low
 	ai, bi := 0, 0
-	for (ai < len(a.Kids) || bi < len(b.Kids)) && !w.full() {
-		if ai < len(a.Kids) && bi < len(b.Kids) {
+	for (ai <= a.len() || bi <= b.len()) && !w.full() {
+		if ai <= a.len() && bi <= b.len() {
 			aLow, aHigh := a.childFences(ai)
 			bLow, bHigh := b.childFences(bi)
 			if aLow.Compare(pos) == 0 && bLow.Compare(pos) == 0 && aHigh.Compare(bHigh) == 0 {
-				if err := w.walk(a.Kids[ai], b.Kids[bi]); err != nil {
+				if err := w.walk(a.kid(ai), b.kid(bi)); err != nil {
 					return err
 				}
 				pos = aHigh
@@ -196,14 +206,14 @@ func (w *diffWalker) walk(pa, pb Ptr) error {
 		if err := w.diffRange(pos, g); err != nil {
 			return err
 		}
-		for ai < len(a.Kids) {
+		for ai <= a.len() {
 			if _, h := a.childFences(ai); h.Compare(g) <= 0 {
 				ai++
 			} else {
 				break
 			}
 		}
-		for bi < len(b.Kids) {
+		for bi <= b.len() {
 			if _, h := b.childFences(bi); h.Compare(g) <= 0 {
 				bi++
 			} else {
@@ -218,10 +228,10 @@ func (w *diffWalker) walk(pa, pb Ptr) error {
 // nextCommonBoundary returns the smallest fence above pos that bounds a
 // child range in BOTH interior nodes. The nodes share their high fence, so
 // a common boundary always exists.
-func nextCommonBoundary(a, b *Node, pos wire.Fence) wire.Fence {
+func nextCommonBoundary(a, b *nodeView, pos wire.Fence) wire.Fence {
 	i, j := 0, 0
-	for i < len(a.Keys) && j < len(b.Keys) {
-		fa, fb := wire.FenceAt(a.Keys[i]), wire.FenceAt(b.Keys[j])
+	for i < a.len() && j < b.len() {
+		fa, fb := wire.FenceAt(a.key(i)), wire.FenceAt(b.key(j))
 		if fa.Compare(pos) <= 0 {
 			i++
 			continue
@@ -257,16 +267,6 @@ func (w *diffWalker) diffRange(lo, hi wire.Fence) error {
 	if err != nil {
 		return err
 	}
-	la := &Node{Height: 0}
-	lb := &Node{Height: 0}
-	for _, kv := range aKVs {
-		la.Keys = append(la.Keys, kv.Key)
-		la.Vals = append(la.Vals, kv.Val)
-	}
-	for _, kv := range bKVs {
-		lb.Keys = append(lb.Keys, kv.Key)
-		lb.Vals = append(lb.Vals, kv.Val)
-	}
-	w.diffLeaves(la, lb)
+	w.diffPairs(aKVs, bKVs)
 	return nil
 }

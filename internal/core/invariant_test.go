@@ -28,7 +28,7 @@ func walkInvariants(t *testing.T, e *testEnv, root Ptr, sid uint64) int {
 		if err != nil || !res.Exists {
 			t.Fatalf("node %v unreadable: %v", p, err)
 		}
-		n, err := decodeNode(res.Data)
+		n, err := parseNode(res.Data)
 		if err != nil {
 			t.Fatalf("node %v corrupt: %v", p, err)
 		}
@@ -41,31 +41,25 @@ func walkInvariants(t *testing.T, e *testEnv, root Ptr, sid uint64) int {
 		if n.Created > sid {
 			t.Fatalf("node %v created at %d > snapshot %d", p, n.Created, sid)
 		}
-		for i := 1; i < len(n.Keys); i++ {
-			if wire.CompareKeys(n.Keys[i-1], n.Keys[i]) >= 0 {
+		for i := 0; i < n.len(); i++ {
+			if i > 0 && wire.CompareKeys(n.key(i-1), n.key(i)) >= 0 {
 				t.Fatalf("node %v keys unsorted at %d", p, i)
 			}
-		}
-		for _, k := range n.Keys {
-			if !n.inRange(k) {
+			if k := n.key(i); !n.inRange(k) {
 				t.Fatalf("node %v key %q outside fences [%v,%v)", p, k, n.Low, n.High)
 			}
 		}
 		if n.IsLeaf() {
-			if len(n.Vals) != len(n.Keys) {
-				t.Fatalf("leaf %v vals/keys mismatch", p)
-			}
-			return len(n.Keys)
-		}
-		if len(n.Kids) != len(n.Keys)+1 {
-			t.Fatalf("inner %v kids %d for %d keys", p, len(n.Kids), len(n.Keys))
+			// One value per key and one more child than keys hold by
+			// construction of the view: the parser rejects any other image.
+			return n.len()
 		}
 		total := 0
-		for i, kid := range n.Kids {
+		for i := 0; i <= n.len(); i++ {
 			cl, ch := n.childFences(i)
 			// The child on disk may be an older version that was since
 			// copied; follow Copied links to the version visible at sid.
-			total += walkToVersion(t, e, kid, cl, ch, int(n.Height)-1, sid, walk)
+			total += walkToVersion(t, e, n.kid(i), cl, ch, int(n.Height)-1, sid, walk)
 		}
 		return total
 	}

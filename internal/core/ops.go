@@ -105,13 +105,13 @@ func splitNodeMany(n *Node, maxKeys int) (parts []*Node, seps []wire.Key) {
 // applyUpdate installs newContent as the updated image of path[level],
 // performing copy-on-write when the node belongs to an earlier snapshot and
 // splitting when it overflows, then propagates pointer changes to the
-// parent. newContent must be a private clone. The leaf (last path entry) is
-// assumed to be in the read set.
+// parent. newContent must be private to the caller (a materialized or freshly
+// built Node). The leaf (last path entry) is assumed to be in the read set.
 func (bt *BTree) applyUpdate(t *dyntx.Txn, tg *target, path []pathEntry, level int, newContent *Node) error {
 	e, sid := path[level], tg.sid
 	isLeaf := newContent.IsLeaf()
 	inReadSet := isLeaf && level == len(path)-1
-	inPlace := e.node.Created == sid
+	inPlace := e.view.Created == sid
 
 	maxKeys := bt.cfg.MaxLeafKeys
 	if !isLeaf {
@@ -200,13 +200,13 @@ func (bt *BTree) replaceChild(t *dyntx.Txn, tg *target, path []pathEntry, level 
 			bt.invalidateRoot(tg.sid)
 			return dyntx.ErrRetry
 		}
-		return bt.growRoot(t, tg, root.node, newPtr, ins)
+		return bt.growRoot(t, tg, root.view, newPtr, ins)
 	}
 
 	parent := path[level-1]
 	e := path[level]
 	i := parent.childIdx
-	pw := parent.node.clone()
+	pw := parent.view.materialize()
 	if i >= len(pw.Kids) || pw.Kids[i] != e.anchor {
 		// The cached parent no longer matches the traversal; retry.
 		bt.invalidateTraversal(parent.ptr, nil)
@@ -245,7 +245,7 @@ func (bt *BTree) replaceChild(t *dyntx.Txn, tg *target, path []pathEntry, level 
 // update can split the root into more parts than one interior node may
 // hold, in which case whole levels are built bottom-up until a single root
 // fits.
-func (bt *BTree) growRoot(t *dyntx.Txn, tg *target, oldRoot *Node, newPtr Ptr, ins []sepInsert) error {
+func (bt *BTree) growRoot(t *dyntx.Txn, tg *target, oldRoot *nodeView, newPtr Ptr, ins []sepInsert) error {
 	sid := tg.sid
 	keys := make([]wire.Key, 0, len(ins))
 	kids := make([]Ptr, 0, len(ins)+1)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+
 	"minuet/internal/dyntx"
 	"minuet/internal/wire"
 )
@@ -11,22 +13,31 @@ import (
 // snapshot handle, or an addressed version that has been branched — is read
 // with dirty traversals alone, generating no validation traffic (§4.2).
 
-// KV is one key-value pair returned by scans.
+// KV is one key-value pair returned by scans, cursors and diffs. Key and Val
+// alias the leaf image the pair was read from — nothing is copied per pair —
+// so they are read-only: the same bytes may back other pairs of the result
+// and, inside a transaction, its read set. A pair keeps its leaf's image
+// (one node, 4 KiB by default) alive for as long as it is referenced; copy
+// what must outlive the result. Point lookups (Get, GetAt, GetSnap, GetTxn)
+// return a private copy instead.
 type KV struct {
 	Key wire.Key
 	Val []byte
 }
 
-// lookup finds k in tg inside t.
+// lookup finds k in tg inside t: the leaf is searched in place and the one
+// value found is copied out, so the caller owns what it gets and a small value
+// does not pin the leaf's image.
 func (bt *BTree) lookup(t *dyntx.Txn, tg *target, k wire.Key) ([]byte, bool, error) {
 	leaf, err := bt.leafFor(t, tg, k)
 	if err != nil {
 		return nil, false, err
 	}
-	if i, ok := leaf.search(k); ok {
-		return leaf.Vals[i], true, nil
+	i, ok := leaf.search(k)
+	if !ok {
+		return nil, false, nil
 	}
-	return nil, false, nil
+	return bytes.Clone(leaf.val(i)), true, nil
 }
 
 // getTxn looks up k in version sid inside t.
@@ -82,10 +93,10 @@ type leafWalk struct {
 	t  *dyntx.Txn // nil: every leaf is fetched in a transaction of its own
 	tg target
 
-	next wire.Key // where the next leaf starts
-	leaf *Node    // current leaf; nil before the first step
-	pos  int      // first unconsumed key of leaf
-	last bool     // leaf is the rightmost one
+	next wire.Key  // where the next leaf starts
+	leaf *nodeView // current leaf; nil before the first step
+	pos  int       // first unconsumed key of leaf
+	last bool      // leaf is the rightmost one
 }
 
 // step loads the leaf that starts the rest of the walk and positions at its
@@ -122,11 +133,12 @@ func (bt *BTree) scan(t *dyntx.Txn, tg target, start wire.Key, hi wire.Fence, li
 			return out, err
 		}
 		leaf := w.leaf
-		for i := w.pos; i < len(leaf.Keys) && len(out) < limit; i++ {
-			if bounded && hi.CompareKey(leaf.Keys[i]) >= 0 {
+		for i := w.pos; i < leaf.len() && len(out) < limit; i++ {
+			k := leaf.key(i)
+			if bounded && hi.CompareKey(k) >= 0 {
 				return out, nil // first key ≥ hi
 			}
-			out = append(out, KV{Key: leaf.Keys[i], Val: leaf.Vals[i]})
+			out = append(out, KV{Key: k, Val: leaf.val(i)})
 		}
 		if bounded && leaf.High.Compare(hi) >= 0 {
 			break

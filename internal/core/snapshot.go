@@ -49,7 +49,7 @@ func (bt *BTree) CreateSnapshotTxn(t *dyntx.Txn) (Snapshot, error) {
 	if !oldRootObj.Exists {
 		return Snapshot{}, dyntx.ErrRetry
 	}
-	oldRoot, err := decodeNode(oldRootObj.Data)
+	oldRoot, err := parseNode(oldRootObj.Data)
 	if err != nil {
 		return Snapshot{}, dyntx.ErrRetry
 	}
@@ -58,12 +58,12 @@ func (bt *BTree) CreateSnapshotTxn(t *dyntx.Txn) (Snapshot, error) {
 	if err != nil {
 		return Snapshot{}, err
 	}
-	cp := oldRoot.clone()
+	cp := oldRoot.materialize()
 	cp.Created = newTip
 	cp.Copied = NoSnap
 	bt.writeNewNode(t, newRootPtr, cp)
 
-	old := oldRoot.clone()
+	old := oldRoot.materialize()
 	old.Copied = newTip
 	t.Write(refNode(loc), old.encode()) // loc is in the read set
 

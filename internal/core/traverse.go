@@ -14,10 +14,14 @@ import (
 type pathEntry struct {
 	ptr      Ptr
 	anchor   Ptr
-	node     *Node
+	view     *nodeView
 	version  uint64 // item version observed at the memnode (or via cache)
 	childIdx int    // index of the child taken (interior nodes)
 }
+
+// pathBuf is room for the path of one descent: trees deeper than this spill
+// to the heap, nothing more.
+type pathBuf [6]pathEntry
 
 // loadInner fetches an interior node, serving from the proxy cache when
 // possible. In legacy mode (dirty traversals OFF) the node's replicated
@@ -25,13 +29,13 @@ type pathEntry struct {
 // that commit validates the whole traversal path exactly as in Aguilera et
 // al. — while replication keeps those validations local to the commit's
 // memnode.
-func (bt *BTree) loadInner(t *dyntx.Txn, p Ptr) (*Node, uint64, error) {
+func (bt *BTree) loadInner(t *dyntx.Txn, p Ptr) (*nodeView, uint64, error) {
 	if bt.cache != nil {
 		if e, ok := bt.cache.get(p); ok {
 			if !bt.cfg.DirtyTraversals {
 				t.InjectRead(bt.refSeq(p), e.seqVer, nil, e.seqVer != 0)
 			}
-			return e.node, e.version, nil
+			return e.view, e.version, nil
 		}
 	}
 
@@ -43,12 +47,12 @@ func (bt *BTree) loadInner(t *dyntx.Txn, p Ptr) (*Node, uint64, error) {
 		if !obj.Exists {
 			return nil, 0, dyntx.ErrRetry
 		}
-		n, err := decodeNode(obj.Data)
+		n, err := parseNode(obj.Data)
 		if err != nil {
 			return nil, 0, dyntx.ErrRetry
 		}
 		if bt.cache != nil && obj.Version > 0 && !n.IsLeaf() {
-			bt.cache.put(p, cacheEntry{node: n, version: obj.Version})
+			bt.cache.put(p, cacheEntry{view: n, version: obj.Version})
 		}
 		return n, obj.Version, nil
 	}
@@ -66,7 +70,7 @@ func (bt *BTree) loadInner(t *dyntx.Txn, p Ptr) (*Node, uint64, error) {
 	if !objs[0].Exists {
 		return nil, 0, dyntx.ErrRetry
 	}
-	n, err := decodeNode(objs[0].Data)
+	n, err := parseNode(objs[0].Data)
 	if err != nil {
 		return nil, 0, dyntx.ErrRetry
 	}
@@ -78,7 +82,7 @@ func (bt *BTree) loadInner(t *dyntx.Txn, p Ptr) (*Node, uint64, error) {
 		t.InjectRead(seqRef, seqVer, nil, objs[1].Exists)
 	}
 	if bt.cache != nil && objs[0].Version > 0 && !n.IsLeaf() {
-		bt.cache.put(p, cacheEntry{node: n, version: objs[0].Version, seqVer: seqVer})
+		bt.cache.put(p, cacheEntry{view: n, version: objs[0].Version, seqVer: seqVer})
 	}
 	return n, objs[0].Version, nil
 }
@@ -88,7 +92,7 @@ func (bt *BTree) loadInner(t *dyntx.Txn, p Ptr) (*Node, uint64, error) {
 // validation of the tip objects, making the common case a single round trip.
 // Reads on read-only snapshots (validate=false) fetch dirtily and rely on
 // fence keys and copied-snapshot checks alone (§4.2).
-func (bt *BTree) loadLeaf(t *dyntx.Txn, p Ptr, validate bool) (*Node, uint64, error) {
+func (bt *BTree) loadLeaf(t *dyntx.Txn, p Ptr, validate bool) (*nodeView, uint64, error) {
 	var obj dyntx.Obj
 	var err error
 	if validate {
@@ -102,7 +106,7 @@ func (bt *BTree) loadLeaf(t *dyntx.Txn, p Ptr, validate bool) (*Node, uint64, er
 	if !obj.Exists {
 		return nil, 0, dyntx.ErrRetry
 	}
-	n, err := decodeNode(obj.Data)
+	n, err := parseNode(obj.Data)
 	if err != nil {
 		return nil, 0, dyntx.ErrRetry
 	}
@@ -113,7 +117,7 @@ func (bt *BTree) loadLeaf(t *dyntx.Txn, p Ptr, validate bool) (*Node, uint64, er
 // dirty traversals sound (callers add the fence check): the node must belong
 // to snapshot sid's history and — in the linear format, where the caller has
 // no redirects to follow — must not have been copied toward sid.
-func (bt *BTree) checkNode(n *Node, sid uint64) bool {
+func (bt *BTree) checkNode(n *nodeView, sid uint64) bool {
 	if bt.cfg.Branching {
 		ok, err := bt.cat.IsAncestorOrSelf(n.Created, sid)
 		return err == nil && ok
@@ -128,7 +132,7 @@ func (bt *BTree) checkNode(n *Node, sid uint64) bool {
 
 // bestRedirect returns the deepest (most specific) redirect of n whose
 // snapshot is an ancestor-or-self of sid, if any (§5.2).
-func (bt *BTree) bestRedirect(n *Node, sid uint64) (Ptr, bool, error) {
+func (bt *BTree) bestRedirect(n *nodeView, sid uint64) (Ptr, bool, error) {
 	best := -1
 	var bestDepth uint32
 	for i, r := range n.Redirects {
@@ -159,9 +163,9 @@ func (bt *BTree) bestRedirect(n *Node, sid uint64) (Ptr, bool, error) {
 // tg.sid it hops to that copy (§5.2; only the branching format writes
 // redirects, so on a linear tree the first load returns). It reports where
 // the node was finally found.
-func (bt *BTree) loadNode(t *dyntx.Txn, tg *target, p Ptr, leaf bool) (Ptr, *Node, uint64, error) {
+func (bt *BTree) loadNode(t *dyntx.Txn, tg *target, p Ptr, leaf bool) (Ptr, *nodeView, uint64, error) {
 	for hops := 0; hops < 64; hops++ {
-		var n *Node
+		var n *nodeView
 		var ver uint64
 		var err error
 		if leaf {
@@ -188,11 +192,12 @@ func (bt *BTree) loadNode(t *dyntx.Txn, tg *target, p Ptr, leaf bool) (Ptr, *Nod
 // height floor (0 = the leaf), following Fig 5: interior nodes are read
 // dirtily (cache-first), fence keys and height are checked at every step, and
 // only the leaf is read transactionally (when tg validates). It returns the
-// visited path, deepest node last. On any inconsistency it invalidates the
-// relevant cache entries and returns dyntx.ErrRetry for the optimistic retry
-// loop.
-func (bt *BTree) descend(t *dyntx.Txn, tg *target, k wire.Key, floor uint8) ([]pathEntry, error) {
-	path := make([]pathEntry, 0, 8)
+// visited path, deepest node last, appended to buf[:0] — callers pass a
+// pathBuf of their own frame, so a descent of ordinary depth allocates no
+// path. On any inconsistency it invalidates the relevant cache entries and
+// returns dyntx.ErrRetry for the optimistic retry loop.
+func (bt *BTree) descend(t *dyntx.Txn, tg *target, k wire.Key, floor uint8, buf *pathBuf) ([]pathEntry, error) {
+	path := buf[:0]
 
 	anchor := tg.root
 	ptr, cur, ver, err := bt.loadNode(t, tg, anchor, false)
@@ -207,12 +212,12 @@ func (bt *BTree) descend(t *dyntx.Txn, tg *target, k wire.Key, floor uint8) ([]p
 		bt.invalidateTraversal(ptr, nil)
 		return nil, dyntx.ErrRetry
 	}
-	path = append(path, pathEntry{ptr: ptr, anchor: anchor, node: cur, version: ver})
+	path = append(path, pathEntry{ptr: ptr, anchor: anchor, view: cur, version: ver})
 
 	for cur.Height > floor {
 		i := cur.childIndex(k)
 		path[len(path)-1].childIdx = i
-		anchor = cur.Kids[i] // what the parent's slot holds, pre-redirect
+		anchor = cur.kid(i) // what the parent's slot holds, pre-redirect
 		ptr, next, ver, err := bt.loadNode(t, tg, anchor, cur.Height == 1)
 		if err != nil {
 			return nil, err
@@ -224,19 +229,20 @@ func (bt *BTree) descend(t *dyntx.Txn, tg *target, k wire.Key, floor uint8) ([]p
 			bt.invalidateTraversal(ptr, &path[len(path)-1])
 			return nil, dyntx.ErrRetry
 		}
-		path = append(path, pathEntry{ptr: ptr, anchor: anchor, node: next, version: ver})
+		path = append(path, pathEntry{ptr: ptr, anchor: anchor, view: next, version: ver})
 		cur = next
 	}
 	return path, nil
 }
 
 // leafFor returns the leaf of tg responsible for k.
-func (bt *BTree) leafFor(t *dyntx.Txn, tg *target, k wire.Key) (*Node, error) {
-	path, err := bt.descend(t, tg, k, 0)
+func (bt *BTree) leafFor(t *dyntx.Txn, tg *target, k wire.Key) (*nodeView, error) {
+	var buf pathBuf
+	path, err := bt.descend(t, tg, k, 0, &buf)
 	if err != nil {
 		return nil, err
 	}
-	return path[len(path)-1].node, nil
+	return path[len(path)-1].view, nil
 }
 
 // invalidateTraversal drops the cache entries that led to an inconsistent

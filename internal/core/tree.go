@@ -91,6 +91,8 @@ type tipState struct {
 	sidVer  uint64
 	root    Ptr
 	rootVer uint64
+	// The two cells as fetched, which is the form read sets hold them in.
+	sidImg, rootImg []byte
 }
 
 // BTree is one proxy's handle onto a distributed multiversion B-tree. A
@@ -312,6 +314,8 @@ func (bt *BTree) loadTip() (tipState, error) {
 		sidVer:  res.Reads[0].Version,
 		root:    decodePtr(res.Reads[1].Data),
 		rootVer: res.Reads[1].Version,
+		sidImg:  res.Reads[0].Data,
+		rootImg: res.Reads[1].Data,
 	}
 	return bt.tip, nil
 }
@@ -380,8 +384,8 @@ func (bt *BTree) resolve(t *dyntx.Txn, sid uint64) (target, error) {
 			if err != nil {
 				return target{}, err
 			}
-			t.InjectRead(idRef, tip.sidVer, encodeU64(tip.sid), true)
-			t.InjectRead(rootRef, tip.rootVer, encodePtr(tip.root), true)
+			t.InjectRead(idRef, tip.sidVer, tip.sidImg, true)
+			t.InjectRead(rootRef, tip.rootVer, tip.rootImg, true)
 			tg.sid, tg.root = tip.sid, tip.root
 		}
 		return tg, nil
@@ -553,11 +557,4 @@ func (bt *BTree) allocNode(t *dyntx.Txn) (Ptr, error) {
 	}
 	t.OnDiscard(func() { _ = bt.al.Free(p) })
 	return p, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -75,7 +75,10 @@ func IsStale(err error) bool {
 // aborted (for example, by a fence-key safety check).
 var ErrAborted = errors.New("dyntx: transaction aborted")
 
-type readEntry struct {
+// entry is one member of a transaction's read or write set. A read entry
+// records the version observed and the replica it was observed at; a write
+// entry uses ref and data only.
+type entry struct {
 	ref     Ref
 	node    sinfonia.NodeID // replica the version was observed at
 	version uint64
@@ -83,19 +86,64 @@ type readEntry struct {
 	exists  bool
 }
 
-type writeEntry struct {
-	ref  Ref
-	data []byte
+// comparableAt reports whether a minitransaction that runs at node alone can
+// validate read entry e: replicated objects can be compared at any replica
+// (versions move in lockstep), others only where they were read.
+func (e *entry) comparableAt(node sinfonia.NodeID) bool {
+	return e.ref.Replicated || e.node == node
+}
+
+// objSet is a read or write set: entries in first-access order, found by
+// object identity. Most transactions touch a handful of objects (a get reads
+// three), so lookups scan the slice and allocate nothing; the map index is
+// built only when a set outgrows smallSet, so a 10k-key batch stays linear.
+type objSet struct {
+	order []entry
+	idx   map[sinfonia.Ptr]int // position in order; nil while the set is small
+}
+
+const smallSet = 8
+
+// find returns the entry for object k, or nil. The pointer is valid until the
+// next add.
+func (s *objSet) find(k sinfonia.Ptr) *entry {
+	if s.idx != nil {
+		if i, ok := s.idx[k]; ok {
+			return &s.order[i]
+		}
+		return nil
+	}
+	for i := range s.order {
+		if s.order[i].ref.key() == k {
+			return &s.order[i]
+		}
+	}
+	return nil
+}
+
+// add appends e, whose object must not be in the set yet.
+func (s *objSet) add(e entry) {
+	if s.order == nil {
+		s.order = make([]entry, 0, 4)
+	}
+	s.order = append(s.order, e)
+	switch {
+	case s.idx != nil:
+		s.idx[e.ref.key()] = len(s.order) - 1
+	case len(s.order) > smallSet:
+		s.idx = make(map[sinfonia.Ptr]int, 4*smallSet)
+		for i := range s.order {
+			s.idx[s.order[i].ref.key()] = i
+		}
+	}
 }
 
 // Txn is a dynamic transaction. Not safe for concurrent use.
 type Txn struct {
 	c *sinfonia.Client
 
-	reads     map[sinfonia.Ptr]*readEntry
-	readOrder []*readEntry
-	writes    map[sinfonia.Ptr]*writeEntry
-	wrOrder   []*writeEntry
+	reads  objSet
+	writes objSet
 
 	// validated is true when the entire read set is known to have been
 	// consistent at the moment of the last minitransaction (piggy-backed
@@ -115,13 +163,7 @@ type Txn struct {
 }
 
 // New begins a dynamic transaction coordinated by client c.
-func New(c *sinfonia.Client) *Txn {
-	return &Txn{
-		c:      c,
-		reads:  make(map[sinfonia.Ptr]*readEntry),
-		writes: make(map[sinfonia.Ptr]*writeEntry),
-	}
-}
+func New(c *sinfonia.Client) *Txn { return &Txn{c: c} }
 
 // Abort marks the transaction aborted. No locks are held between
 // minitransactions, so there is nothing to release.
@@ -145,7 +187,7 @@ func (t *Txn) Discard() {
 func (t *Txn) Aborted() bool { return t.aborted }
 
 // ReadSetSize returns the number of objects that commit must validate.
-func (t *Txn) ReadSetSize() int { return len(t.reads) }
+func (t *Txn) ReadSetSize() int { return len(t.reads.order) }
 
 // Read performs a transactional read: the object is added to the read set
 // and will be validated at commit. Reads are served from the write set or
@@ -157,50 +199,43 @@ func (t *Txn) Read(ref Ref) (Obj, error) {
 		return Obj{}, ErrAborted
 	}
 	k := ref.key()
-	if w, ok := t.writes[k]; ok {
+	if w := t.writes.find(k); w != nil {
 		return Obj{Data: w.data, Version: 0, Exists: true}, nil
 	}
-	if re, ok := t.reads[k]; ok {
+	if re := t.reads.find(k); re != nil {
 		// Serve from the read set: commit validates the version first
 		// observed, so the transaction must keep acting on that image.
 		return Obj{Data: re.data, Version: re.version, Exists: re.exists}, nil
 	}
-
-	entry := &readEntry{ref: ref, node: ref.Ptr.Node}
-	obj, err := t.fetch(ref, entry)
+	obj, err := t.fetch(ref, true)
 	if err != nil {
 		return Obj{}, err
 	}
-	t.reads[k] = entry
-	t.readOrder = append(t.readOrder, entry)
+	t.reads.add(entry{ref: ref, node: ref.Ptr.Node, version: obj.Version, data: obj.Data, exists: obj.Exists})
 	return obj, nil
 }
 
-// fetch reads the object via a minitransaction. If entry is non-nil the
-// observed version is recorded into it and validation of the existing read
-// set is piggy-backed where possible.
-func (t *Txn) fetch(ref Ref, entry *readEntry) (Obj, error) {
+// fetch reads the object via a minitransaction. With validate set (the
+// object is about to join the read set) validation of the existing read set
+// is piggy-backed where possible.
+func (t *Txn) fetch(ref Ref, validate bool) (Obj, error) {
 	node := ref.Ptr.Node
 	m := &sinfonia.Minitx{
 		Reads: []sinfonia.ReadItem{{Node: node, Addr: ref.Ptr.Addr}},
 	}
-	var piggy []*readEntry
 	allCovered := true
-	if entry != nil {
-		for _, re := range t.readOrder {
-			cn := re.node
-			if re.ref.Replicated {
-				cn = node // validate the local replica: versions are in lockstep
-			}
-			if cn != node {
+	if validate && len(t.reads.order) > 0 {
+		m.Compares = make([]sinfonia.CompareItem, 0, len(t.reads.order))
+		for i := range t.reads.order {
+			re := &t.reads.order[i]
+			if !re.comparableAt(node) {
 				allCovered = false
 				continue // would force a 2-phase commit; let Commit validate it
 			}
 			m.Compares = append(m.Compares, sinfonia.CompareItem{
-				Node: cn, Addr: re.ref.Ptr.Addr,
+				Node: node, Addr: re.ref.Ptr.Addr,
 				Kind: sinfonia.CompareVersion, Version: re.version,
 			})
-			piggy = append(piggy, re)
 		}
 	}
 
@@ -210,23 +245,27 @@ func (t *Txn) fetch(ref Ref, entry *readEntry) (Obj, error) {
 		var cf *sinfonia.CompareFailedError
 		if errors.As(err, &cf) {
 			t.aborted = true
+			// Compare i belongs to the i-th read entry comparable at node.
+			var compared []Ref
+			for i := range t.reads.order {
+				if re := &t.reads.order[i]; re.comparableAt(node) {
+					compared = append(compared, re.ref)
+				}
+			}
 			se := &StaleError{}
 			for _, i := range cf.Failed {
-				se.Refs = append(se.Refs, piggy[i].ref)
+				se.Refs = append(se.Refs, compared[i])
 			}
 			return Obj{}, se
 		}
 		return Obj{}, err
 	}
-	r := res.Reads[0]
-	if entry != nil {
-		entry.version = r.Version
-		entry.data = r.Data
-		entry.exists = r.Exists
+	if validate {
 		// The read set was consistent at this instant iff every prior
 		// entry was compared in the same minitransaction.
 		t.validated = allCovered
 	}
+	r := res.Reads[0]
 	return Obj{Data: r.Data, Version: r.Version, Exists: r.Exists}, nil
 }
 
@@ -236,10 +275,10 @@ func (t *Txn) DirtyRead(ref Ref) (Obj, error) {
 	if t.aborted {
 		return Obj{}, ErrAborted
 	}
-	if w, ok := t.writes[ref.key()]; ok {
+	if w := t.writes.find(ref.key()); w != nil {
 		return Obj{Data: w.data, Version: 0, Exists: true}, nil
 	}
-	return t.fetch(ref, nil)
+	return t.fetch(ref, false)
 }
 
 // DirtyReadMany fetches several objects on the same memnode in a single
@@ -256,7 +295,7 @@ func (t *Txn) DirtyReadMany(refs []Ref) ([]Obj, error) {
 	m := &sinfonia.Minitx{}
 	fetchIdx := make([]int, 0, len(refs))
 	for i, r := range refs {
-		if w, ok := t.writes[r.key()]; ok {
+		if w := t.writes.find(r.key()); w != nil {
 			out[i] = Obj{Data: w.data, Version: 0, Exists: true}
 			continue
 		}
@@ -301,11 +340,11 @@ func (t *Txn) ReadBatch(refs []Ref) ([]Obj, error) {
 	fetches := make(map[int]fetchPos) // refs index -> where its read went
 	for i, ref := range refs {
 		k := ref.key()
-		if w, ok := t.writes[k]; ok {
+		if w := t.writes.find(k); w != nil {
 			out[i] = Obj{Data: w.data, Version: 0, Exists: true}
 			continue
 		}
-		if re, ok := t.reads[k]; ok {
+		if re := t.reads.find(k); re != nil {
 			out[i] = Obj{Data: re.data, Version: re.version, Exists: re.exists}
 			continue
 		}
@@ -341,15 +380,12 @@ func (t *Txn) ReadBatch(refs []Ref) ([]Obj, error) {
 			continue
 		}
 		r := byNodeRes[pos.node].Reads[pos.idx]
-		k := ref.key()
-		if re, dup := t.reads[k]; dup {
+		if re := t.reads.find(ref.key()); re != nil {
 			// Duplicate ref within the batch: keep the first observation.
 			out[i] = Obj{Data: re.data, Version: re.version, Exists: re.exists}
 			continue
 		}
-		e := &readEntry{ref: ref, node: ref.Ptr.Node, version: r.Version, data: r.Data, exists: r.Exists}
-		t.reads[k] = e
-		t.readOrder = append(t.readOrder, e)
+		t.reads.add(entry{ref: ref, node: ref.Ptr.Node, version: r.Version, data: r.Data, exists: r.Exists})
 		out[i] = Obj{Data: r.Data, Version: r.Version, Exists: r.Exists}
 	}
 	t.validated = false
@@ -361,7 +397,7 @@ func (t *Txn) ReadBatch(refs []Ref) ([]Obj, error) {
 // (e.g. a root location written earlier in the same transaction) without a
 // network fetch.
 func (t *Txn) PendingWrite(ref Ref) ([]byte, bool) {
-	if w, ok := t.writes[ref.key()]; ok {
+	if w := t.writes.find(ref.key()); w != nil {
 		return w.data, true
 	}
 	return nil, false
@@ -373,16 +409,10 @@ func (t *Txn) PendingWrite(ref Ref) ([]byte, bool) {
 // piggy-backed read) validates the cached version; if the cache was stale
 // the transaction aborts with a StaleError naming ref.
 func (t *Txn) InjectRead(ref Ref, version uint64, data []byte, exists bool) {
-	if t.aborted {
+	if t.aborted || t.InReadSet(ref) {
 		return
 	}
-	k := ref.key()
-	if _, ok := t.reads[k]; ok {
-		return
-	}
-	e := &readEntry{ref: ref, node: ref.Ptr.Node, version: version, data: data, exists: exists}
-	t.reads[k] = e
-	t.readOrder = append(t.readOrder, e)
+	t.reads.add(entry{ref: ref, node: ref.Ptr.Node, version: version, data: data, exists: exists})
 	t.validated = false
 }
 
@@ -393,14 +423,11 @@ func (t *Txn) Write(ref Ref, data []byte) {
 	if t.aborted {
 		return
 	}
-	k := ref.key()
-	if w, ok := t.writes[k]; ok {
+	if w := t.writes.find(ref.key()); w != nil {
 		w.data = data
 		return
 	}
-	w := &writeEntry{ref: ref, data: data}
-	t.writes[k] = w
-	t.wrOrder = append(t.wrOrder, w)
+	t.writes.add(entry{ref: ref, data: data})
 	t.validated = false
 }
 
@@ -412,20 +439,14 @@ func (t *Txn) WriteValidated(ref Ref, data []byte, observedVersion uint64) {
 	if t.aborted {
 		return
 	}
-	k := ref.key()
-	if _, ok := t.reads[k]; !ok {
-		e := &readEntry{ref: ref, node: ref.Ptr.Node, version: observedVersion}
-		t.reads[k] = e
-		t.readOrder = append(t.readOrder, e)
+	if !t.InReadSet(ref) {
+		t.reads.add(entry{ref: ref, node: ref.Ptr.Node, version: observedVersion})
 	}
 	t.Write(ref, data)
 }
 
 // InReadSet reports whether ref is already in the read set.
-func (t *Txn) InReadSet(ref Ref) bool {
-	_, ok := t.reads[ref.key()]
-	return ok
-}
+func (t *Txn) InReadSet(ref Ref) bool { return t.reads.find(ref.key()) != nil }
 
 // Commit validates the read set and applies the write set atomically.
 // A read-only transaction whose read set was fully validated by its last
@@ -437,7 +458,7 @@ func (t *Txn) Commit() error {
 	}
 	t.aborted = true // a txn is single-shot: committed or aborted
 
-	if len(t.writes) == 0 && (t.validated || len(t.reads) == 0) {
+	if len(t.writes.order) == 0 && (t.validated || len(t.reads.order) == 0) {
 		return nil
 	}
 
@@ -448,7 +469,9 @@ func (t *Txn) Commit() error {
 	// single-node whenever possible.
 	anchor := t.anchorNode()
 
-	for _, re := range t.readOrder {
+	m.Compares = make([]sinfonia.CompareItem, 0, len(t.reads.order))
+	for i := range t.reads.order {
+		re := &t.reads.order[i]
 		node := re.node
 		if re.ref.Replicated {
 			node = anchor
@@ -458,7 +481,9 @@ func (t *Txn) Commit() error {
 			Kind: sinfonia.CompareVersion, Version: re.version,
 		})
 	}
-	for _, w := range t.wrOrder {
+	m.Writes = make([]sinfonia.WriteItem, 0, len(t.writes.order))
+	for i := range t.writes.order {
+		w := &t.writes.order[i]
 		if w.ref.Replicated {
 			// Replicated objects are written on every memnode, atomically.
 			for _, n := range t.c.Nodes() {
@@ -476,8 +501,8 @@ func (t *Txn) Commit() error {
 		if errors.As(err, &cf) {
 			se := &StaleError{}
 			for _, i := range cf.Failed {
-				if i < len(t.readOrder) {
-					se.Refs = append(se.Refs, t.readOrder[i].ref)
+				if i < len(t.reads.order) {
+					se.Refs = append(se.Refs, t.reads.order[i].ref)
 				}
 			}
 			return se
@@ -489,23 +514,24 @@ func (t *Txn) Commit() error {
 
 // anchorNode picks the memnode used to validate replicated objects.
 func (t *Txn) anchorNode() sinfonia.NodeID {
-	for _, w := range t.wrOrder {
-		if !w.ref.Replicated {
-			return w.ref.Ptr.Node
+	writes, reads := t.writes.order, t.reads.order
+	for i := range writes {
+		if !writes[i].ref.Replicated {
+			return writes[i].ref.Ptr.Node
 		}
 	}
-	for _, re := range t.readOrder {
-		if !re.ref.Replicated {
-			return re.node
+	for i := range reads {
+		if !reads[i].ref.Replicated {
+			return reads[i].node
 		}
 	}
 	// Only replicated objects are involved; any node works. Prefer the
 	// preferred replica of the first access.
-	if len(t.wrOrder) > 0 {
-		return t.wrOrder[0].ref.Ptr.Node
+	if len(writes) > 0 {
+		return writes[0].ref.Ptr.Node
 	}
-	if len(t.readOrder) > 0 {
-		return t.readOrder[0].ref.Ptr.Node
+	if len(reads) > 0 {
+		return reads[0].ref.Ptr.Node
 	}
 	return t.c.Nodes()[0]
 }

@@ -276,10 +276,11 @@ func (ex *opExtractor) call(pkg *Package, call *ast.CallExpr) []string {
 }
 
 // wireBufferOps maps wire.Buffer/wire.Reader methods to ops; the two types
-// mirror each other by construction.
+// mirror each other by construction. Reader.View16 reads what Buffer.Bytes16
+// wrote, without copying.
 var wireBufferOps = map[string]string{
 	"U8": "u8", "U16": "u16", "U32": "u32", "U64": "u64",
-	"Bytes16": "bytes16", "Bytes32": "bytes32", "Fence": "fence",
+	"Bytes16": "bytes16", "View16": "bytes16", "Bytes32": "bytes32", "Fence": "fence",
 }
 
 // sinfonia record codec primitives (types enc and dec in durable.go).

@@ -77,7 +77,10 @@ type nodeLiveness struct {
 }
 
 func (l *Local) livenessOf(id NodeID) *nodeLiveness {
-	v, _ := l.liveness.LoadOrStore(id, new(nodeLiveness))
+	v, ok := l.liveness.Load(id)
+	if !ok { // first call to id: only now allocate
+		v, _ = l.liveness.LoadOrStore(id, new(nodeLiveness))
+	}
 	return v.(*nodeLiveness)
 }
 
@@ -131,7 +134,10 @@ func (l *Local) Latency() time.Duration { return time.Duration(l.oneWay.Load()) 
 // could be counted by the client yet miss the promoted backup.
 func (l *Local) Call(to NodeID, req any) (any, error) {
 	l.calls.Add(1)
-	c, _ := l.perNode.LoadOrStore(to, new(atomic.Int64))
+	c, ok := l.perNode.Load(to)
+	if !ok {
+		c, _ = l.perNode.LoadOrStore(to, new(atomic.Int64))
+	}
 	c.(*atomic.Int64).Add(1)
 
 	// Snapshot the crash epoch BEFORE the liveness check: a crash that

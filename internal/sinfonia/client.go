@@ -59,9 +59,12 @@ func (c *Client) nextTxid() uint64 { return c.txid.Add(1) }
 
 // perNode is a minitransaction's slice of items for one memnode, remembering
 // the positions of items in the original request so results and failure
-// indices can be mapped back.
+// indices can be mapped back. When the whole minitransaction addresses one
+// memnode — every get, and most commits — the group is the request itself
+// (whole): its slices are shared, not copied, and positions need no mapping.
 type perNode struct {
 	node    NodeID
+	whole   bool
 	cmp     []CompareItem
 	cmpIdx  []int
 	rd      []ReadItem
@@ -70,15 +73,51 @@ type perNode struct {
 	prepped bool
 }
 
+// singleNode reports the one memnode m addresses, if there is exactly one.
+func singleNode(m *Minitx) (NodeID, bool) {
+	var node NodeID
+	switch {
+	case len(m.Compares) > 0:
+		node = m.Compares[0].Node
+	case len(m.Reads) > 0:
+		node = m.Reads[0].Node
+	case len(m.Writes) > 0:
+		node = m.Writes[0].Node
+	default:
+		return 0, false
+	}
+	for i := range m.Compares {
+		if m.Compares[i].Node != node {
+			return 0, false
+		}
+	}
+	for i := range m.Reads {
+		if m.Reads[i].Node != node {
+			return 0, false
+		}
+	}
+	for i := range m.Writes {
+		if m.Writes[i].Node != node {
+			return 0, false
+		}
+	}
+	return node, true
+}
+
 func groupByNode(m *Minitx) []*perNode {
-	byNode := make(map[NodeID]*perNode)
-	order := make([]*perNode, 0, 2)
+	if n, ok := singleNode(m); ok {
+		return []*perNode{{node: n, whole: true, cmp: m.Compares, rd: m.Reads, wr: m.Writes}}
+	}
+	// A minitransaction touches a handful of memnodes: find each item's
+	// group by scanning the groups so far.
+	var order []*perNode
 	get := func(n NodeID) *perNode {
-		if g, ok := byNode[n]; ok {
-			return g
+		for _, g := range order {
+			if g.node == n {
+				return g
+			}
 		}
 		g := &perNode{node: n}
-		byNode[n] = g
 		order = append(order, g)
 		return g
 	}
@@ -240,6 +279,17 @@ func (c *Client) finishPhase(groups []*perNode, txid uint64, ok bool) error {
 // finish converts per-node responses into the caller's Result, mapping
 // failed-comparison indices and read results back to request order.
 func (c *Client) finish(m *Minitx, groups []*perNode, resps []*ExecResp) (*Result, bool, error) {
+	if groups[0].whole {
+		// One memnode ran the request as it stands: its answer is the result.
+		switch r := resps[0]; {
+		case r.Vote == voteBusy:
+			return nil, true, nil
+		case r.Vote == voteCompareFail:
+			return nil, false, &CompareFailedError{Failed: r.Failed}
+		case len(r.Reads) == len(m.Reads):
+			return &Result{Reads: r.Reads}, false, nil
+		}
+	}
 	var failed []int
 	for i, g := range groups {
 		r := resps[i]

@@ -57,6 +57,14 @@ type Memnode struct {
 	busyAborts int64 // guarded by mu
 }
 
+// item is one stored object. data is install-once: a write replaces the
+// slice with a fresh one (applyWritesLocked, replay, mirroring) and nothing
+// ever writes into a slice after installing it, so readers may keep the slice
+// they were handed for as long as they like — doReadsLocked, scan and
+// snapshotState return it without copying, and the backup batch and WAL
+// record are built from it after the mutex is released. Clients hold up the
+// other half of the rule: a fetched image is never modified
+// (docs/ARCHITECTURE.md, "Image ownership").
 type item struct {
 	data    []byte
 	version uint64
@@ -194,15 +202,30 @@ func (m *Memnode) HandleRPC(req any) (any, error) {
 }
 
 // touchedAddrs returns the deduplicated set of addresses a minitransaction
-// touches on this node.
+// touches on this node, in first-mention order. A point operation names a
+// handful of addresses, which a scan of the output dedups without a map; a
+// batch commit names hundreds and gets one.
 func touchedAddrs(cmp []CompareItem, rd []ReadItem, wr []WriteItem) []Addr {
-	seen := make(map[Addr]struct{}, len(cmp)+len(rd)+len(wr))
-	out := make([]Addr, 0, len(cmp)+len(rd)+len(wr))
+	n := len(cmp) + len(rd) + len(wr)
+	out := make([]Addr, 0, n)
+	var seen map[Addr]struct{}
+	if n > 16 {
+		seen = make(map[Addr]struct{}, n)
+	}
 	add := func(a Addr) {
-		if _, ok := seen[a]; !ok {
+		if seen != nil {
+			if _, dup := seen[a]; dup {
+				return
+			}
 			seen[a] = struct{}{}
-			out = append(out, a)
+		} else {
+			for _, b := range out {
+				if b == a {
+					return
+				}
+			}
 		}
+		out = append(out, a)
 	}
 	for i := range cmp {
 		add(cmp[i].Addr)
@@ -278,21 +301,22 @@ func (m *Memnode) evalComparesLocked(cmp []CompareItem) []int {
 	return failed
 }
 
-// doReadsLocked executes read items. Caller holds m.mu.
+// doReadsLocked executes read items, handing out the stored images themselves
+// (see item). Caller holds m.mu.
 func (m *Memnode) doReadsLocked(rd []ReadItem) []ReadResult {
 	out := make([]ReadResult, len(rd))
 	for i := range rd {
 		if it, ok := m.items[rd[i].Addr]; ok {
-			d := make([]byte, len(it.data))
-			copy(d, it.data)
-			out[i] = ReadResult{Data: d, Version: it.version, Exists: true}
+			out[i] = ReadResult{Data: it.data, Version: it.version, Exists: true}
 		}
 	}
 	return out
 }
 
-// applyWritesLocked applies write items and returns the replica batch. Caller
-// holds m.mu.
+// applyWritesLocked applies write items and returns the replica batch. Each
+// write installs a private copy of the request's bytes (the request buffer
+// stays the client's) and never touches the slice it replaces. Caller holds
+// m.mu.
 func (m *Memnode) applyWritesLocked(wr []WriteItem) *ReplicaApplyReq {
 	if len(wr) == 0 {
 		return nil
@@ -749,9 +773,7 @@ func (m *Memnode) scan(r *ScanReq) *ScanResp {
 		if n > len(it.data) {
 			n = len(it.data)
 		}
-		p := make([]byte, n)
-		copy(p, it.data)
-		resp.Items = append(resp.Items, ItemInfo{Addr: a, Version: it.version, Prefix: p})
+		resp.Items = append(resp.Items, ItemInfo{Addr: a, Version: it.version, Prefix: it.data[:n:n]})
 	}
 	return resp
 }
@@ -761,10 +783,8 @@ func (m *Memnode) snapshotState() *SnapshotStateResp {
 	defer m.mu.Unlock()
 	resp := &SnapshotStateResp{}
 	for a, it := range m.items {
-		d := make([]byte, len(it.data))
-		copy(d, it.data)
 		resp.Addrs = append(resp.Addrs, a)
-		resp.Data = append(resp.Data, d)
+		resp.Data = append(resp.Data, it.data)
 		resp.Versions = append(resp.Versions, it.version)
 	}
 	for txid, st := range m.staged {
@@ -774,11 +794,9 @@ func (m *Memnode) snapshotState() *SnapshotStateResp {
 	}
 	for from, rs := range m.replicas {
 		for a, it := range rs.items {
-			d := make([]byte, len(it.data))
-			copy(d, it.data)
 			resp.MirrorFor = append(resp.MirrorFor, from)
 			resp.MirrorAddrs = append(resp.MirrorAddrs, a)
-			resp.MirrorData = append(resp.MirrorData, d)
+			resp.MirrorData = append(resp.MirrorData, it.data)
 			resp.MirrorVersions = append(resp.MirrorVersions, it.version)
 		}
 	}

@@ -425,3 +425,61 @@ func TestEmptyMinitx(t *testing.T) {
 		t.Fatalf("empty minitx: %v %+v", err, res)
 	}
 }
+
+// TestImagesAreInstallOnce pins the invariant zero-copy reads rest on: a
+// write installs a fresh slice and nothing writes into an installed one, so a
+// ReadResult — over netsim.Local the stored slice itself — is unchanged by
+// later writes to the address, and the memnode never shares the writer's
+// request buffer. Under -race the concurrent reader also proves that handing
+// out the stored slice makes no data race with overwrites.
+func TestImagesAreInstallOnce(t *testing.T) {
+	_, c, _ := newCluster(1)
+	p := Ptr{Node: 0, Addr: 100}
+	buf := []byte("first image")
+	if err := c.Write(p, buf); err != nil {
+		t.Fatal(err)
+	}
+	copy(buf, "XXXXXXXXXXX") // the request buffer stays the writer's to reuse
+	first, err := c.Read(p)
+	if err != nil || string(first.Data) != "first image" || first.Version != 1 {
+		t.Fatalf("first read: %q v%d %v", first.Data, first.Version, err)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // a reader racing the overwrites sees whole images only
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			r, err := c.Read(p)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if s := string(r.Data); s != "first image" && s != "second image, longer" && s != "third" {
+				t.Errorf("torn or foreign image %q at v%d", s, r.Version)
+				return
+			}
+		}
+	}()
+	for _, img := range []string{"second image, longer", "third"} {
+		if _, err := c.Exec(&Minitx{Writes: []WriteItem{{Node: p.Node, Addr: p.Addr, Data: []byte(img)}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	if string(first.Data) != "first image" {
+		t.Fatalf("an earlier ReadResult changed under later writes: %q", first.Data)
+	}
+	last, err := c.Read(p)
+	if err != nil || string(last.Data) != "third" || last.Version != 3 {
+		t.Fatalf("last read: %q v%d %v", last.Data, last.Version, err)
+	}
+}

@@ -83,7 +83,11 @@ type WriteItem struct {
 	Data []byte
 }
 
-// ReadResult is the outcome of one ReadItem.
+// ReadResult is the outcome of one ReadItem. Over an in-process transport
+// Data is the memnode's stored image itself, not a copy: it stays valid and
+// unchanged whatever is written to the address afterwards (images are
+// install-once), and the receiver must treat it as read-only. The same holds
+// for ItemInfo.Prefix and the images in a SnapshotStateResp.
 type ReadResult struct {
 	Data    []byte
 	Version uint64

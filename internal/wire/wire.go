@@ -218,22 +218,37 @@ func (r *Reader) U64() uint64 {
 	return v
 }
 
-// Bytes16 reads a uint16-length-prefixed byte string. The returned slice is
-// a copy, safe to retain.
+// Bytes16 reads a uint16-length-prefixed byte string. It is the copying half
+// of the Bytes16/View16 pair: the returned slice is private to the caller,
+// safe to retain and to modify whatever happens to the input buffer. Decoders
+// whose input may be reused or rewritten (WAL replay, catalog) use this form.
 func (r *Reader) Bytes16() []byte {
+	return bytes.Clone(r.View16()) // nil after a failed read, like View16
+}
+
+// View16 reads a uint16-length-prefixed byte string without copying it. It
+// is the aliasing half of the pair: the returned slice points into the
+// Reader's input (capacity clipped to its length, so an append reallocates
+// instead of overwriting the bytes that follow) and keeps the whole input
+// alive for as long as it is referenced. Only decoders that own their input
+// and treat it as immutable may use it — the node decoder of internal/core,
+// whose images are install-once at the memnode and never written at the
+// proxy (docs/ARCHITECTURE.md, "Image ownership").
+func (r *Reader) View16() []byte {
 	n := int(r.U16())
 	if r.err != nil || r.off+n > len(r.b) {
 		r.fail("bytes16")
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, r.b[r.off:])
+	out := r.b[r.off : r.off+n : r.off+n]
 	r.off += n
 	return out
 }
 
-// Bytes32 reads a uint32-length-prefixed byte string. The returned slice is
-// a copy, safe to retain.
+// Bytes32 reads a uint32-length-prefixed byte string. Like Bytes16 it copies:
+// the returned slice is private to the caller and safe to retain. There is
+// no aliasing 32-bit form; add one beside View16 only for a decoder that
+// meets the same ownership rule.
 func (r *Reader) Bytes32() []byte {
 	n := int(r.U32())
 	if r.err != nil || n < 0 || r.off+n > len(r.b) {
@@ -246,7 +261,9 @@ func (r *Reader) Bytes32() []byte {
 	return out
 }
 
-// Fence reads a fence-key encoding.
+// Fence reads a fence-key encoding. A concrete fence aliases the Reader's
+// input like View16 (and like FenceAt aliases its argument), under the same
+// ownership rule.
 func (r *Reader) Fence() Fence {
 	kind := r.U8()
 	switch kind {
@@ -255,7 +272,7 @@ func (r *Reader) Fence() Fence {
 	case markerPosInf:
 		return PosInf
 	case markerKey:
-		return FenceAt(r.Bytes16())
+		return FenceAt(r.View16())
 	default:
 		r.fail("fence marker")
 		return NegInf

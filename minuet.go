@@ -106,8 +106,19 @@ type Cluster struct {
 // Snapshot identifies a read-only version of a tree.
 type Snapshot = core.Snapshot
 
-// KV is a key-value pair returned by scans.
+// KV is a key-value pair returned by scans, cursors and diffs. Its Key and
+// Val point into the tree node the pair was read from — a scan copies nothing
+// per pair — so treat them as read-only and copy what must outlive the
+// result: a retained pair keeps its whole node (4 KiB by default) alive.
+// Point lookups (Get, GetAt, GetSnapshot, Tx.Get) return a private copy the
+// caller owns, and every write copies the key and value it is given before it
+// returns.
 type KV = core.KV
+
+// ErrTooLarge reports a write whose key or value is longer than 65535 bytes
+// (nodes store records behind a 16-bit length). Nothing is written: a batch
+// with one such operation is refused whole.
+var ErrTooLarge = core.ErrTooLarge
 
 // ErrNotWritable reports a write to a version that has been branched.
 var ErrNotWritable = core.ErrNotWritable
