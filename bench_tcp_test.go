@@ -50,81 +50,62 @@ func startTCPMemnodes(b testing.TB, n int) (map[netsim.NodeID]string, []sinfonia
 }
 
 // BenchmarkBatchPutTCP: batched writes (64 keys per atomic batch) from 16
-// concurrent workers against 4 memnodes over loopback TCP, both transports
-// held to the same 2-socket-per-peer budget.
-//
-//	transport=mux      protocol v2: 2 shared conns per peer, requests
-//	                   pipelined and multiplexed by id
-//	transport=oneshot  protocol v1 (Legacy): one synchronous request per
-//	                   connection; under the budget the pool keeps 2 conns
-//	                   and every burst beyond them pays a fresh dial
-//
+// concurrent workers against 4 memnodes over loopback TCP, the client's
+// default 2 shared connections per peer with requests pipelined and
+// multiplexed by id.
 // Workers write disjoint key regions of a preloaded tree, so commits rarely
 // conflict and the transport's ability to keep requests in flight dominates.
-// mux must beat oneshot on keys/s: that pipelining win is the reason the
-// multiplexed protocol exists.
 func BenchmarkBatchPutTCP(b *testing.B) {
 	const (
 		machines = 4
 		batchLen = 64
 		preload  = 20_000
-		conns    = 2  // equal per-peer socket budget for both transports
 		workers  = 16 // concurrent batch writers (SetParallelism on 1 CPU)
 	)
-	for _, mode := range []string{"mux", "oneshot"} {
-		b.Run("transport="+mode, func(b *testing.B) {
-			addrs, nodes, shutdown := startTCPMemnodes(b, machines)
-			defer shutdown()
-			tr := rpcnet.NewClient(addrs)
-			if mode == "oneshot" {
-				tr.Legacy = true
-				tr.PoolSize = conns
-			} else {
-				tr.ConnsPerPeer = conns
+	addrs, nodes, shutdown := startTCPMemnodes(b, machines)
+	defer shutdown()
+	tr := rpcnet.NewClient(addrs)
+	defer tr.Close()
+	b.SetParallelism(workers)
+	sc := sinfonia.NewClient(tr, nodes)
+	al := alloc.New(sc, 4096, 64)
+	bt, err := core.Create(sc, al, 0, nodes[0], core.Config{DirtyTraversals: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ops := make([]core.BatchOp, 0, 512)
+	for i := 0; i < preload; {
+		ops = ops[:0]
+		for ; i < preload && len(ops) < 512; i++ {
+			ops = append(ops, core.BatchOp{Key: tcpKey(uint64(i)), Val: ycsb.Value(uint64(i))})
+		}
+		if err := bt.ApplyBatch(ops); err != nil {
+			b.Fatal(err)
+		}
+	}
+
+	var keys atomic.Int64
+	var worker atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		// Give each worker its own key region so concurrent batches
+		// land on disjoint leaves.
+		w := worker.Add(1) - 1
+		region := uint64(w%workers) * (preload / workers)
+		i := 0
+		ops := make([]core.BatchOp, batchLen)
+		for pb.Next() {
+			for j := range ops {
+				k := region + uint64(i*batchLen+j)%(preload/workers)
+				ops[j] = core.BatchOp{Key: tcpKey(k), Val: ycsb.Value(k ^ 0xBEEF)}
 			}
-			defer tr.Close()
-			b.SetParallelism(workers)
-			sc := sinfonia.NewClient(tr, nodes)
-			al := alloc.New(sc, 4096, 64)
-			bt, err := core.Create(sc, al, 0, nodes[0], core.Config{DirtyTraversals: true})
-			if err != nil {
+			if err := bt.ApplyBatch(ops); err != nil {
 				b.Fatal(err)
 			}
-			ops := make([]core.BatchOp, 0, 512)
-			for i := 0; i < preload; {
-				ops = ops[:0]
-				for ; i < preload && len(ops) < 512; i++ {
-					ops = append(ops, core.BatchOp{Key: tcpKey(uint64(i)), Val: ycsb.Value(uint64(i))})
-				}
-				if err := bt.ApplyBatch(ops); err != nil {
-					b.Fatal(err)
-				}
-			}
-
-			var keys atomic.Int64
-			var worker atomic.Int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				// Give each worker its own key region so concurrent batches
-				// land on disjoint leaves.
-				w := worker.Add(1) - 1
-				region := uint64(w%workers) * (preload / workers)
-				i := 0
-				ops := make([]core.BatchOp, batchLen)
-				for pb.Next() {
-					for j := range ops {
-						k := region + uint64(i*batchLen+j)%(preload/workers)
-						ops[j] = core.BatchOp{Key: tcpKey(k), Val: ycsb.Value(k ^ 0xBEEF)}
-					}
-					if err := bt.ApplyBatch(ops); err != nil {
-						b.Fatal(err)
-					}
-					keys.Add(batchLen)
-					i++
-				}
-			})
-			b.StopTimer()
-			b.ReportMetric(float64(keys.Load())/b.Elapsed().Seconds(), "keys/s")
-		})
-	}
+			keys.Add(batchLen)
+			i++
+		}
+	})
+	b.StopTimer()
+	b.ReportMetric(float64(keys.Load())/b.Elapsed().Seconds(), "keys/s")
 }

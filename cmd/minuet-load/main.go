@@ -16,10 +16,6 @@
 // down. This is the one-command smoke test CI runs:
 //
 //	minuet-load -cluster 3 -n 20000 -batch 64
-//
-// -legacy switches the transport to protocol v1 (one synchronous request
-// per pooled connection) for comparing against the default multiplexed
-// protocol v2; see docs/WIRE.md.
 package main
 
 import (
@@ -43,7 +39,6 @@ func main() {
 	var (
 		nodesArg = flag.String("nodes", "127.0.0.1:7070", "comma-separated memnode addresses (node id = position)")
 		cluster  = flag.Int("cluster", 0, "spawn this many memnode server processes on loopback and run against them (overrides -nodes)")
-		legacy   = flag.Bool("legacy", false, "use the v1 one-request-per-connection protocol instead of multiplexing")
 		n        = flag.Uint64("n", 10_000, "records to load")
 		threads  = flag.Int("threads", 8, "loader threads")
 		runFor   = flag.Duration("run", 2*time.Second, "mixed-workload duration after loading")
@@ -72,7 +67,6 @@ func main() {
 		}
 	}
 	tr := rpcnet.NewClient(addrs)
-	tr.Legacy = *legacy
 	defer tr.Close()
 	client := sinfonia.NewClient(tr, nodes)
 	al := alloc.New(client, 4096, 64)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"sort"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"minuet/internal/dyntx"
+	"minuet/internal/sinfonia"
 	"minuet/internal/wire"
 )
 
@@ -270,7 +272,31 @@ func TestDifferentialFuzzLinear(t *testing.T) {
 					}
 				}
 			}
+			checkStatsBytes(t, e)
 		})
+	}
+}
+
+// checkStatsBytes compares the byte count each memnode maintains write by
+// write (StatsResp.Bytes) with a full walk of its items.
+func checkStatsBytes(t *testing.T, e *testEnv) {
+	t.Helper()
+	for _, n := range e.nodes {
+		st, err := e.c.Stats(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		items, err := e.c.Scan(n, 0, ^sinfonia.Addr(0), math.MaxInt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var walk int64
+		for _, it := range items {
+			walk += int64(len(it.Prefix))
+		}
+		if st.Bytes != walk || st.Items != len(items) {
+			t.Fatalf("memnode %d reports %d items / %d bytes, a scan finds %d / %d", n, st.Items, st.Bytes, len(items), walk)
+		}
 	}
 }
 
@@ -409,6 +435,7 @@ func TestDifferentialFuzzBranching(t *testing.T) {
 					t.Fatalf("seed %d: sid %d holds %d keys, model %d", seed, sid, got, len(m))
 				}
 			}
+			checkStatsBytes(t, e)
 		})
 	}
 }

@@ -10,9 +10,9 @@ import (
 // integer that was never bounded against the remaining input. PR 4's review
 // fixed exactly this: recStage decoding did make([]Addr, n) with n read
 // straight off a u32, so eight corrupt bytes could demand a 16 GiB
-// allocation. The fix — dec.count, which rejects any count larger than the
-// bytes that could possibly back it — is the pattern this analyzer makes
-// mandatory.
+// allocation. The fix — a count reader that rejects any count larger than
+// the bytes that could possibly back it, today wire.Reader.Count — is the
+// pattern this analyzer makes mandatory.
 //
 // Mechanically it is an intraprocedural taint check, tuned to this
 // codebase's decoders:
@@ -23,8 +23,8 @@ import (
 //     and local assignment.
 //   - Sanitizers: a relational comparison (<, <=, >, >=) mentioning the
 //     tainted variable — the `if n > len(rest)/elem` guard — clears it, as
-//     does deriving the value from a bounding helper like dec.count (whose
-//     name is simply not a source).
+//     does deriving the value from a bounding helper like Reader.Count
+//     (whose name is simply not a source).
 //   - Sinks: make() size/capacity arguments, for-loop conditions, and
 //     range-over-int statements. A tainted sink is reported.
 //
@@ -137,7 +137,7 @@ func checkDecodeBounds(pass *Pass, body *ast.BlockStmt) {
 
 	reportIfTainted := func(e ast.Expr, what string) {
 		if exprTainted(e) {
-			pass.Reportf(e.Pos(), "%s comes from a decoded integer that was never bounded against remaining input (use the dec.count pattern or guard it first)", what)
+			pass.Reportf(e.Pos(), "%s comes from a decoded integer that was never bounded against remaining input (read it with wire.Reader.Count or guard it first)", what)
 		}
 	}
 

@@ -12,7 +12,7 @@
 //     the crash-sweep harness in internal/cluster).
 //   - decodebound: allocation sizes and loop bounds taken from wire- or
 //     WAL-decoded integers must be bounded against remaining input first
-//     (the dec.count pattern from PR 4).
+//     (the wire.Reader.Count pattern).
 //
 // On top of the per-package checks sits an interprocedural layer
 // (callgraph.go, summaries.go): a whole-program type-resolved call graph

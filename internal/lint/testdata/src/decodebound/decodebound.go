@@ -1,52 +1,35 @@
 // Package decodebound is a fixture for the decodebound analyzer: make()
 // sizes and loop bounds derived from wire-decoded integers must be bounded
-// against remaining input first. The dec type mirrors the repo's real
-// decoders — u32 is a taint source, count is the sanctioned bounding helper.
+// against remaining input first. It decodes with the repo's real reader —
+// wire.Reader.U32 is a taint source, wire.Reader.Count the sanctioned
+// bounding helper.
 package decodebound
 
-import "encoding/binary"
+import (
+	"encoding/binary"
 
-type dec struct {
-	buf []byte
-	off int
-}
+	"minuet/internal/wire"
+)
 
-func (d *dec) u32() uint32 {
-	v := binary.LittleEndian.Uint32(d.buf[d.off:])
-	d.off += 4
-	return v
-}
-
-// count is the dec.count pattern: a decoded count is rejected unless the
-// remaining input could actually back n elements of at least minElem bytes.
-// Its result is clean because the comparison below sanitizes n.
-func (d *dec) count(minElem int) int {
-	n := int(d.u32())
-	if n < 0 || n > (len(d.buf)-d.off)/minElem {
-		return -1
-	}
-	return n
-}
-
-func badMake(d *dec) []byte {
-	n := int(d.u32())
+func badMake(r *wire.Reader) []byte {
+	n := int(r.U32())
 	return make([]byte, n) // want `make size comes from a decoded integer that was never bounded`
 }
 
-func badLoop(d *dec) int {
+func badLoop(r *wire.Reader) int {
 	total := 0
-	n := d.u32()
+	n := r.U32()
 	for i := uint32(0); i < n; i++ { // want `loop bound comes from a decoded integer that was never bounded`
 		total++
 	}
 	return total
 }
 
-func badRange(d *dec) []uint32 {
+func badRange(r *wire.Reader) []uint32 {
 	var out []uint32
-	n := int(d.u32())
+	n := int(r.U32())
 	for range n { // want `range-over-int bound comes from a decoded integer that was never bounded`
-		out = append(out, d.u32())
+		out = append(out, r.U32())
 	}
 	return out
 }
@@ -57,23 +40,19 @@ func badVarint(b []byte) []byte {
 }
 
 // goodGuard bounds the count against remaining input before allocating.
-func goodGuard(d *dec) []byte {
-	n := int(d.u32())
-	if n > len(d.buf)-d.off {
+func goodGuard(r *wire.Reader) []byte {
+	n := int(r.U32())
+	if n > r.Remaining() {
 		return nil
 	}
 	return make([]byte, n)
 }
 
 // goodCount routes through the bounding helper; its result is not a source.
-func goodCount(d *dec) []uint32 {
-	n := d.count(4)
-	if n < 0 {
-		return nil
-	}
-	out := make([]uint32, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, d.u32())
+func goodCount(r *wire.Reader) []uint32 {
+	out := make([]uint32, r.Count(4))
+	for i := range out {
+		out[i] = r.U32()
 	}
 	return out
 }

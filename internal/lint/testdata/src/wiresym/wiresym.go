@@ -23,8 +23,9 @@ func decodeEntry(r *wire.Reader) (uint64, uint32, []byte) {
 	return ver, n, key
 }
 
-// appendItems and parseItems are symmetric: the loop bodies match once the
-// cross-package id helpers are inlined through the call graph.
+// appendItems and parseItems are symmetric: Reader.Count reads the u32 count
+// Buffer.U32 wrote, and the loop bodies match once the cross-package id
+// helpers are inlined through the call graph.
 func appendItems(b *wire.Buffer, items [][]byte) {
 	b.U32(uint32(len(items)))
 	for _, it := range items {
@@ -34,11 +35,10 @@ func appendItems(b *wire.Buffer, items [][]byte) {
 }
 
 func parseItems(r *wire.Reader) [][]byte {
-	n := r.U32()
-	var out [][]byte
-	for i := uint32(0); i < n; i++ {
+	out := make([][]byte, r.Count(12))
+	for i := range out {
 		ids.ReadID(r)
-		out = append(out, r.Bytes32())
+		out[i] = r.Bytes32()
 	}
 	return out
 }

@@ -14,7 +14,7 @@ import (
 //
 // Pairing is by name stem: encode/append/write/marshal on one side,
 // decode/parse/read/unmarshal on the other, case-insensitively
-// (encodeApply <-> decodeApply, AppendFrameHeader <-> ParseFrameHeader). A
+// (encodeRedo <-> decodeRedo, AppendFrameHeader <-> ParseFrameHeader). A
 // stem with exactly one function on each side forms a pair; unpaired or
 // ambiguous stems are skipped — this analyzer checks symmetry of declared
 // pairs, it does not demand that every codec have a named twin (the wal
@@ -24,9 +24,8 @@ import (
 // Each function's body is abstracted into a sequence of primitive wire
 // operations:
 //
-//   - wire.Buffer / wire.Reader methods: u8 u16 u32 u64 bytes16 bytes32 fence
-//   - the sinfonia record codec (types enc/dec): u8 u32 u64 bytes bool,
-//     with dec.count reading the u32 an encoder wrote via enc.u32
+//   - wire.Buffer / wire.Reader methods: u8 u16 u32 u64 bytes16 bytes32 fence,
+//     with Reader.Count reading the u32 an encoder wrote via Buffer.U32
 //   - encoding/binary: le:uN / be:uN from the endianness and width
 //
 // for/range loops wrap their ops in rep[...]; an if with identical ops in
@@ -249,7 +248,7 @@ func (ex *opExtractor) expr(pkg *Package, n ast.Node) []string {
 			return false
 		case *ast.CallExpr:
 			// Arguments first: their ops happen before the call consumes
-			// them (readFrameV1Body(conn, binary.BigEndian.Uint32(hdr[:]))).
+			// them (make([]Addr, r.Count(8))).
 			for _, a := range x.Args {
 				ops = append(ops, ex.expr(pkg, a)...)
 			}
@@ -277,15 +276,12 @@ func (ex *opExtractor) call(pkg *Package, call *ast.CallExpr) []string {
 
 // wireBufferOps maps wire.Buffer/wire.Reader methods to ops; the two types
 // mirror each other by construction. Reader.View16 reads what Buffer.Bytes16
-// wrote, without copying.
+// wrote, without copying; Reader.Count reads a Buffer.U32 element count and
+// bounds it.
 var wireBufferOps = map[string]string{
-	"U8": "u8", "U16": "u16", "U32": "u32", "U64": "u64",
+	"U8": "u8", "U16": "u16", "U32": "u32", "U64": "u64", "Count": "u32",
 	"Bytes16": "bytes16", "View16": "bytes16", "Bytes32": "bytes32", "Fence": "fence",
 }
-
-// sinfonia record codec primitives (types enc and dec in durable.go).
-var encOps = map[string]string{"u8": "u8", "u32": "u32", "u64": "u64", "bytes": "bytes", "bool": "bool"}
-var decOps = map[string]string{"u8": "u8", "u32": "u32", "u64": "u64", "bytes": "bytes", "bool": "bool", "count": "u32"}
 
 // primitiveOp recognizes the leaf wire operations. ok=true with op=""
 // means "known non-op" (nothing to record, do not inline).
@@ -331,15 +327,8 @@ func primitiveOp(pkg *Package, call *ast.CallExpr) (string, bool) {
 	if !ok || n.Obj().Pkg() == nil {
 		return "", false
 	}
-	switch {
-	case n.Obj().Pkg().Name() == "wire" && (n.Obj().Name() == "Buffer" || n.Obj().Name() == "Reader"):
+	if n.Obj().Pkg().Name() == "wire" && (n.Obj().Name() == "Buffer" || n.Obj().Name() == "Reader") {
 		op, ok := wireBufferOps[sel.Sel.Name]
-		return op, ok
-	case n.Obj().Name() == "enc":
-		op, ok := encOps[sel.Sel.Name]
-		return op, ok
-	case n.Obj().Name() == "dec":
-		op, ok := decOps[sel.Sel.Name]
 		return op, ok
 	}
 	return "", false

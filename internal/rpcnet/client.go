@@ -17,7 +17,6 @@ const (
 	defaultConnsPerPeer = 2
 	defaultWindow       = 128
 	defaultQueueWait    = 10 * time.Second
-	defaultPoolSize     = 16
 )
 
 // Client is a netsim.Transport that reaches nodes over TCP using the
@@ -28,10 +27,6 @@ const (
 // blocks the connection. When every slot toward a peer is occupied, a new
 // Call queues for up to QueueWait and then fails with ErrBackpressure.
 //
-// With Legacy set, the client speaks the old v1 framing instead: a pool of
-// connections, each used synchronously for one request at a time. Kept for
-// protocol-compatibility tests and as the baseline in transport benchmarks.
-//
 // All tunables must be set before the first Call.
 type Client struct {
 	// ConnsPerPeer is the connection budget per destination (default 2).
@@ -41,16 +36,10 @@ type Client struct {
 	// QueueWait bounds how long a Call waits for a window slot before
 	// failing with ErrBackpressure (default 10s).
 	QueueWait time.Duration
-	// Legacy selects the v1 one-shot framing.
-	Legacy bool
-	// PoolSize bounds pooled connections per node in Legacy mode
-	// (default 16).
-	PoolSize int
 
 	mu    sync.Mutex
-	addrs map[netsim.NodeID]string        // guarded by mu
-	peers map[netsim.NodeID]*peer         // guarded by mu
-	pools map[netsim.NodeID]chan net.Conn // guarded by mu; legacy mode only
+	addrs map[netsim.NodeID]string // guarded by mu
+	peers map[netsim.NodeID]*peer  // guarded by mu
 }
 
 // NewClient returns a TCP transport over the given node address map.
@@ -63,10 +52,8 @@ func NewClient(addrs map[netsim.NodeID]string) *Client {
 		ConnsPerPeer: defaultConnsPerPeer,
 		Window:       defaultWindow,
 		QueueWait:    defaultQueueWait,
-		PoolSize:     defaultPoolSize,
 		addrs:        m,
 		peers:        make(map[netsim.NodeID]*peer),
-		pools:        make(map[netsim.NodeID]chan net.Conn),
 	}
 }
 
@@ -78,36 +65,25 @@ func (c *Client) SetAddr(id netsim.NodeID, addr string) {
 	c.addrs[id] = addr
 	p := c.peers[id]
 	delete(c.peers, id)
-	pool := c.pools[id]
-	delete(c.pools, id)
 	c.mu.Unlock()
 	if p != nil {
 		p.close(fmt.Errorf("rpcnet: node %d re-addressed", id))
 	}
-	drainPool(pool)
 }
 
 // Close drops all connections. In-flight calls fail with ErrUnreachable.
 func (c *Client) Close() {
 	c.mu.Lock()
 	peers := c.peers
-	pools := c.pools
 	c.peers = make(map[netsim.NodeID]*peer)
-	c.pools = make(map[netsim.NodeID]chan net.Conn)
 	c.mu.Unlock()
 	for _, p := range peers {
 		p.close(errors.New("rpcnet: client closed"))
-	}
-	for _, pool := range pools {
-		drainPool(pool)
 	}
 }
 
 // Call implements netsim.Transport.
 func (c *Client) Call(to netsim.NodeID, req any) (any, error) {
-	if c.Legacy {
-		return c.callLegacy(to, req)
-	}
 	payload, err := encodeEnvelope(&envelope{Body: req})
 	if err != nil {
 		return nil, err
@@ -136,7 +112,7 @@ func (c *Client) queueWait() time.Duration {
 	return defaultQueueWait
 }
 
-// peer is the mux-mode state for one destination: a fixed-size slot array
+// peer is the state for one destination: a fixed-size slot array
 // of connections, dialed lazily and replaced when they die.
 type peer struct {
 	addr   string
@@ -336,78 +312,5 @@ func (mc *muxConn) roundTrip(payload []byte, queueWait time.Duration) (resp any,
 		return nil, errors.New(rep.env.Err), false
 	default:
 		return rep.env.Body, nil, false
-	}
-}
-
-// ------------------------------------------------------------- legacy v1 --
-
-// callLegacy performs a one-shot v1 exchange on a pooled connection.
-func (c *Client) callLegacy(to netsim.NodeID, req any) (any, error) {
-	conn, pool, err := c.legacyConn(to)
-	if err != nil {
-		return nil, err
-	}
-	if err := writeFrameV1(conn, &envelope{Body: req}); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("%w: %v", netsim.ErrUnreachable, err)
-	}
-	resp, err := readFrameV1(conn)
-	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("%w: %v", netsim.ErrUnreachable, err)
-	}
-	select {
-	case pool <- conn:
-	default:
-		conn.Close() // pool full
-	}
-	if resp.Err != "" {
-		return nil, errors.New(resp.Err)
-	}
-	return resp.Body, nil
-}
-
-func (c *Client) legacyConn(id netsim.NodeID) (net.Conn, chan net.Conn, error) {
-	c.mu.Lock()
-	addr, ok := c.addrs[id]
-	if !ok {
-		c.mu.Unlock()
-		return nil, nil, fmt.Errorf("%w: node %d has no address", netsim.ErrUnreachable, id)
-	}
-	pool, ok := c.pools[id]
-	if !ok {
-		size := c.PoolSize
-		if size <= 0 {
-			size = defaultPoolSize
-		}
-		pool = make(chan net.Conn, size)
-		c.pools[id] = pool
-	}
-	c.mu.Unlock()
-
-	select {
-	case conn := <-pool:
-		return conn, pool, nil
-	default:
-	}
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", netsim.ErrUnreachable, err)
-	}
-	return conn, pool, nil
-}
-
-// drainPool closes every pooled legacy connection.
-func drainPool(pool chan net.Conn) {
-	if pool == nil {
-		return
-	}
-	for {
-		select {
-		case conn := <-pool:
-			conn.Close()
-		default:
-			return
-		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -268,30 +269,28 @@ func TestServerInflightBoundsConcurrency(t *testing.T) {
 	}
 }
 
-// TestLegacyClientAgainstSniffingServer drives the v1 one-shot framing
-// against the new server, which must detect it per connection.
-func TestLegacyClientAgainstSniffingServer(t *testing.T) {
+// TestNonPreambleConnectionIsClosed: a connection that opens with anything
+// but the frame preamble (here: what a v1 client used to send, a bare length
+// prefix) gets no reply, only EOF, and the server goes on serving others.
+func TestNonPreambleConnectionIsClosed(t *testing.T) {
 	client, srv := startEcho(t, netsim.HandlerFunc(func(req any) (any, error) {
-		if r, ok := req.(*echoReq); ok {
-			return &echoResp{N: r.N}, nil
-		}
-		return nil, errors.New("boom")
+		return &echoResp{N: req.(*echoReq).N}, nil
 	}))
-	client.Legacy = true
-	resp, err := client.Call(0, &echoReq{N: 7})
-	if err != nil || resp.(*echoResp).N != 7 {
-		t.Fatalf("legacy echo: %v %v", resp, err)
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Handler errors still propagate as strings.
-	if _, err := client.Call(0, "bogus"); err == nil || err.Error() != "boom" {
-		t.Fatalf("legacy error path: %v", err)
+	defer conn.Close()
+	if _, err := conn.Write([]byte{0, 0, 0, 16}); err != nil {
+		t.Fatal(err)
 	}
-	// And a mux client works against the same server instance concurrently.
-	mux := NewClient(map[netsim.NodeID]string{0: srv.Addr()})
-	defer mux.Close()
-	resp, err = mux.Call(0, &echoReq{N: 8})
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+	if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("want EOF from the server, got n=%d err=%v", n, err)
+	}
+	resp, err := client.Call(0, &echoReq{N: 8})
 	if err != nil || resp.(*echoResp).N != 8 {
-		t.Fatalf("mux echo on shared server: %v %v", resp, err)
+		t.Fatalf("echo after a refused connection: %v %v", resp, err)
 	}
 }
 

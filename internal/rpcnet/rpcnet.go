@@ -3,17 +3,15 @@
 // side and serves any netsim.Handler (normally a Sinfonia memnode) on the
 // server side.
 //
-// The transport is pipelined and multiplexed (protocol version 2): many
-// requests share one connection, each frame carries a request id, and
-// responses complete asynchronously in whatever order the server finishes
-// them. A client keeps a small per-peer connection budget (ConnsPerPeer)
-// and bounds the in-flight requests per connection (Window); when every
-// slot is taken, callers queue for up to QueueWait and then fail with
-// ErrBackpressure. Payloads remain gob-encoded envelopes; only the framing
-// changed between protocol versions. The server auto-detects the protocol
-// per connection, so old one-shot (v1) clients keep working. See
-// docs/WIRE.md for the wire contract and internal/wire for the frame
-// header codec.
+// The transport is pipelined and multiplexed: many requests share one
+// connection, each frame carries a request id, and responses complete
+// asynchronously in whatever order the server finishes them. A client keeps
+// a small per-peer connection budget (ConnsPerPeer) and bounds the in-flight
+// requests per connection (Window); when every slot is taken, callers queue
+// for up to QueueWait and then fail with ErrBackpressure. Payloads are
+// gob-encoded envelopes. This is the only protocol: a connection that does
+// not open with the frame preamble is closed. See docs/WIRE.md for the wire
+// contract and internal/wire for the frame header codec.
 //
 // cmd/minuet-server and cmd/minuet-load use this package to run a memnode
 // cluster as separate OS processes; internal/prochost spawns and babysits
@@ -22,7 +20,6 @@ package rpcnet
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -43,9 +40,7 @@ func init() {
 	gob.Register(&sinfonia.CommitReq{})
 	gob.Register(&sinfonia.AbortReq{})
 	gob.Register(&sinfonia.Ack{})
-	gob.Register(&sinfonia.ReplicaApplyReq{})
-	gob.Register(&sinfonia.ReplicaStageReq{})
-	gob.Register(&sinfonia.ReplicaResolveReq{})
+	gob.Register(&sinfonia.ReplicaRedoReq{})
 	gob.Register(&sinfonia.ScanReq{})
 	gob.Register(&sinfonia.ScanResp{})
 	gob.Register(&sinfonia.SnapshotStateReq{})
@@ -62,9 +57,6 @@ func init() {
 // window slot within the client's QueueWait: every connection to the peer
 // is running at its full pipelining window. The request was never sent.
 var ErrBackpressure = errors.New("rpcnet: in-flight window full")
-
-// maxFrameV1 bounds a legacy (v1) frame. Mirrors wire.MaxFramePayload.
-const maxFrameV1 = wire.MaxFramePayload
 
 // envelope is the gob payload of every frame: a request or a response.
 type envelope struct {
@@ -88,41 +80,6 @@ func decodeEnvelope(p []byte) (*envelope, error) {
 		return nil, err
 	}
 	return &e, nil
-}
-
-// writeFrameV1 writes one legacy length-prefixed gob message.
-func writeFrameV1(conn net.Conn, e *envelope) error {
-	payload, err := encodeEnvelope(e)
-	if err != nil {
-		return err
-	}
-	buf := make([]byte, 4, 4+len(payload))
-	binary.BigEndian.PutUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	_, err = conn.Write(buf)
-	return err
-}
-
-// readFrameV1 reads one legacy length-prefixed gob message.
-func readFrameV1(conn net.Conn) (*envelope, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-		return nil, err
-	}
-	return readFrameV1Body(conn, binary.BigEndian.Uint32(hdr[:]))
-}
-
-// readFrameV1Body reads a legacy frame whose length prefix has already been
-// consumed (the server sniffs the first 4 bytes to detect the protocol).
-func readFrameV1Body(conn net.Conn, n uint32) (*envelope, error) {
-	if n > maxFrameV1 {
-		return nil, fmt.Errorf("rpcnet: frame too large: %d", n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(conn, body); err != nil {
-		return nil, err
-	}
-	return decodeEnvelope(body)
 }
 
 // writeFrameMux writes one multiplexed frame (header + payload) as a single

@@ -15,12 +15,10 @@ import (
 // instead of buffering without bound.
 const defaultServerInflight = 256
 
-// Server serves a netsim.Handler over TCP. Each accepted connection is
-// protocol-sniffed: multiplexed (v2) connections open with the wire
-// preamble and pipeline many requests, each handled on its own goroutine
-// with responses written back in completion order; legacy (v1) connections
-// are served synchronously, one request at a time, exactly as the old
-// transport did.
+// Server serves a netsim.Handler over TCP. A connection opens with the wire
+// preamble and then pipelines many requests, each handled on its own
+// goroutine with responses written back in completion order. A connection
+// that opens with anything else is closed without a reply.
 type Server struct {
 	ln      net.Listener
 	handler netsim.Handler
@@ -29,7 +27,7 @@ type Server struct {
 	closed  bool                  // guarded by mu
 	conns   map[net.Conn]struct{} // guarded by mu
 
-	// Inflight caps concurrently-executing requests per multiplexed
+	// Inflight caps concurrently-executing requests per
 	// connection (default 256). Set before Serve only.
 	Inflight int
 }
@@ -75,8 +73,7 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// serveConn sniffs the connection's protocol version from its first four
-// bytes and dispatches to the matching loop.
+// serveConn checks the connection preamble and runs the request loop.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -89,37 +86,10 @@ func (s *Server) serveConn(conn net.Conn) {
 	if _, err := io.ReadFull(conn, first[:]); err != nil {
 		return
 	}
-	_, isMux, err := wire.ParseFramePreamble(first[:])
-	if err != nil {
-		return // recognized preamble, unsupported version: drop the connection
+	if _, err := wire.ParseFramePreamble(first[:]); err != nil {
+		return // not this protocol, or a version this server does not speak
 	}
-	if isMux {
-		s.serveMux(conn)
-		return
-	}
-	// v1: the sniffed bytes were the first frame's length prefix.
-	s.serveV1(conn, first)
-}
-
-// serveV1 is the legacy one-request-per-connection-at-a-time loop. first
-// holds the already-consumed length prefix of the first frame.
-func (s *Server) serveV1(conn net.Conn, first [4]byte) {
-	req, err := readFrameV1Body(conn, uint32(first[0])<<24|uint32(first[1])<<16|uint32(first[2])<<8|uint32(first[3]))
-	for {
-		if err != nil {
-			return
-		}
-		resp, herr := s.handler.HandleRPC(req.Body)
-		out := &envelope{Body: resp}
-		if herr != nil {
-			out.Err = herr.Error()
-			out.Body = nil
-		}
-		if err = writeFrameV1(conn, out); err != nil {
-			return
-		}
-		req, err = readFrameV1(conn)
-	}
+	s.serveMux(conn)
 }
 
 // serveMux is the pipelined loop: frames are read continuously and each

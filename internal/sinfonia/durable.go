@@ -1,39 +1,39 @@
 package sinfonia
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"time"
 
 	"minuet/internal/wal"
+	"minuet/internal/wire"
 )
 
 // Durable memnodes: a per-memnode write-ahead redo log (internal/wal) makes
 // acknowledged minitransactions survive a whole-cluster restart — the gap
 // that previously capped the system at cache/testbed use.
 //
-// Logging discipline (redo-only, group-committed):
+// Logging discipline (redo-only, group-committed). The log holds the
+// encodings of the same redo records the backup receives (redo.go):
 //
 //   - Single-phase minitransaction (execCommit): writes are applied to
-//     memory and an APPLY record is appended under the memnode mutex (so
+//     memory and the APPLY record is appended under the memnode mutex (so
 //     log order equals apply order), then the handler group-commits the
 //     record before acknowledging. Reads and failed compares log nothing.
 //   - Prepare: the staged transaction — writes, every locked address, and
 //     the participant list — is appended as a STAGE record and
-//     group-committed BEFORE the yes vote leaves the node, mirroring the
-//     existing rule for backup mirroring: once the coordinator may decide
-//     commit, this node must be able to keep its promise across a restart.
-//   - Phase two: commit appends an APPLY record carrying the staged
-//     transaction's id (replay re-applies the writes and clears the
-//     stage); abort appends a RESOLVE record. Resolved outcomes replay
-//     into the outcome log, so coordinator-recovery fencing survives
-//     restarts too.
+//     group-committed BEFORE the yes vote leaves the node, the same rule as
+//     for mirroring it: once the coordinator may decide commit, this node
+//     must be able to keep its promise across a restart.
+//   - Phase two: commit appends an APPLY record flagged as staged (redo
+//     re-applies the writes and clears the stage); abort, and a commit with
+//     nothing to write, append a RESOLVE record. Resolved outcomes redo into
+//     the outcome log, so coordinator-recovery fencing survives restarts
+//     too.
 //
-// Recovery (OpenDurable) loads the newest checkpoint and replays the
-// records after it. Staged transactions are restored with their locks, so
-// the recovery coordinator, promotion, and double-fault machinery operate
-// on a restarted node exactly as on a live one.
+// Recovery (OpenDurable) redoes the newest checkpoint — itself a record
+// stream, the shortest one that rebuilds the state it captured — and then
+// the records logged after it. Staged transactions are restored with their
+// locks, so the recovery coordinator, promotion, and double-fault machinery
+// operate on a restarted node exactly as on a live one.
 //
 // A durability failure (torn disk, full disk, injected fault) poisons the
 // memnode fail-stop: the failing operation is not acknowledged and every
@@ -57,24 +57,9 @@ type DurOptions struct {
 // defaultCheckpointEvery is the auto-checkpoint threshold when unset.
 const defaultCheckpointEvery = 8 << 20
 
-// Record and checkpoint encodings. Hand-rolled little-endian framing (the
-// wal layer adds length + CRC): versioned, self-contained, and cheap enough
-// to sit on the commit path.
-const (
-	recApply   = 1 // committed writes (one-phase, or phase two of a stage)
-	recStage   = 2 // prepared distributed transaction
-	recResolve = 3 // phase-two outcome without writes (abort, empty commit)
-
-	stateVersion = 1
-)
-
-var errBadRecord = errors.New("sinfonia: corrupt wal record")
-
-// replayPreparedAt is the prepare timestamp given to restored stages: the
-// clock restarts, so the recovery coordinator leaves them alone for a full
-// MinAge — a still-alive coordinator gets first shot at phase two, and the
-// sweep resolves them right after, same as for any crashed coordinator.
-func replayPreparedAt() time.Time { return time.Now() }
+// stateVersion is the first byte of a checkpoint; it names the checkpoint
+// layout and the redo record layout inside it (docs/WIRE.md).
+const stateVersion = 2
 
 // OpenDurable opens (or creates) a durable memnode over the given log
 // filesystem, replaying any existing checkpoint and redo records. The
@@ -105,14 +90,7 @@ func OpenDurable(id NodeID, fs wal.FS, opts DurOptions) (*Memnode, error) {
 				return fmt.Errorf("memnode %d: replay record %d: %w", id, i, err)
 			}
 		}
-		// Restored prepares hold their locks again, exactly as before the
-		// restart: phase two (from the original coordinator retrying, or
-		// the recovery coordinator's sweep) finds them where it left them.
-		for txid, st := range m.staged {
-			for _, a := range st.addrs {
-				m.locked[a] = txid
-			}
-		}
+		m.relockStagedLocked()
 		return nil
 	}
 	if err := restore(); err != nil {
@@ -198,8 +176,8 @@ func (m *Memnode) maybeCheckpoint() {
 // a wal frame (wal.MaxRecordLen) — checked up front, before any state
 // mutates, so an oversized request gets a clean error instead of poisoning
 // a healthy node when the post-apply append fails. The bound conservatively
-// over-counts the encoding: per-write overhead is at most 20 bytes (addr +
-// version + length) and the record header at most 14.
+// over-counts the encoding: per-write overhead is 20 bytes (addr + version +
+// length) and the rest of an empty record minRedoLen.
 func (m *Memnode) checkTxnSize(writes []WriteItem, nAddrs, nParticipants int) error {
 	if m.wal == nil {
 		return nil
@@ -216,11 +194,13 @@ func (m *Memnode) checkTxnSize(writes []WriteItem, nAddrs, nParticipants int) er
 
 // walAppendLocked encodes and appends a record under m.mu, poisoning the node on
 // failure. Returns 0 when the node is volatile.
-func (m *Memnode) walAppendLocked(payload []byte) (uint64, error) {
+func (m *Memnode) walAppendLocked(rec *RedoRecord) (uint64, error) {
 	if m.wal == nil {
 		return 0, nil
 	}
-	lsn, err := m.wal.Append(payload)
+	b := wire.NewBuffer(64)
+	encodeRedo(b, rec)
+	lsn, err := m.wal.Append(b.Bytes())
 	if err != nil {
 		m.failed = true
 		return 0, fmt.Errorf("memnode %d: wal append: %w", m.id, err)
@@ -243,357 +223,51 @@ func (m *Memnode) walCommit(lsn uint64) error {
 	return nil
 }
 
-// ---- record encoding ----
-
-type enc struct{ b []byte }
-
-func (e *enc) u8(v uint8)   { e.b = append(e.b, v) }
-func (e *enc) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
-func (e *enc) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *enc) bool(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-}
-func (e *enc) bytes(p []byte) {
-	e.u32(uint32(len(p)))
-	e.b = append(e.b, p...)
-}
-
-type dec struct {
-	b   []byte
-	err bool
-}
-
-func (d *dec) u8() uint8 {
-	if d.err || len(d.b) < 1 {
-		d.err = true
-		return 0
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
-}
-
-func (d *dec) u32() uint32 {
-	if d.err || len(d.b) < 4 {
-		d.err = true
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b)
-	d.b = d.b[4:]
-	return v
-}
-
-func (d *dec) u64() uint64 {
-	if d.err || len(d.b) < 8 {
-		d.err = true
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b)
-	d.b = d.b[8:]
-	return v
-}
-
-func (d *dec) bool() bool { return d.u8() == 1 }
-
-// count decodes a u32 element count and bounds it by the bytes remaining:
-// each element occupies at least minElem encoded bytes, so a larger count is
-// a corrupt record — rejected here, before the caller allocates for it.
-func (d *dec) count(minElem int) int {
-	n := int(d.u32())
-	if d.err || n > len(d.b)/minElem {
-		d.err = true
-		return 0
-	}
-	return n
-}
-
-func (d *dec) bytes() []byte {
-	n := int(d.u32())
-	if d.err || len(d.b) < n {
-		d.err = true
-		return nil
-	}
-	v := make([]byte, n)
-	copy(v, d.b[:n])
-	d.b = d.b[n:]
-	return v
-}
-
-// encodeApply logs committed writes with the exact versions the primary
-// assigned (replay restores them verbatim, keeping version-based OCC
-// compares valid across restarts). staged marks phase-two commits, whose
-// replay also clears the stage and fences the outcome.
-func encodeApply(txid uint64, staged bool, rep *ReplicaApplyReq) []byte {
-	e := &enc{b: make([]byte, 0, 64)}
-	e.u8(recApply)
-	e.u64(txid)
-	e.bool(staged)
-	e.u32(uint32(len(rep.Addrs)))
-	for i := range rep.Addrs {
-		e.u64(uint64(rep.Addrs[i]))
-		e.u64(rep.Versions[i])
-		e.bytes(rep.Data[i])
-	}
-	return e.b
-}
-
-// encodeStage logs a prepared transaction: its writes, its full locked
-// address set (compares and reads lock too — the writes alone would
-// under-lock after replay), and the participant list coordinator recovery
-// needs.
-func encodeStage(txid uint64, addrs []Addr, participants []NodeID, writes []WriteItem) []byte {
-	e := &enc{b: make([]byte, 0, 64)}
-	e.u8(recStage)
-	e.u64(txid)
-	e.u32(uint32(len(addrs)))
-	for _, a := range addrs {
-		e.u64(uint64(a))
-	}
-	e.u32(uint32(len(participants)))
-	for _, p := range participants {
-		e.u32(uint32(p))
-	}
-	e.u32(uint32(len(writes)))
-	for i := range writes {
-		e.u64(uint64(writes[i].Addr))
-		e.bytes(writes[i].Data)
-	}
-	return e.b
-}
-
-// encodeResolve logs a phase-two outcome that carries no writes: an abort,
-// or a commit whose transaction staged nothing to write here.
-func encodeResolve(txid uint64, aborted bool) []byte {
-	e := &enc{b: make([]byte, 0, 16)}
-	e.u8(recResolve)
-	e.u64(txid)
-	e.bool(aborted)
-	return e.b
-}
-
-// applyRecord is the parsed form of a recApply redo record, the decode
-// counterpart of encodeApply.
-type applyRecord struct {
-	txid     uint64
-	staged   bool
-	addrs    []Addr
-	versions []uint64
-	data     [][]byte
-}
-
-func decodeApply(d *dec) applyRecord {
-	var r applyRecord
-	_ = d.u8() // record tag; the dispatcher switched on it already
-	r.txid = d.u64()
-	r.staged = d.bool()
-	n := d.count(20) // addr + version + data length prefix per item
-	for i := 0; i < n; i++ {
-		r.addrs = append(r.addrs, Addr(d.u64()))
-		r.versions = append(r.versions, d.u64())
-		r.data = append(r.data, d.bytes())
-	}
-	return r
-}
-
-// stageRecord is the parsed form of a recStage redo record, the decode
-// counterpart of encodeStage. node stamps the decoded writes' owner.
-type stageRecord struct {
-	txid         uint64
-	addrs        []Addr
-	participants []NodeID
-	writes       []WriteItem
-}
-
-func decodeStage(d *dec, node NodeID) stageRecord {
-	var r stageRecord
-	_ = d.u8() // record tag
-	r.txid = d.u64()
-	r.addrs = make([]Addr, d.count(8))
-	for i := range r.addrs {
-		r.addrs[i] = Addr(d.u64())
-	}
-	r.participants = make([]NodeID, d.count(4))
-	for i := range r.participants {
-		r.participants[i] = NodeID(d.u32())
-	}
-	r.writes = make([]WriteItem, d.count(12))
-	for i := range r.writes {
-		r.writes[i].Node = node
-		r.writes[i].Addr = Addr(d.u64())
-		r.writes[i].Data = d.bytes()
-	}
-	return r
-}
-
-// resolveRecord is the parsed form of a recResolve redo record, the decode
-// counterpart of encodeResolve.
-type resolveRecord struct {
-	txid    uint64
-	aborted bool
-}
-
-func decodeResolve(d *dec) resolveRecord {
-	var r resolveRecord
-	_ = d.u8() // record tag
-	r.txid = d.u64()
-	r.aborted = d.bool()
-	return r
-}
-
-// replayRecordLocked applies one redo record to a recovering memnode. Replay is
-// idempotent (versions guard items), so re-replaying a suffix after an
-// interrupted recovery converges. Decoding is delegated to the decode*
-// twins of the encode* functions above, so the wiresym analyzer checks the
-// two directions stay in step; this dispatcher only applies parsed records.
+// replayRecordLocked redoes one logged record on a recovering memnode. Redo is
+// idempotent, so re-replaying a suffix after an interrupted recovery
+// converges.
 func (m *Memnode) replayRecordLocked(p []byte) error {
-	if len(p) == 0 {
+	r := wire.NewReader(p)
+	rec, err := decodeRedo(r)
+	if err != nil {
+		return err
+	}
+	if r.Remaining() != 0 {
 		return errBadRecord
 	}
-	d := &dec{b: p}
-	switch p[0] {
-	case recApply:
-		r := decodeApply(d)
-		if d.err {
-			return errBadRecord
-		}
-		for i, addr := range r.addrs {
-			if cur := m.items[addr]; cur == nil || cur.version < r.versions[i] {
-				m.items[addr] = &item{data: r.data[i], version: r.versions[i]}
-			}
-		}
-		if r.staged {
-			delete(m.staged, r.txid)
-			m.outcomes.record(r.txid, TxnCommitted)
-		}
-	case recStage:
-		r := decodeStage(d, m.id)
-		if d.err {
-			return errBadRecord
-		}
-		if _, resolved := m.outcomes.get(r.txid); resolved {
-			return nil // resolved later in the log; never resurrect
-		}
-		m.staged[r.txid] = &staged{
-			writes:       r.writes,
-			addrs:        r.addrs,
-			participants: r.participants,
-			preparedAt:   replayPreparedAt(),
-		}
-	case recResolve:
-		r := decodeResolve(d)
-		if d.err {
-			return errBadRecord
-		}
-		if st, ok := m.staged[r.txid]; ok {
-			m.releaseLocked(r.txid, st)
-		}
-		if r.aborted {
-			m.outcomes.record(r.txid, TxnAborted)
-		} else {
-			m.outcomes.record(r.txid, TxnCommitted)
-		}
-	default:
-		return errBadRecord
-	}
-	if d.err {
-		return errBadRecord
-	}
+	m.redoLocked(&rec)
 	return nil
 }
 
 // encodeStateLocked serializes the memnode's durable state for a checkpoint:
-// items, staged prepares, and the resolved-outcome log. Caller holds m.mu.
+// the version byte, a record count, and the records of snapshotLocked —
+// outcomes, items, staged prepares. Caller holds m.mu.
 func (m *Memnode) encodeStateLocked() []byte {
-	e := &enc{b: make([]byte, 0, 1024)}
-	e.u8(stateVersion)
-	e.u32(uint32(len(m.items)))
-	for a, it := range m.items {
-		e.u64(uint64(a))
-		e.u64(it.version)
-		e.bytes(it.data)
+	recs := m.snapshotLocked(true)
+	b := wire.NewBuffer(1024)
+	b.U8(stateVersion)
+	b.U32(uint32(len(recs)))
+	for i := range recs {
+		encodeRedo(b, &recs[i])
 	}
-	e.u32(uint32(len(m.staged)))
-	for txid, st := range m.staged {
-		e.u64(txid)
-		e.u32(uint32(len(st.addrs)))
-		for _, a := range st.addrs {
-			e.u64(uint64(a))
-		}
-		e.u32(uint32(len(st.participants)))
-		for _, p := range st.participants {
-			e.u32(uint32(p))
-		}
-		e.u32(uint32(len(st.writes)))
-		for i := range st.writes {
-			e.u64(uint64(st.writes[i].Addr))
-			e.bytes(st.writes[i].Data)
-		}
-	}
-	e.u32(uint32(len(m.outcomes.order)))
-	for _, txid := range m.outcomes.order {
-		e.u64(txid)
-		e.u8(m.outcomes.m[txid])
-	}
-	return e.b
+	return b.Bytes()
 }
 
 // decodeStateLocked loads a checkpoint into a fresh memnode.
 func (m *Memnode) decodeStateLocked(p []byte) error {
-	d := &dec{b: p}
-	if d.u8() != stateVersion {
+	r := wire.NewReader(p)
+	if r.U8() != stateVersion {
 		return fmt.Errorf("sinfonia: unknown checkpoint version")
 	}
-	nItems := d.count(20) // addr + version + data length prefix per item
-	for i := 0; i < nItems; i++ {
-		addr := Addr(d.u64())
-		ver := d.u64()
-		data := d.bytes()
-		if d.err {
-			return errBadRecord
+	n := r.Count(minRedoLen)
+	for i := 0; i < n; i++ {
+		rec, err := decodeRedo(r)
+		if err != nil {
+			return err
 		}
-		m.items[addr] = &item{data: data, version: ver}
+		m.redoLocked(&rec)
 	}
-	nStaged := d.count(20) // txid + three element-count prefixes per entry
-	for i := 0; i < nStaged; i++ {
-		txid := d.u64()
-		addrs := make([]Addr, d.count(8))
-		for j := range addrs {
-			addrs[j] = Addr(d.u64())
-		}
-		participants := make([]NodeID, d.count(4))
-		for j := range participants {
-			participants[j] = NodeID(d.u32())
-		}
-		writes := make([]WriteItem, d.count(12))
-		for j := range writes {
-			writes[j].Node = m.id
-			writes[j].Addr = Addr(d.u64())
-			writes[j].Data = d.bytes()
-		}
-		if d.err {
-			return errBadRecord
-		}
-		m.staged[txid] = &staged{
-			writes:       writes,
-			addrs:        addrs,
-			participants: participants,
-			preparedAt:   replayPreparedAt(),
-		}
-	}
-	nOut := d.count(9) // txid + status byte per outcome
-	for i := 0; i < nOut; i++ {
-		txid := d.u64()
-		status := d.u8()
-		if d.err {
-			return errBadRecord
-		}
-		m.outcomes.record(txid, status)
-	}
-	if d.err {
+	if r.Err() != nil || r.Remaining() != 0 {
 		return errBadRecord
 	}
 	return nil

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"minuet/internal/wal"
+	"minuet/internal/wire"
 )
 
 // durTestTxid hands out distinct transaction ids within one test.
@@ -290,25 +291,38 @@ func TestDurableFailStop(t *testing.T) {
 // errBadRecord, not as a multi-gigabyte allocation during recovery.
 func TestReplayRejectsHugeCounts(t *testing.T) {
 	m := NewMemnode(0)
-	// STAGE record claiming four billion locked addresses, then no body.
-	e := &enc{}
-	e.u8(recStage)
-	e.u64(1)
-	e.u32(0xFFFF_FFFF)
-	if err := m.replayRecordLocked(e.b); !errors.Is(err, errBadRecord) {
-		t.Fatalf("huge addr count: got %v, want errBadRecord", err)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	// STAGE record with no writes, claiming four billion locked addresses,
+	// then no body.
+	b := wire.NewBuffer(0)
+	b.U8(recStage)
+	b.U64(1)
+	b.U8(0)
+	b.U32(0)
+	b.U32(0xFFFF_FFFF)
+	if err := m.replayRecordLocked(b.Bytes()); !errors.Is(err, errBadRecord) {
+		t.Fatalf("huge lock count: got %v, want errBadRecord", err)
 	}
 
-	// Checkpoint whose staged transaction claims a huge write count.
-	e = &enc{}
-	e.u8(stateVersion)
-	e.u32(0)           // items
-	e.u32(1)           // one staged transaction
-	e.u64(7)           // txid
-	e.u32(0)           // addrs
-	e.u32(0)           // participants
-	e.u32(0xFFFF_FFFF) // writes: far past the end of the buffer
-	if err := m.decodeStateLocked(e.b); !errors.Is(err, errBadRecord) {
+	// Checkpoint claiming a huge record count, and one whose only record
+	// claims a huge write count.
+	b = wire.NewBuffer(0)
+	b.U8(stateVersion)
+	b.U32(0xFFFF_FFFF)
+	if err := m.decodeStateLocked(b.Bytes()); !errors.Is(err, errBadRecord) {
+		t.Fatalf("huge record count: got %v, want errBadRecord", err)
+	}
+	b = wire.NewBuffer(0)
+	b.U8(stateVersion)
+	b.U32(1)
+	b.U8(recStage)
+	b.U64(7)
+	b.U8(0)
+	b.U32(0xFFFF_FFFF) // writes: far past the end of the buffer
+	b.U32(0)
+	b.U32(0)
+	if err := m.decodeStateLocked(b.Bytes()); !errors.Is(err, errBadRecord) {
 		t.Fatalf("huge write count: got %v, want errBadRecord", err)
 	}
 }

@@ -25,22 +25,19 @@ import (
 type Memnode struct {
 	id NodeID
 
-	mu       sync.Mutex
-	items    map[Addr]*item     // guarded by mu
-	locked   map[Addr]uint64    // guarded by mu; addr -> txid that holds the prepare lock
-	staged   map[uint64]*staged // guarded by mu; txid -> staged writes
-	outcomes *outcomeLog        // guarded by mu; resolved distributed txns (recovery fencing)
+	mu     sync.Mutex
+	state                  // items, staged, outcomes: what redo records change (redo.go)
+	locked map[Addr]uint64 // guarded by mu; addr -> txid that holds the prepare lock
 
-	// Replication. When backup is set, every committed batch of writes is
-	// forwarded to the backup memnode with explicit per-item versions, so
-	// the backup converges under a version guard whatever the arrival order.
+	// Replication. When backup is set, every redo record this node emits is
+	// sent to the backup memnode before the change is acknowledged.
 	transport netsim.Transport
 	backup    NodeID
 	hasBackup bool
 
 	// replicas holds mirrored state for primaries this node backs up,
 	// keyed by primary node id. guarded by mu.
-	replicas map[NodeID]*replicaStore
+	replicas map[NodeID]*state
 
 	// Durability (see durable.go). wal is nil for volatile memnodes and
 	// fixed after construction; failed flips on the first log failure and
@@ -58,13 +55,12 @@ type Memnode struct {
 }
 
 // item is one stored object. data is install-once: a write replaces the
-// slice with a fresh one (applyWritesLocked, replay, mirroring) and nothing
-// ever writes into a slice after installing it, so readers may keep the slice
-// they were handed for as long as they like — doReadsLocked, scan and
-// snapshotState return it without copying, and the backup batch and WAL
-// record are built from it after the mutex is released. Clients hold up the
-// other half of the rule: a fetched image is never modified
-// (docs/ARCHITECTURE.md, "Image ownership").
+// slice with a fresh one (state.putLocked) and nothing ever writes into a
+// slice after installing it, so readers may keep the slice they were handed
+// for as long as they like — doReadsLocked, scan and snapshotState return it
+// without copying, and the redo record that carries it to the backup is read
+// after the mutex is released. Clients hold up the other half of the rule: a
+// fetched image is never modified (docs/ARCHITECTURE.md, "Image ownership").
 type item struct {
 	data    []byte
 	version uint64
@@ -106,44 +102,21 @@ func (o *outcomeLog) get(txid uint64) (uint8, bool) {
 	return s, ok
 }
 
-// replicaStore mirrors one primary's state: its committed items and its
-// prepared-but-unresolved (staged) distributed transactions. Committed
-// applies carry explicit per-item versions, so they are applied immediately
-// under a per-address version guard — arrival order does not matter, and an
-// acknowledged apply is always reflected in the mirror (a sequence-gap
-// parking scheme would silently hold acked writes hostage to a batch that
-// may never arrive, losing them at promotion).
-//
-// resolved remembers transactions whose phase two has reached this mirror.
-// It guards the staged map the way item versions guard the items: a stage
-// message (or a full-state seed) that arrives AFTER the transaction's
-// resolve must not resurrect the prepare — a resurrected stale prepare
-// would carry old writes that a later promotion could re-commit over newer
-// committed data. It also seeds the promoted node's outcome log, so late
-// phase-two messages stay fenced across fail-over.
-type replicaStore struct {
-	items    map[Addr]*item
-	staged   map[uint64]*staged
-	resolved *outcomeLog
-}
-
 // NewMemnode creates a memnode with the given identity.
 func NewMemnode(id NodeID) *Memnode {
 	return &Memnode{
 		id:       id,
-		items:    make(map[Addr]*item),
+		state:    newState(),
 		locked:   make(map[Addr]uint64),
-		staged:   make(map[uint64]*staged),
-		outcomes: newOutcomeLog(8192),
-		replicas: make(map[NodeID]*replicaStore),
+		replicas: make(map[NodeID]*state),
 	}
 }
 
 // ID returns the memnode's identity.
 func (m *Memnode) ID() NodeID { return m.id }
 
-// SetBackup configures synchronous primary-backup replication: every
-// committed write batch is forwarded to node `backup` over t.
+// SetBackup configures synchronous primary-backup replication: every redo
+// record is mirrored to node `backup` over t.
 func (m *Memnode) SetBackup(t netsim.Transport, backup NodeID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -177,14 +150,10 @@ func (m *Memnode) HandleRPC(req any) (any, error) {
 			return nil, err
 		}
 		return &Ack{}, nil
-	case *ReplicaApplyReq:
-		m.replicaApply(r)
-		return &Ack{}, nil
-	case *ReplicaStageReq:
-		m.replicaStage(r)
-		return &Ack{}, nil
-	case *ReplicaResolveReq:
-		m.replicaResolve(r)
+	case *ReplicaRedoReq:
+		m.mu.Lock()
+		m.replicaLocked(r.From).redoLocked(&r.Rec)
+		m.mu.Unlock()
 		return &Ack{}, nil
 	case *ScanReq:
 		return m.scan(r), nil
@@ -313,52 +282,107 @@ func (m *Memnode) doReadsLocked(rd []ReadItem) []ReadResult {
 	return out
 }
 
-// applyWritesLocked applies write items and returns the replica batch. Each
-// write installs a private copy of the request's bytes (the request buffer
-// stays the client's) and never touches the slice it replaces. Caller holds
+// admitLocked is the part of phase one that the one-phase and the two-phase
+// path share: wait for (blocking) or test the locks on addrs, evaluate the
+// comparisons, perform the reads. A non-nil refused is the vote to send back
+// instead of going on. Caller holds m.mu, which a blocking wait releases and
+// retakes.
+func (m *Memnode) admitLocked(txid uint64, addrs []Addr, cmp []CompareItem, rd []ReadItem, blocking bool, waitNanos int64) (reads []ReadResult, refused *ExecResp) {
+	if blocking {
+		deadline := time.Now().Add(time.Duration(waitNanos))
+		if !m.waitUnlocked(addrs, txid, deadline) {
+			m.busyAborts++
+			return nil, &ExecResp{Vote: voteBusy}
+		}
+	} else if m.anyLocked(addrs, txid) {
+		m.busyAborts++
+		return nil, &ExecResp{Vote: voteBusy}
+	}
+	if failed := m.evalComparesLocked(cmp); len(failed) > 0 {
+		m.aborts++
+		return nil, &ExecResp{Vote: voteCompareFail, Failed: failed}
+	}
+	return m.doReadsLocked(rd), nil
+}
+
+// applyWritesLocked applies write items as the next version of each address
+// and returns the apply record that repeats them elsewhere (nil when there is
+// nothing to apply, or no log and no backup to tell). Each write installs a
+// private copy of the request's bytes (the request buffer stays the
+// client's). staged marks phase two of a prepared transaction. Caller holds
 // m.mu.
-func (m *Memnode) applyWritesLocked(wr []WriteItem) *ReplicaApplyReq {
+func (m *Memnode) applyWritesLocked(txid uint64, staged bool, wr []WriteItem) *RedoRecord {
 	if len(wr) == 0 {
 		return nil
 	}
-	var rep *ReplicaApplyReq
-	if m.hasBackup || m.wal != nil {
-		// The batch doubles as the WAL's APPLY record source: it carries the
-		// exact versions assigned here, so replay is idempotent.
-		rep = &ReplicaApplyReq{From: m.id}
+	var rec *RedoRecord
+	if m.emits() {
+		// The record carries the exact versions assigned here, so redoing it
+		// is idempotent.
+		rec = &RedoRecord{Kind: recApply, Txid: txid, Flag: staged, Writes: make([]RedoWrite, 0, len(wr))}
 	}
 	for i := range wr {
-		it := m.items[wr[i].Addr]
-		if it == nil {
-			it = &item{}
-			m.items[wr[i].Addr] = it
+		cur := m.items[wr[i].Addr]
+		var version uint64 = 1
+		if cur != nil {
+			version = cur.version + 1
 		}
-		it.data = make([]byte, len(wr[i].Data))
-		copy(it.data, wr[i].Data)
-		it.version++
-		if rep != nil {
-			rep.Addrs = append(rep.Addrs, wr[i].Addr)
-			rep.Data = append(rep.Data, it.data)
-			rep.Versions = append(rep.Versions, it.version)
+		data := make([]byte, len(wr[i].Data))
+		copy(data, wr[i].Data)
+		m.putLocked(cur, wr[i].Addr, version, data)
+		if rec != nil {
+			rec.Writes = append(rec.Writes, RedoWrite{Addr: wr[i].Addr, Version: version, Data: data})
 		}
 	}
 	m.commits++
-	return rep
+	return rec
 }
 
-// forwardToBackup sends a committed batch to the backup synchronously,
-// before the client sees the ack. The mutex must NOT be held (backups form
-// a ring; holding it while calling out could deadlock): concurrent sends
-// may arrive in any order, which the backup's per-address version guard
-// makes harmless.
-func (m *Memnode) forwardToBackup(rep *ReplicaApplyReq) {
-	if rep == nil || !m.hasBackup {
+// emits reports whether anyone is told of this node's changes: a volatile
+// node without a backup builds no redo records at all.
+func (m *Memnode) emits() bool { return m.hasBackup || m.wal != nil }
+
+// mirror sends a record to the backup synchronously, before the client sees
+// the ack. The mutex must NOT be held (backups form a ring; holding it while
+// calling out could deadlock): concurrent sends may arrive in any order,
+// which redoLocked's guards make harmless.
+func (m *Memnode) mirror(rec *RedoRecord) {
+	if rec == nil || !m.hasBackup {
 		return
 	}
 	// A failed backup is tolerated: the paper's Sinfonia masks backup
-	// failures and re-synchronizes on recovery. The simulation simply
-	// drops the apply; tests that exercise promotion keep the backup up.
-	_, _ = m.transport.Call(m.backup, rep)
+	// failures and re-synchronizes on recovery. The simulation simply drops
+	// the record; tests that exercise promotion keep the backup up. For a
+	// stage that means the prepare survives only this node's death, not this
+	// node's death combined with an unreachable backup.
+	_, _ = m.transport.Call(m.backup, &ReplicaRedoReq{From: m.id, Rec: *rec})
+}
+
+// publishUnlock releases m.mu, which the caller holds, and makes the record
+// the caller emitted under it survive this node: the log append happens
+// before the unlock (so log order equals apply order), the group commit and
+// the mirror call after it (an fsync or a call into another memnode under
+// the mutex would stall, or with backups in a ring deadlock, every handler).
+// It returns before the change may be acknowledged — for a stage, before the
+// yes vote leaves the node: once the coordinator may decide commit, neither a
+// restart nor a fail-over of this node may forget the promise. A nil rec
+// (nothing changed, or nobody to tell) only unlocks.
+func (m *Memnode) publishUnlock(rec *RedoRecord) error {
+	if rec == nil {
+		m.mu.Unlock()
+		return nil
+	}
+	lsn, err := m.walAppendLocked(rec)
+	m.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	if err := m.walCommit(lsn); err != nil {
+		return err
+	}
+	m.mirror(rec)
+	m.maybeCheckpoint()
+	return nil
 }
 
 func (m *Memnode) execCommit(r *ExecCommitReq) (*ExecResp, error) {
@@ -368,42 +392,15 @@ func (m *Memnode) execCommit(r *ExecCommitReq) (*ExecResp, error) {
 	}
 
 	m.mu.Lock()
-	if r.Blocking {
-		deadline := time.Now().Add(time.Duration(r.WaitNanos))
-		if !m.waitUnlocked(addrs, r.Txid, deadline) {
-			m.busyAborts++
-			m.mu.Unlock()
-			return &ExecResp{Vote: voteBusy}, nil
-		}
-	} else if m.anyLocked(addrs, r.Txid) {
-		m.busyAborts++
+	reads, refused := m.admitLocked(r.Txid, addrs, r.Compares, r.Reads, r.Blocking, r.WaitNanos)
+	if refused != nil {
 		m.mu.Unlock()
-		return &ExecResp{Vote: voteBusy}, nil
+		return refused, nil
 	}
-	if failed := m.evalComparesLocked(r.Compares); len(failed) > 0 {
-		m.aborts++
-		m.mu.Unlock()
-		return &ExecResp{Vote: voteCompareFail, Failed: failed}, nil
-	}
-	reads := m.doReadsLocked(r.Reads)
-	rep := m.applyWritesLocked(r.Writes)
-	var lsn uint64
-	var err error
-	if rep != nil {
-		// Appended under m.mu so log order equals apply order; the fsync
-		// (group commit) happens below, outside the mutex.
-		lsn, err = m.walAppendLocked(encodeApply(r.Txid, false, rep))
-	}
-	m.mu.Unlock()
-	if err != nil {
+	rec := m.applyWritesLocked(r.Txid, false, r.Writes)
+	if err := m.publishUnlock(rec); err != nil {
 		return nil, err
 	}
-	if err := m.walCommit(lsn); err != nil {
-		return nil, err
-	}
-
-	m.forwardToBackup(rep)
-	m.maybeCheckpoint()
 	return &ExecResp{Vote: voteOK, Reads: reads}, nil
 }
 
@@ -416,61 +413,29 @@ func (m *Memnode) prepare(r *PrepareReq) (*ExecResp, error) {
 	}
 
 	m.mu.Lock()
-
-	if r.Blocking {
-		deadline := time.Now().Add(time.Duration(r.WaitNanos))
-		if !m.waitUnlocked(addrs, r.Txid, deadline) {
-			m.busyAborts++
-			m.mu.Unlock()
-			return &ExecResp{Vote: voteBusy}, nil
-		}
-	} else if m.anyLocked(addrs, r.Txid) {
-		m.busyAborts++
+	reads, refused := m.admitLocked(r.Txid, addrs, r.Compares, r.Reads, r.Blocking, r.WaitNanos)
+	if refused != nil {
 		m.mu.Unlock()
-		return &ExecResp{Vote: voteBusy}, nil
+		return refused, nil
 	}
-	if failed := m.evalComparesLocked(r.Compares); len(failed) > 0 {
-		m.aborts++
-		m.mu.Unlock()
-		return &ExecResp{Vote: voteCompareFail, Failed: failed}, nil
-	}
-	reads := m.doReadsLocked(r.Reads)
 	for _, a := range addrs {
 		m.locked[a] = r.Txid
 	}
-	m.staged[r.Txid] = &staged{
+	st := &staged{
 		writes:       r.Writes,
 		addrs:        addrs,
 		participants: r.Participants,
 		preparedAt:   time.Now(),
 	}
-	lsn, err := m.walAppendLocked(encodeStage(r.Txid, addrs, r.Participants, r.Writes))
-	hasBackup := m.hasBackup
-	m.mu.Unlock()
-	if err != nil {
+	m.staged[r.Txid] = st
+	var rec *RedoRecord
+	if m.emits() {
+		sr := stageRedo(r.Txid, st)
+		rec = &sr
+	}
+	if err := m.publishUnlock(rec); err != nil {
 		return nil, err
 	}
-	// The STAGE record must be durable BEFORE the yes vote leaves this node
-	// (the same rule as mirroring below): once the coordinator may decide
-	// commit, a restart of this node must not forget the promise.
-	if err := m.walCommit(lsn); err != nil {
-		return nil, err
-	}
-
-	// Mirror the prepare to the backup BEFORE voting OK: once the vote is
-	// out, the coordinator may decide commit, and a commit decision should
-	// survive this node's crash. The mutex is released (replica calls are
-	// never made under it — backups form a ring). A failed mirror call is
-	// tolerated like any other backup failure (the paper masks them and
-	// re-syncs on recovery): the prepare survives only this node's death,
-	// not this node's death combined with an unreachable backup.
-	if hasBackup {
-		_, _ = m.transport.Call(m.backup, &ReplicaStageReq{
-			From: m.id, Txid: r.Txid,
-			Writes: r.Writes, Participants: r.Participants,
-		})
-	}
-	m.maybeCheckpoint()
 	return &ExecResp{Vote: voteOK, Reads: reads}, nil
 }
 
@@ -482,76 +447,43 @@ func (m *Memnode) commit(txid uint64) error {
 		m.mu.Unlock()
 		return nil
 	}
-	st, ok := m.staged[txid]
-	var rep *ReplicaApplyReq
-	resolveOnly := false
-	var lsn uint64
-	var err error
-	if ok {
-		rep = m.applyWritesLocked(st.writes)
-		if rep != nil {
-			rep.Txid = txid
-			lsn, err = m.walAppendLocked(encodeApply(txid, true, rep))
-		} else {
-			resolveOnly = m.hasBackup // nothing to write; still clear the mirror
-			// No writes, but the outcome still needs to be durable: the
-			// RESOLVE record clears the stage and fences a late abort.
-			lsn, err = m.walAppendLocked(encodeResolve(txid, false))
+	var rec *RedoRecord
+	if st, ok := m.staged[txid]; ok {
+		rec = m.applyWritesLocked(txid, true, st.writes)
+		if len(st.writes) == 0 && m.emits() {
+			// No writes, but the outcome still has to reach the log and the
+			// mirror: the resolve clears the stage and fences a late abort.
+			rec = &RedoRecord{Kind: recResolve, Txid: txid}
 		}
 		m.releaseLocked(txid, st)
 		m.outcomes.record(txid, TxnCommitted)
 	}
-	m.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if err := m.walCommit(lsn); err != nil {
-		return err
-	}
-	m.forwardToBackup(rep)
-	if resolveOnly {
-		_, _ = m.transport.Call(m.backup, &ReplicaResolveReq{From: m.id, Txid: txid})
-	}
-	m.maybeCheckpoint()
-	return nil
+	return m.publishUnlock(rec)
 }
 
 func (m *Memnode) abort(txid uint64) error {
 	m.mu.Lock()
-	var hadStage bool
 	if status, resolved := m.outcomes.get(txid); resolved && status == TxnCommitted {
 		// Already committed (possibly by recovery); a late abort must not
 		// undo it — and cannot, since the staging entry is gone.
 		m.mu.Unlock()
 		return nil
 	}
+	var rec *RedoRecord
 	if st, ok := m.staged[txid]; ok {
 		m.aborts++
 		m.releaseLocked(txid, st)
-		hadStage = true
+		// Only staged aborts are logged and mirrored: with no stage there is
+		// nothing a restart or a promotion could resurrect, so the fence is
+		// only needed in memory.
+		if m.emits() {
+			rec = &RedoRecord{Kind: recResolve, Txid: txid, Flag: true}
+		}
 	}
 	// Record the abort even when nothing is staged so that a late commit
 	// arriving after this abort is fenced out.
 	m.outcomes.record(txid, TxnAborted)
-	var lsn uint64
-	var err error
-	if hadStage {
-		// Only staged aborts are logged: with no stage there is nothing a
-		// restart could resurrect, so the fence is only needed in memory.
-		lsn, err = m.walAppendLocked(encodeResolve(txid, true))
-	}
-	hasBackup := m.hasBackup
-	m.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if err := m.walCommit(lsn); err != nil {
-		return err
-	}
-	if hadStage && hasBackup {
-		_, _ = m.transport.Call(m.backup, &ReplicaResolveReq{From: m.id, Txid: txid, Aborted: true})
-	}
-	return nil
+	return m.publishUnlock(rec)
 }
 
 // inDoubt lists staged distributed transactions older than the requested
@@ -597,141 +529,74 @@ func (m *Memnode) releaseLocked(txid uint64, st *staged) {
 	delete(m.staged, txid)
 }
 
-// replicaLocked returns (creating if needed) the mirror store for primary `from`.
+// replicaLocked returns (creating if needed) the mirror of primary `from`.
 // Caller holds m.mu.
-func (m *Memnode) replicaLocked(from NodeID) *replicaStore {
+func (m *Memnode) replicaLocked(from NodeID) *state {
 	rs := m.replicas[from]
 	if rs == nil {
-		rs = &replicaStore{
-			items:    make(map[Addr]*item),
-			staged:   make(map[uint64]*staged),
-			resolved: newOutcomeLog(8192),
-		}
+		st := newState()
+		rs = &st
 		m.replicas[from] = rs
 	}
 	return rs
 }
 
-func (m *Memnode) replicaApply(r *ReplicaApplyReq) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	rs := m.replicaLocked(r.From)
-	for i := range r.Addrs {
-		cur := rs.items[r.Addrs[i]]
-		if cur != nil && cur.version >= r.Versions[i] {
-			continue // already have this write or a newer one
+// relockStagedLocked retakes every staged transaction's locks, the step that
+// turns a redone state into a serving node: phase two (from the original
+// coordinator retrying, or the recovery coordinator's sweep) finds the
+// prepares of a restarted or promoted node where it left them. Caller holds
+// m.mu.
+func (m *Memnode) relockStagedLocked() {
+	for txid, st := range m.staged {
+		for _, a := range st.addrs {
+			m.locked[a] = txid
 		}
-		d := make([]byte, len(r.Data[i]))
-		copy(d, r.Data[i])
-		rs.items[r.Addrs[i]] = &item{data: d, version: r.Versions[i]}
 	}
-	if r.Txid != 0 {
-		delete(rs.staged, r.Txid)
-		rs.resolved.record(r.Txid, TxnCommitted)
-	}
-}
-
-func (m *Memnode) replicaStage(r *ReplicaStageReq) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	rs := m.replicaLocked(r.From)
-	if _, done := rs.resolved.get(r.Txid); done {
-		return // stale (re-)mirror racing the resolve: do not resurrect
-	}
-	rs.staged[r.Txid] = &staged{
-		writes:       r.Writes,
-		participants: r.Participants,
-		preparedAt:   time.Now(),
-	}
-}
-
-func (m *Memnode) replicaResolve(r *ReplicaResolveReq) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	rs := m.replicaLocked(r.From)
-	delete(rs.staged, r.Txid)
-	status := TxnCommitted
-	if r.Aborted {
-		status = TxnAborted
-	}
-	rs.resolved.record(r.Txid, status)
 }
 
 // PromoteReplica returns a new Memnode seeded with the mirrored state of the
-// given failed primary: its committed items plus its prepared-but-unresolved
-// distributed transactions (with their locks), so a phase-two commit or a
-// recovery-coordinator sweep arriving after fail-over still lands. Bind the
-// returned node to the primary's NodeID to complete fail-over.
+// given failed primary: its committed items, its resolution log (without it
+// a late phase-two message arriving after fail-over would not be fenced) and
+// its prepared-but-unresolved distributed transactions with their full lock
+// sets, so a phase-two commit or a recovery-coordinator sweep arriving after
+// fail-over still lands. Bind the returned node to the primary's NodeID to
+// complete fail-over.
 func (m *Memnode) PromoteReplica(primary NodeID) *Memnode {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	nm := NewMemnode(primary)
+	var recs []RedoRecord
 	if rs, ok := m.replicas[primary]; ok {
-		for a, it := range rs.items {
-			d := make([]byte, len(it.data))
-			copy(d, it.data)
-			nm.items[a] = &item{data: d, version: it.version}
-		}
-		// Carry the resolution log across promotion: without it a late
-		// phase-two message (or a stale staged seed) arriving after
-		// fail-over would not be fenced.
-		for _, txid := range rs.resolved.order {
-			nm.outcomes.record(txid, rs.resolved.m[txid])
-		}
-		for txid, st := range rs.staged {
-			addrs := touchedAddrs(nil, nil, st.writes)
-			nm.staged[txid] = &staged{
-				writes:       st.writes,
-				addrs:        addrs,
-				participants: append([]NodeID(nil), st.participants...),
-				preparedAt:   time.Now(),
-			}
-			for _, a := range addrs {
-				nm.locked[a] = txid
-			}
-		}
+		recs = rs.snapshotLocked(true)
 	}
+	m.mu.Unlock()
+
+	nm := NewMemnode(primary)
+	nm.mu.Lock()
+	defer nm.mu.Unlock()
+	for i := range recs {
+		nm.redoLocked(&recs[i])
+	}
+	nm.relockStagedLocked()
 	return nm
 }
 
 // SeedReplica merges a full state snapshot of `primary` into this node's
-// mirror under the per-address version guard, so concurrently arriving
-// replica applies are never regressed. Used when a promoted node takes over
-// backup duty for a primary whose previous mirror died with the old host.
+// mirror, so concurrently arriving mirror records are never regressed. Used
+// when a promoted node takes over backup duty for a primary whose previous
+// mirror died with the old host.
 //
 // The primary's in-flight prepares are merged too: without them, a second
 // crash of the primary would promote a mirror with no knowledge of
 // transactions other participants already voted yes on, and a commit
 // decision could silently lose this primary's writes. The snapshot may race
 // the primary's own resolves — a transaction staged when the snapshot was
-// taken can commit or abort before the seed lands here — so the merge is
-// guarded by the mirror's resolution log, exactly like stage messages: a
-// seed never resurrects a prepare whose resolve this mirror has seen.
+// taken can commit or abort before the seed lands here — which is the race
+// redoLocked's fence exists for.
 func (m *Memnode) SeedReplica(primary NodeID, st *SnapshotStateResp) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	rs := m.replicaLocked(primary)
-	for i := range st.Addrs {
-		cur := rs.items[st.Addrs[i]]
-		if cur != nil && cur.version >= st.Versions[i] {
-			continue
-		}
-		d := make([]byte, len(st.Data[i]))
-		copy(d, st.Data[i])
-		rs.items[st.Addrs[i]] = &item{data: d, version: st.Versions[i]}
-	}
-	for i, txid := range st.StagedTxids {
-		if _, done := rs.resolved.get(txid); done {
-			continue // resolved while the seed was in flight
-		}
-		if _, ok := rs.staged[txid]; ok {
-			continue
-		}
-		rs.staged[txid] = &staged{
-			writes:       st.StagedWrites[i],
-			participants: append([]NodeID(nil), st.StagedParticipants[i]...),
-			preparedAt:   time.Now(),
-		}
+	for i := range st.Records {
+		rs.redoLocked(&st.Records[i])
 	}
 }
 
@@ -742,22 +607,13 @@ func (m *Memnode) SeedReplica(primary NodeID, st *SnapshotStateResp) {
 // before this node can be allowed to fail in turn.
 func (m *Memnode) RemirrorStaged() {
 	m.mu.Lock()
-	if !m.hasBackup {
-		m.mu.Unlock()
-		return
-	}
-	reqs := make([]*ReplicaStageReq, 0, len(m.staged))
+	recs := make([]RedoRecord, 0, len(m.staged))
 	for txid, st := range m.staged {
-		reqs = append(reqs, &ReplicaStageReq{
-			From: m.id, Txid: txid,
-			Writes: st.writes, Participants: append([]NodeID(nil), st.participants...),
-		})
+		recs = append(recs, stageRedo(txid, st))
 	}
-	backup := m.backup
-	tr := m.transport
 	m.mu.Unlock()
-	for _, r := range reqs {
-		_, _ = tr.Call(backup, r)
+	for i := range recs {
+		m.mirror(&recs[i])
 	}
 }
 
@@ -781,17 +637,7 @@ func (m *Memnode) scan(r *ScanReq) *ScanResp {
 func (m *Memnode) snapshotState() *SnapshotStateResp {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	resp := &SnapshotStateResp{}
-	for a, it := range m.items {
-		resp.Addrs = append(resp.Addrs, a)
-		resp.Data = append(resp.Data, it.data)
-		resp.Versions = append(resp.Versions, it.version)
-	}
-	for txid, st := range m.staged {
-		resp.StagedTxids = append(resp.StagedTxids, txid)
-		resp.StagedWrites = append(resp.StagedWrites, st.writes)
-		resp.StagedParticipants = append(resp.StagedParticipants, append([]NodeID(nil), st.participants...))
-	}
+	resp := &SnapshotStateResp{Records: m.snapshotLocked(false)}
 	for from, rs := range m.replicas {
 		for a, it := range rs.items {
 			resp.MirrorFor = append(resp.MirrorFor, from)
@@ -806,15 +652,11 @@ func (m *Memnode) snapshotState() *SnapshotStateResp {
 func (m *Memnode) stats() *StatsResp {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var b int64
-	for _, it := range m.items {
-		b += int64(len(it.data))
-	}
 	return &StatsResp{
 		Items:      len(m.items),
 		Commits:    m.commits,
 		Aborts:     m.aborts,
 		BusyAborts: m.busyAborts,
-		Bytes:      b,
+		Bytes:      m.bytes,
 	}
 }

@@ -206,24 +206,26 @@ func TestRecoveryBackgroundLoop(t *testing.T) {
 func TestStaleStagedMirrorNotResurrected(t *testing.T) {
 	b := NewMemnode(1)
 	parts := []NodeID{0, 1}
-	w := []WriteItem{{Node: 0, Addr: 900, Data: []byte("stale")}}
-	mustAck := func(req any) {
+	stage := func(txid uint64) RedoRecord {
+		return RedoRecord{
+			Kind: recStage, Txid: txid,
+			Writes: []RedoWrite{{Addr: 900, Data: []byte("stale")}},
+			Locks:  []Addr{900}, Participants: parts,
+		}
+	}
+	mustAck := func(rec RedoRecord) {
 		t.Helper()
-		if _, err := b.HandleRPC(req); err != nil {
+		if _, err := b.HandleRPC(&ReplicaRedoReq{From: 0, Rec: rec}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	mustAck(&ReplicaStageReq{From: 0, Txid: 202, Writes: w, Participants: parts})
-	mustAck(&ReplicaResolveReq{From: 0, Txid: 202, Aborted: true})
+	mustAck(stage(202))
+	mustAck(RedoRecord{Kind: recResolve, Txid: 202, Flag: true})
 	// A delayed duplicate stage (e.g. a promoted node's re-mirror racing
 	// the resolve) arrives after resolution.
-	mustAck(&ReplicaStageReq{From: 0, Txid: 202, Writes: w, Participants: parts})
+	mustAck(stage(202))
 	// A full-state seed carrying the same stale prepare arrives too.
-	b.SeedReplica(0, &SnapshotStateResp{
-		StagedTxids:        []uint64{202},
-		StagedWrites:       [][]WriteItem{w},
-		StagedParticipants: [][]NodeID{parts},
-	})
+	b.SeedReplica(0, &SnapshotStateResp{Records: []RedoRecord{stage(202)}})
 
 	nm := b.PromoteReplica(0)
 	resp, err := nm.HandleRPC(&TxnStatusReq{Txid: 202})
@@ -241,11 +243,11 @@ func TestStaleStagedMirrorNotResurrected(t *testing.T) {
 	if r, _ := nm.HandleRPC(&ScanReq{MinAddr: 900, MaxAddr: 901, PrefixLen: 8}); len(r.(*ScanResp).Items) != 0 {
 		t.Fatal("late commit applied a resurrected stale prepare")
 	}
-	// Committed resolutions are remembered the same way: an apply with a
-	// txid fences later stage messages for it.
-	mustAck(&ReplicaStageReq{From: 0, Txid: 303, Writes: w, Participants: parts})
-	mustAck(&ReplicaApplyReq{From: 0, Txid: 303, Addrs: []Addr{900}, Data: [][]byte{[]byte("v")}, Versions: []uint64{1}})
-	mustAck(&ReplicaStageReq{From: 0, Txid: 303, Writes: w, Participants: parts})
+	// Committed resolutions are remembered the same way: a staged apply
+	// fences later stage messages for its transaction.
+	mustAck(stage(303))
+	mustAck(RedoRecord{Kind: recApply, Txid: 303, Flag: true, Writes: []RedoWrite{{Addr: 900, Version: 1, Data: []byte("v")}}})
+	mustAck(stage(303))
 	nm2 := b.PromoteReplica(0)
 	resp, _ = nm2.HandleRPC(&TxnStatusReq{Txid: 303})
 	if got := resp.(*TxnStatusResp).Status; got != TxnCommitted {

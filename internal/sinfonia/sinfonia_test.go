@@ -325,15 +325,22 @@ func TestReplicaAppliesVersionGuard(t *testing.T) {
 	// batch must be reflected immediately: parking batches until earlier
 	// ones arrive would lose acked writes if the primary died before the
 	// gap filled (the batch that fills it may never have been sent).
-	mns[1].HandleRPC(&ReplicaApplyReq{From: 0, Addrs: []Addr{7}, Data: [][]byte{[]byte("second")}, Versions: []uint64{2}}) //nolint:errcheck
-	mns[1].HandleRPC(&ReplicaApplyReq{From: 0, Addrs: []Addr{7}, Data: [][]byte{[]byte("third")}, Versions: []uint64{3}})  //nolint:errcheck
+	apply := func(version uint64, data string) {
+		t.Helper()
+		rec := RedoRecord{Kind: recApply, Writes: []RedoWrite{{Addr: 7, Version: version, Data: []byte(data)}}}
+		if _, err := mns[1].HandleRPC(&ReplicaRedoReq{From: 0, Rec: rec}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	apply(2, "second")
+	apply(3, "third")
 	p := mns[1].PromoteReplica(0)
 	it := p.items[7]
 	if it == nil || string(it.data) != "third" || it.version != 3 {
 		t.Fatalf("acked replica batches not applied before promotion: %+v", it)
 	}
 	// A late batch with an older version must not regress the mirror.
-	mns[1].HandleRPC(&ReplicaApplyReq{From: 0, Addrs: []Addr{7}, Data: [][]byte{[]byte("first")}, Versions: []uint64{1}}) //nolint:errcheck
+	apply(1, "first")
 	p = mns[1].PromoteReplica(0)
 	it = p.items[7]
 	if it == nil || string(it.data) != "third" || it.version != 3 {

@@ -13,7 +13,8 @@
 //
 // Like the paper's deployment, memnodes keep all state in memory and
 // replicate synchronously to a backup memnode; a backup can be promoted when
-// its primary crashes.
+// its primary crashes. Replication and the optional write-ahead log are two
+// sinks of one stream of redo records (redo.go).
 package sinfonia
 
 import (
@@ -188,43 +189,6 @@ type AbortReq struct{ Txid uint64 }
 // Ack is the empty successful response.
 type Ack struct{}
 
-// ReplicaApplyReq carries committed writes from a primary to its backup.
-// Each write carries the full item state plus the version the primary
-// assigned, so the backup can apply batches in any arrival order under a
-// per-address version guard (versions increase monotonically at the
-// primary). Txid, when non-zero, names the distributed transaction whose
-// commit produced the batch; the backup drops its mirrored prepare for it.
-type ReplicaApplyReq struct {
-	From     NodeID
-	Txid     uint64
-	Addrs    []Addr
-	Data     [][]byte
-	Versions []uint64
-}
-
-// ReplicaStageReq mirrors a prepared (staged) distributed transaction to the
-// backup before the primary votes OK. If the primary dies between phases,
-// the promoted backup still knows the transaction and can commit it when
-// phase two (from the coordinator or the recovery coordinator) arrives —
-// without this, writes the coordinator was told were prepared would vanish
-// in fail-over.
-type ReplicaStageReq struct {
-	From         NodeID
-	Txid         uint64
-	Writes       []WriteItem
-	Participants []NodeID
-}
-
-// ReplicaResolveReq clears a mirrored prepare without applying writes (the
-// transaction aborted, or committed with nothing to write). Aborted records
-// which, so the backup's resolution log can fence late phase-two messages
-// even after it is promoted.
-type ReplicaResolveReq struct {
-	From    NodeID
-	Txid    uint64
-	Aborted bool
-}
-
 // ScanReq asks a memnode to enumerate items in [MinAddr, MaxAddr). The
 // response carries each item's address, version, and the first PrefixLen
 // bytes of its data — enough for the snapshot garbage collector to decode
@@ -249,22 +213,16 @@ type ScanResp struct{ Items []ItemInfo }
 // (used when seeding a backup or transferring state between clusters).
 type SnapshotStateReq struct{}
 
-// SnapshotStateResp carries a memnode's full primary state: its committed
-// items plus its in-flight prepares (staged distributed transactions
-// awaiting phase two). The prepares matter for double faults: a freshly
-// promoted node that takes over backup duty for this memnode must mirror
-// them, or a second crash would strand a transaction some participant
+// SnapshotStateResp carries a memnode's full primary state as the redo
+// records that rebuild it (state.snapshotLocked): one apply holding every
+// committed item, and one stage per in-flight prepare (staged distributed
+// transaction awaiting phase two). The prepares matter for double faults: a
+// freshly promoted node that takes over backup duty for this memnode must
+// mirror them, or a second crash would strand a transaction some participant
 // already voted yes on — or, worse, drop writes the coordinator already
 // decided to commit.
 type SnapshotStateResp struct {
-	Addrs    []Addr
-	Data     [][]byte
-	Versions []uint64
-
-	// Staged prepares, parallel slices indexed by transaction.
-	StagedTxids        []uint64
-	StagedWrites       [][]WriteItem
-	StagedParticipants [][]NodeID
+	Records []RedoRecord
 
 	// Backup mirrors this node holds for other primaries, parallel slices
 	// indexed by mirrored item. Purely observational (SeedReplica ignores

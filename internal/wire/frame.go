@@ -2,24 +2,17 @@ package wire
 
 import "fmt"
 
-// Multiplexed RPC frame header (transport protocol version 2).
+// Multiplexed RPC frame header, the one framing rpcnet speaks.
 //
-// Version 1 of the rpcnet protocol framed every message as a bare 4-byte
-// big-endian length prefix and used each connection synchronously: one
-// request, then its response, in lockstep. Version 2 multiplexes many
-// in-flight requests over one connection. A connection opens with a 4-byte
-// preamble (three magic bytes plus the protocol version), after which every
-// frame — in either direction — carries a fixed header holding the request
-// id that pairs responses with requests, a flags byte, and the payload
-// length. Responses may arrive in any order; the id is the only pairing.
+// Many in-flight requests share one connection. A connection opens with a
+// 4-byte preamble (three magic bytes plus the protocol version), after which
+// every frame — in either direction — carries a fixed header holding the
+// request id that pairs responses with requests, a flags byte, and the
+// payload length. Responses may arrive in any order; the id is the only
+// pairing. A peer that does not see the preamble closes the connection.
 //
 // The header is encoded little-endian like every other codec in this
-// package. The preamble is chosen so that a version-2 connection is
-// unmistakable to a version-1 peer: read as a v1 length prefix, the magic
-// bytes decode to a length far above the frame size limit, so a v1 server
-// rejects the connection instead of misparsing it (and a v2 server that
-// does not see the magic falls back to serving v1 framing). See
-// docs/WIRE.md for the full wire contract.
+// package. See docs/WIRE.md for the full wire contract.
 
 // FrameVersion is the current multiplexed transport protocol version.
 const FrameVersion = 2
@@ -36,9 +29,6 @@ const FrameHeaderLen = 13
 const MaxFramePayload = 64 << 20
 
 // framePreambleMagic is the first three bytes of the connection preamble.
-// 'M','N','X' read as a v1 big-endian length prefix is ≥ 0x4D000000
-// (~1.2 GiB), far above MaxFramePayload, so the two framings cannot be
-// confused.
 var framePreambleMagic = [3]byte{'M', 'N', 'X'}
 
 // FrameFlags is the per-frame flags byte.
@@ -54,8 +44,7 @@ const (
 	FrameFlagThrottled FrameFlags = 1 << 1
 )
 
-// FrameHeader is the fixed header preceding every frame payload on a
-// version-2 connection.
+// FrameHeader is the fixed header preceding every frame payload.
 type FrameHeader struct {
 	// ID pairs a response with its request. Request ids are allocated by
 	// the connection's client side and are unique among that connection's
@@ -74,20 +63,20 @@ func AppendFramePreamble(dst []byte) []byte {
 }
 
 // ParseFramePreamble checks a 4-byte connection preamble and returns the
-// negotiated protocol version. ok is false when the bytes are not a
-// multiplexed-transport preamble at all (e.g. a v1 length prefix); err is
-// non-nil when the preamble is recognized but the version is unsupported.
-func ParseFramePreamble(p []byte) (version byte, ok bool, err error) {
+// protocol version it names. Bytes that are not a preamble at all and a
+// preamble naming a version other than FrameVersion are both errors: either
+// way the connection cannot be served.
+func ParseFramePreamble(p []byte) (version byte, err error) {
 	if len(p) < FramePreambleLen {
-		return 0, false, fmt.Errorf("wire: short frame preamble: %d bytes", len(p))
+		return 0, fmt.Errorf("wire: short frame preamble: %d bytes", len(p))
 	}
 	if p[0] != framePreambleMagic[0] || p[1] != framePreambleMagic[1] || p[2] != framePreambleMagic[2] {
-		return 0, false, nil
+		return 0, fmt.Errorf("wire: not a frame preamble: % x", p[:FramePreambleLen])
 	}
 	if p[3] != FrameVersion {
-		return p[3], true, fmt.Errorf("wire: unsupported frame protocol version %d (have %d)", p[3], FrameVersion)
+		return p[3], fmt.Errorf("wire: unsupported frame protocol version %d (have %d)", p[3], FrameVersion)
 	}
-	return p[3], true, nil
+	return p[3], nil
 }
 
 // AppendFrameHeader appends h's fixed 13-byte encoding.

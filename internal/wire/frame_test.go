@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/binary"
 	"testing"
 )
 
@@ -11,40 +10,28 @@ func TestFramePreambleRoundTrip(t *testing.T) {
 	if len(p) != FramePreambleLen {
 		t.Fatalf("preamble length %d, want %d", len(p), FramePreambleLen)
 	}
-	v, ok, err := ParseFramePreamble(p)
-	if err != nil || !ok || v != FrameVersion {
-		t.Fatalf("parse preamble: v=%d ok=%v err=%v", v, ok, err)
+	v, err := ParseFramePreamble(p)
+	if err != nil || v != FrameVersion {
+		t.Fatalf("parse preamble: v=%d err=%v", v, err)
 	}
 }
 
-func TestFramePreambleRejectsV1LengthPrefix(t *testing.T) {
-	// A v1 frame starts with a 4-byte big-endian length. Any plausible v1
-	// length must NOT be mistaken for a v2 preamble.
-	for _, n := range []uint32{0, 1, 512, 1 << 20, 64 << 20} {
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], n)
-		if _, ok, _ := ParseFramePreamble(hdr[:]); ok {
-			t.Fatalf("v1 length prefix %d parsed as v2 preamble", n)
+func TestFramePreambleRejectsOtherBytes(t *testing.T) {
+	// Anything that does not open with the magic — a bare length prefix, an
+	// HTTP request, a short read — is an error, not a second protocol.
+	for _, p := range [][]byte{{0, 0, 2, 0}, []byte("GET "), {'M', 'N', 'Y', FrameVersion}, {'M', 'N', 'X'}} {
+		if _, err := ParseFramePreamble(p); err == nil {
+			t.Fatalf("% x parsed as a preamble", p)
 		}
-	}
-}
-
-func TestFramePreambleMagicExceedsV1Limit(t *testing.T) {
-	// Conversely: the v2 preamble, read as a v1 length prefix, must exceed
-	// the v1 frame size limit so a v1 server drops the connection instead
-	// of trying to read a bogus frame.
-	p := AppendFramePreamble(nil)
-	if n := binary.BigEndian.Uint32(p); n <= MaxFramePayload {
-		t.Fatalf("preamble reads as plausible v1 length %d", n)
 	}
 }
 
 func TestFramePreambleUnsupportedVersion(t *testing.T) {
 	p := AppendFramePreamble(nil)
 	p[3] = 99
-	v, ok, err := ParseFramePreamble(p)
-	if !ok || err == nil || v != 99 {
-		t.Fatalf("want recognized-but-unsupported, got v=%d ok=%v err=%v", v, ok, err)
+	v, err := ParseFramePreamble(p)
+	if err == nil || v != 99 {
+		t.Fatalf("want unsupported version 99, got v=%d err=%v", v, err)
 	}
 }
 

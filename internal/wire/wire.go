@@ -218,6 +218,19 @@ func (r *Reader) U64() uint64 {
 	return v
 }
 
+// Count reads a uint32 element count and bounds it by the input that remains:
+// each element occupies at least minElem encoded bytes, so a larger count is
+// corrupt input — failed here, before the caller sizes an allocation or a
+// loop by it.
+func (r *Reader) Count(minElem int) int {
+	n := int(r.U32())
+	if r.err != nil || n < 0 || n > r.Remaining()/minElem {
+		r.fail("element count")
+		return 0
+	}
+	return n
+}
+
 // Bytes16 reads a uint16-length-prefixed byte string. It is the copying half
 // of the Bytes16/View16 pair: the returned slice is private to the caller,
 // safe to retain and to modify whatever happens to the input buffer. Decoders

@@ -92,6 +92,25 @@ func TestTruncationIsError(t *testing.T) {
 	}
 }
 
+// TestCountBoundedByRemaining: an element count is accepted only when the
+// input that follows could back that many elements of the stated minimum
+// size.
+func TestCountBoundedByRemaining(t *testing.T) {
+	w := NewBuffer(16)
+	w.U32(3)
+	w.U64(1)
+	w.U32(2) // 12 bytes follow the first count
+	if n := NewReader(w.Bytes()).Count(4); n != 3 {
+		t.Fatalf("3 elements of 4 bytes in 12: Count = %d", n)
+	}
+	for _, p := range [][]byte{w.Bytes(), {0xFF, 0xFF, 0xFF, 0xFF}, {1, 0}} {
+		r := NewReader(p)
+		if n := r.Count(5); n != 0 || r.Err() == nil {
+			t.Fatalf("Count(5) over % x = %d, err %v; want a failed read", p, n, r.Err())
+		}
+	}
+}
+
 func TestFenceOrdering(t *testing.T) {
 	ks := []Key{nil, Key(""), Key("a"), Key("ab"), Key("b")}
 	for _, k := range ks {
