@@ -8,11 +8,10 @@
 //	minuet-bench -fig 10,13 -machines 1,2,4,8,16
 //	minuet-bench -fig 14 -duration 2s -preload 100000
 //	minuet-bench -fig all -quick          # fast smoke run
-//	minuet-bench -fig none -branch        # branching batch-load scenario only
 //
 // Absolute numbers are laptop-scale (the substrate is a simulator, not the
 // paper's 35-host testbed); the shapes — who wins, by what factor, where
-// the crossovers fall — are the reproduction target. See EXPERIMENTS.md.
+// the crossovers fall — are the reproduction target. See docs/ARCHITECTURE.md.
 package main
 
 import (
@@ -36,8 +35,6 @@ func main() {
 		latency  = flag.Duration("latency", 0, "one-way simulated network latency")
 		scanLen  = flag.Int("scan", 0, "scan length in keys")
 		quick    = flag.Bool("quick", false, "use the quick (smoke-test) scale")
-		batch    = flag.Int("batch", 0, "records per atomic write batch in preload phases (0/1 = single-key)")
-		branch   = flag.Bool("branch", false, "also run the branching batch-load scenario (writable clone vs PutAt loop, with concurrent frozen-parent scans)")
 	)
 	flag.Parse()
 
@@ -70,9 +67,6 @@ func main() {
 	if *scanLen > 0 {
 		sc.ScanLength = *scanLen
 	}
-	if *batch > 0 {
-		sc.LoadBatch = *batch
-	}
 
 	want := map[int]bool{}
 	switch *figs {
@@ -80,7 +74,6 @@ func main() {
 		for f := 10; f <= 18; f++ {
 			want[f] = true
 		}
-	case "none": // e.g. `-fig none -branch`: only the branching scenario
 	default:
 		for _, part := range strings.Split(*figs, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(part))
@@ -118,14 +111,6 @@ func main() {
 			fatalf("figure %d: %v", f.n, err)
 		}
 		fmt.Printf("# figure %d done in %v\n\n", f.n, time.Since(t0).Round(time.Millisecond))
-	}
-
-	if *branch {
-		t0 := time.Now()
-		if _, err := experiments.BranchBatchLoad(sc, os.Stdout); err != nil {
-			fatalf("branching batch load: %v", err)
-		}
-		fmt.Printf("# branching batch load done in %v\n\n", time.Since(t0).Round(time.Millisecond))
 	}
 }
 

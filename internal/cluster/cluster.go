@@ -29,6 +29,9 @@ import (
 // scsNodeID is the transport address of the snapshot creation service.
 const scsNodeID netsim.NodeID = 1 << 20
 
+// allocExtent is each proxy allocator's per-CAS extent size in blocks.
+const allocExtent = 64
+
 // Config describes a simulated cluster.
 type Config struct {
 	// Machines is the number of simulated hosts (memnode + proxy each).
@@ -40,8 +43,6 @@ type Config struct {
 	Replicate bool
 	// Tree is the default configuration for trees created on this cluster.
 	Tree core.Config
-	// AllocExtent is the allocator's per-CAS extent size in blocks.
-	AllocExtent int
 	// Durability, when set, gives machine i a write-ahead log over the
 	// returned filesystem (see internal/wal); a nil return leaves that
 	// machine volatile. Building a cluster over filesystems that already
@@ -57,9 +58,6 @@ type Config struct {
 func (c *Config) FillDefaults() {
 	if c.Machines == 0 {
 		c.Machines = 1
-	}
-	if c.AllocExtent == 0 {
-		c.AllocExtent = 64
 	}
 	c.Tree.FillDefaults()
 }
@@ -155,7 +153,7 @@ func Build(cfg Config) (*Cluster, error) {
 		cl.proxies = append(cl.proxies, &Proxy{
 			Index:  i,
 			Client: c,
-			Alloc:  alloc.New(c, cfg.Tree.NodeSize, cfg.AllocExtent),
+			Alloc:  alloc.New(c, cfg.Tree.NodeSize, allocExtent),
 			Local:  nodes[i],
 			trees:  make(map[int]*core.BTree),
 			cl:     cl,

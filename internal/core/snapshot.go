@@ -28,7 +28,7 @@ func (bt *BTree) Tip() (Snapshot, error) {
 //
 // The snapshot is not actually created until t commits.
 func (bt *BTree) CreateSnapshotTxn(t *dyntx.Txn) (Snapshot, error) {
-	t.Blocking = !bt.cfg.NonBlockingSnapshots
+	t.Blocking = true
 
 	tipObj, err := t.Read(bt.refTipID())
 	if err != nil {

@@ -41,13 +41,8 @@ type Config struct {
 	// redirect (descendant) set (§5.2). Default 2.
 	Beta int
 	// CacheEntries bounds the proxy node cache. Default 65536; negative
-	// disables caching (ablation).
+	// disables caching.
 	CacheEntries int
-	// NonBlockingSnapshots disables the blocking minitransaction used to
-	// update the replicated tip id (§4.1). Ablation only: snapshot
-	// creation then aborts and retries under lock contention like any
-	// ordinary minitransaction.
-	NonBlockingSnapshots bool
 }
 
 // FillDefaults populates zero fields with the paper's defaults.
@@ -484,10 +479,6 @@ func (bt *BTree) handleStale(err error) {
 func (bt *BTree) run(fn func(t *dyntx.Txn) error) error {
 	return RunMulti(bt.c, []*BTree{bt}, fn)
 }
-
-// SetNonBlockingSnapshots flips the snapshot-blocking ablation flag on an
-// open handle (benchmarks only; see Config.NonBlockingSnapshots).
-func SetNonBlockingSnapshots(bt *BTree) { bt.cfg.NonBlockingSnapshots = true }
 
 // RunMulti executes fn as one dynamic transaction in the optimistic retry
 // loop every operation shares: build the transaction, commit it, and on

@@ -1,12 +1,11 @@
 // Package experiments reproduces every figure in the paper's evaluation
 // (§6, Figs 10-18). Each figure has a runner that builds the workload the
 // paper describes, executes it on the simulated cluster, and returns the
-// same rows or series the paper plots. cmd/minuet-bench prints them;
-// bench_test.go wires them into `go test -bench`.
+// same rows or series the paper plots. cmd/minuet-bench prints them.
 //
 // Scale note: the paper runs 5-35 physical hosts with 100 M preloaded keys
 // for 60 s per point. The defaults here are laptop-scale (documented per
-// figure in EXPERIMENTS.md); Scale lets callers trade fidelity for time.
+// figure in docs/ARCHITECTURE.md); Scale lets callers trade fidelity for time.
 package experiments
 
 import (
@@ -31,7 +30,6 @@ type Scale struct {
 	Duration          time.Duration // measurement window per point (paper: 60 s)
 	Latency           time.Duration // one-way network latency (paper: 10 GigE LAN)
 	ScanLength        int           // keys per scan (paper: 1 M)
-	LoadBatch         int           // records per atomic batch in load phases (≤1: single-key)
 }
 
 // Default is the standard laptop-scale configuration used by
@@ -61,34 +59,17 @@ func Quick() Scale {
 
 // newMinuet builds a cluster with the experiment defaults.
 func newMinuet(sc Scale, machines int, dirty bool, trees int) (*cluster.Cluster, error) {
-	return newMinuetTrees(sc, machines, trees, core.Config{
-		NodeSize:        4096,
-		MaxLeafKeys:     64,
-		MaxInnerKeys:    64,
-		DirtyTraversals: dirty,
-	})
-}
-
-// newMinuetBranching builds a branching-mode cluster (writable clones, §5)
-// with the experiment defaults.
-func newMinuetBranching(sc Scale, machines, trees int) (*cluster.Cluster, error) {
-	return newMinuetTrees(sc, machines, trees, core.Config{
-		NodeSize:        4096,
-		MaxLeafKeys:     64,
-		MaxInnerKeys:    64,
-		DirtyTraversals: true,
-		Branching:       true,
-	})
-}
-
-func newMinuetTrees(sc Scale, machines, trees int, tree core.Config) (*cluster.Cluster, error) {
-	cfg := cluster.Config{
+	cl := cluster.New(cluster.Config{
 		Machines:      machines,
 		OneWayLatency: sc.Latency,
 		Replicate:     machines > 1, // paper: primary-backup on, logging off
-		Tree:          tree,
-	}
-	cl := cluster.New(cfg)
+		Tree: core.Config{
+			NodeSize:        4096,
+			MaxLeafKeys:     64,
+			MaxInnerKeys:    64,
+			DirtyTraversals: dirty,
+		},
+	})
 	for i := 0; i < trees; i++ {
 		if err := cl.CreateTree(i); err != nil {
 			return nil, err
@@ -145,17 +126,6 @@ func (db *minuetDB) Insert(key, val []byte) error {
 	return bt.Put(key, val)
 }
 
-// WriteBatch implements ycsb.BatchDB: batched load phases commit whole
-// groups of inserts in a handful of round trips.
-func (db *minuetDB) WriteBatch(keys, vals [][]byte) error {
-	_, bt := db.pick()
-	ops := make([]core.BatchOp, len(keys))
-	for i := range keys {
-		ops[i] = core.BatchOp{Key: keys[i], Val: vals[i]}
-	}
-	return bt.ApplyBatch(ops)
-}
-
 func (db *minuetDB) Scan(start []byte, count int) error {
 	i, bt := db.pick()
 	if !db.SnapshotScans {
@@ -197,12 +167,6 @@ func newCDB(sc Scale, machines, tables int) *cdb.DB {
 		ProcTime:       25 * time.Microsecond,
 		ScanRowLimit:   sc.ScanLength * 10, // generous, but finite (paper: CDB hit limits at 1M)
 	})
-}
-
-// loadDB bulk-loads n records with enough parallelism to finish quickly,
-// batching inserts when the scale (and the DB) support it.
-func loadDB(sc Scale, db ycsb.DB, n uint64, threads int) error {
-	return ycsb.LoadBatched(db, 0, n, threads, sc.LoadBatch)
 }
 
 // updaterPool runs continuous single-key updates until stop is closed,

@@ -162,32 +162,3 @@ func TestFig18RowsComplete(t *testing.T) {
 		}
 	}
 }
-
-func TestBranchBatchLoadShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("figure experiments are wall-clock perf comparisons; meaningless under -short/-race")
-	}
-	sc := microScale()
-	sc.Machines = []int{2}
-	rows, err := BranchBatchLoad(sc, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows %d", len(rows))
-	}
-	byMode := map[string]BranchBatchRow{}
-	for _, r := range rows {
-		if r.KeysPerSec <= 0 || r.ParentKeysPerSec <= 0 {
-			t.Fatalf("zero throughput: %+v", r)
-		}
-		byMode[r.Mode] = r
-	}
-	// The whole point of the batch path: far fewer round trips per key than
-	// the PutAt loop, with the frozen parent still scanning.
-	if byMode["batch"].RTPerKey >= byMode["putat"].RTPerKey/2 {
-		t.Fatalf("batch not amortized: %.2f rt/key vs putat %.2f", byMode["batch"].RTPerKey, byMode["putat"].RTPerKey)
-	}
-	t.Logf("putat %.2f rt/key, batch %.2f rt/key, parent scans %.0f keys/s",
-		byMode["putat"].RTPerKey, byMode["batch"].RTPerKey, byMode["batch"].ParentKeysPerSec)
-}

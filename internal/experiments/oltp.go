@@ -54,7 +54,7 @@ func Fig10(sc Scale, w io.Writer) ([]Fig10Row, error) {
 				return nil, err
 			}
 			seed := uint64(sc.ThreadsPerMachine * m * 64)
-			if err := loadDB(sc, db, seed, 2*m); err != nil {
+			if err := ycsb.Load(db, 0, seed, 2*m); err != nil {
 				return nil, err
 			}
 			runner := &ycsb.Runner{
@@ -120,7 +120,7 @@ func Fig11(sc Scale, w io.Writer) ([]Fig11Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := loadDB(sc, db, sc.Preload, 4*machines); err != nil {
+		if err := ycsb.Load(db, 0, sc.Preload, 4*machines); err != nil {
 			return nil, err
 		}
 		peak := (&ycsb.Runner{DB: db, W: workload, Threads: sc.ThreadsPerMachine * machines, Seed: 2}).Run(sc.Duration).Throughput
@@ -148,7 +148,7 @@ func Fig11(sc Scale, w io.Writer) ([]Fig11Row, error) {
 		db := newCDB(sc, machines, 1)
 		defer db.Stop()
 		adapter := &cdbDB{db: db}
-		if err := loadDB(sc, adapter, sc.Preload, 8*machines); err != nil {
+		if err := ycsb.Load(adapter, 0, sc.Preload, 8*machines); err != nil {
 			return nil, err
 		}
 		threads := 8 * sc.ThreadsPerMachine * machines
@@ -204,12 +204,12 @@ func Fig12(sc Scale, w io.Writer) ([]Fig12Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := loadDB(sc, mdb, sc.Preload, 4*m); err != nil {
+		if err := ycsb.Load(mdb, 0, sc.Preload, 4*m); err != nil {
 			return nil, err
 		}
 		cdbase := newCDB(sc, m, 1)
 		cadapter := &cdbDB{db: cdbase}
-		if err := loadDB(sc, cadapter, sc.Preload, 8*m); err != nil {
+		if err := ycsb.Load(cadapter, 0, sc.Preload, 8*m); err != nil {
 			return nil, err
 		}
 		for _, op := range ops {
@@ -279,17 +279,17 @@ func Fig13(sc Scale, w io.Writer) ([]Fig13Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := loadDB(sc, mdbA, records, 4*m); err != nil {
+		if err := ycsb.Load(mdbA, 0, records, 4*m); err != nil {
 			return nil, err
 		}
-		if err := loadDB(sc, mdbB, records, 4*m); err != nil {
+		if err := ycsb.Load(mdbB, 0, records, 4*m); err != nil {
 			return nil, err
 		}
 
 		// CDB: two tables.
 		cdbase := newCDB(sc, m, 2)
 		for tbl := 0; tbl < 2; tbl++ {
-			if err := loadDB(sc, &cdbDB{db: cdbase, tbl: tbl}, records, 8*m); err != nil {
+			if err := ycsb.Load(&cdbDB{db: cdbase, tbl: tbl}, 0, records, 8*m); err != nil {
 				return nil, err
 			}
 		}

@@ -33,7 +33,7 @@ func Fig14(sc Scale, w io.Writer) (*Fig14Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := loadDB(sc, db, sc.Preload, 4*machines); err != nil {
+	if err := ycsb.Load(db, 0, sc.Preload, 4*machines); err != nil {
 		return nil, err
 	}
 
@@ -122,7 +122,7 @@ func Fig15(sc Scale, w io.Writer) ([]Fig15Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := loadDB(sc, db, sc.Preload, 4*machines); err != nil {
+			if err := ycsb.Load(db, 0, sc.Preload, 4*machines); err != nil {
 				return nil, err
 			}
 			cl.SCS(0).AllowBorrow = borrow
@@ -274,164 +274,6 @@ func Fig18(sc Scale, w io.Writer) ([]Fig18Row, error) {
 	return rows, nil
 }
 
-// ------------------------------------------------- branching batch loads --
-
-// BranchBatchRow is one point of the branching batch-load scenario.
-type BranchBatchRow struct {
-	Mode             string // "putat" | "batch"
-	BatchSize        int
-	KeysPerSec       float64 // branch write throughput
-	RTPerKey         float64 // memnode round trips per written key
-	ParentKeysPerSec float64 // concurrent frozen-parent scan throughput
-}
-
-// BranchBatchLoad measures the paper's signature side-by-side workload on a
-// branching tree: bulk updates land on a writable clone while analytics
-// scan the frozen parent, undisturbed. The same write pressure is driven
-// once as a PutAt loop and once as WriteBatchAt batches; the batch pipeline
-// must cut the memnode round trips per written key by an order of magnitude
-// while the parent keeps scanning at full speed.
-func BranchBatchLoad(sc Scale, w io.Writer) ([]BranchBatchRow, error) {
-	machines := sc.Machines[len(sc.Machines)-1]
-	batch := sc.LoadBatch
-	if batch <= 1 {
-		batch = 256
-	}
-	cl, err := newMinuetBranching(sc, machines, 1)
-	if err != nil {
-		return nil, err
-	}
-	defer cl.Close()
-
-	// Preload the mainline (version 1) in batches, then freeze it by
-	// forking the branch the writers will hammer.
-	bt0 := cl.Proxy(0).MustTree(0)
-	ops := make([]core.BatchOp, 0, batch)
-	for i := uint64(0); i < sc.Preload; {
-		ops = ops[:0]
-		for ; i < sc.Preload && len(ops) < batch; i++ {
-			ops = append(ops, core.BatchOp{Key: ycsb.Key(i), Val: ycsb.Value(i)})
-		}
-		if err := bt0.ApplyBatchAt(1, ops); err != nil {
-			return nil, err
-		}
-	}
-	br, err := bt0.CreateBranch(1)
-	if err != nil {
-		return nil, err
-	}
-	parentEntry, err := bt0.Catalog().Refresh(1)
-	if err != nil {
-		return nil, err
-	}
-	parent := core.Snapshot{Sid: 1, Root: parentEntry.Root}
-
-	// Private handles per writer/scanner so per-handle round-trip counters
-	// isolate the write path from the scan traffic.
-	openHandle := func(i int) (*core.BTree, error) {
-		p := cl.Proxy(i % machines)
-		return core.Open(p.Client, p.Alloc, 0, p.Local, cl.Config().Tree)
-	}
-
-	fprintf(w, "# Branching batch load: %d machines, branch %d over %d frozen keys, batch=%d\n",
-		machines, br.Sid, sc.Preload, batch)
-	fprintf(w, "%-8s %-12s %-14s %-16s\n", "mode", "keys/s", "rt/key", "parent-keys/s")
-
-	threads := sc.ThreadsPerMachine * machines
-	writeThreads := threads / 2
-	if writeThreads < 1 {
-		writeThreads = 1
-	}
-	scanThreads := threads - writeThreads
-	if scanThreads < 1 {
-		scanThreads = 1
-	}
-
-	var rows []BranchBatchRow
-	for _, mode := range []string{"putat", "batch"} {
-		writers := make([]*core.BTree, writeThreads)
-		for i := range writers {
-			if writers[i], err = openHandle(i); err != nil {
-				return nil, err
-			}
-		}
-		scanners := make([]*core.BTree, scanThreads)
-		for i := range scanners {
-			if scanners[i], err = openHandle(i); err != nil {
-				return nil, err
-			}
-		}
-
-		written := metrics.NewCounter()
-		scanned := metrics.NewCounter()
-		var wg sync.WaitGroup
-		deadline := time.Now().Add(sc.Duration)
-		for t, bt := range writers {
-			wg.Add(1)
-			go func(t int, bt *core.BTree) {
-				defer wg.Done()
-				r := newRand(int64(t) + 2900)
-				buf := make([]core.BatchOp, 0, batch)
-				for time.Now().Before(deadline) {
-					if mode == "putat" {
-						i := uint64(r.Int63n(int64(sc.Preload)))
-						if bt.PutAt(br.Sid, ycsb.Key(i), ycsb.Value(i)) == nil {
-							written.Add(1)
-						}
-						continue
-					}
-					buf = buf[:0]
-					for len(buf) < batch {
-						i := uint64(r.Int63n(int64(sc.Preload)))
-						buf = append(buf, core.BatchOp{Key: ycsb.Key(i), Val: ycsb.Value(i)})
-					}
-					if bt.ApplyBatchAt(br.Sid, buf) == nil {
-						written.Add(int64(batch))
-					}
-				}
-			}(t, bt)
-		}
-		for t, bt := range scanners {
-			wg.Add(1)
-			go func(t int, bt *core.BTree) {
-				defer wg.Done()
-				r := newRand(int64(t) + 3100)
-				for time.Now().Before(deadline) {
-					maxStart := int64(sc.Preload) - int64(sc.ScanLength)
-					if maxStart < 1 {
-						maxStart = 1
-					}
-					start := ycsb.Key(uint64(r.Int63n(maxStart)))
-					if kvs, err := bt.ScanSnapshot(parent, start, sc.ScanLength); err == nil {
-						scanned.Add(int64(len(kvs)))
-					}
-				}
-			}(t, bt)
-		}
-		wg.Wait()
-
-		var rts int64
-		for _, bt := range writers {
-			rts += bt.Stats().Roundtrips
-		}
-		row := BranchBatchRow{
-			Mode:             mode,
-			BatchSize:        batch,
-			KeysPerSec:       written.Rate(),
-			ParentKeysPerSec: scanned.Rate(),
-		}
-		if row.Mode == "putat" {
-			row.BatchSize = 1
-		}
-		if total := written.Total(); total > 0 {
-			row.RTPerKey = float64(rts) / float64(total)
-		}
-		rows = append(rows, row)
-		fprintf(w, "%-8s %-12.0f %-14.2f %-16.0f\n", row.Mode, row.KeysPerSec, row.RTPerKey, row.ParentKeysPerSec)
-	}
-	return rows, nil
-}
-
 // --------------------------------------------------------------- drivers --
 
 // scansWithUpdates runs 80% update / 20% scan clients for sc.Duration and
@@ -446,7 +288,7 @@ func scansWithUpdates(sc Scale, machines int, k time.Duration, scanLen int, want
 	if err != nil {
 		return 0, 0, err
 	}
-	if err := loadDB(sc, db, sc.Preload, 4*machines); err != nil {
+	if err := ycsb.Load(db, 0, sc.Preload, 4*machines); err != nil {
 		return 0, 0, err
 	}
 	cl.SCS(0).MinInterval = k
@@ -505,7 +347,7 @@ func updatesWithScans(sc Scale, machines int, k time.Duration, scanLen int) (flo
 	if err != nil {
 		return 0, err
 	}
-	if err := loadDB(sc, db, sc.Preload, 4*machines); err != nil {
+	if err := ycsb.Load(db, 0, sc.Preload, 4*machines); err != nil {
 		return 0, err
 	}
 	total := machines * sc.ThreadsPerMachine
@@ -571,7 +413,7 @@ func scanLatency(sc Scale, machines int, k time.Duration, scanLen int, withUpdat
 	if err != nil {
 		return 0, err
 	}
-	if err := loadDB(sc, db, sc.Preload, 4*machines); err != nil {
+	if err := ycsb.Load(db, 0, sc.Preload, 4*machines); err != nil {
 		return 0, err
 	}
 	cl.SCS(0).MinInterval = k

@@ -1,7 +1,7 @@
 // Package ycsb reimplements the parts of the Yahoo! Cloud Serving Benchmark
 // (Cooper et al., SoCC 2010) that the Minuet paper uses: a load phase that
 // inserts N records, and a run phase issuing a configurable mix of reads,
-// updates, inserts, and range scans with uniform, Zipfian, or latest key
+// updates, inserts, and range scans with uniform or Zipfian key
 // distributions. Keys are the paper's 14-byte "user"-prefixed keys and
 // values are 8-byte integers.
 package ycsb
@@ -89,18 +89,6 @@ func (Uniform) Next(r *rand.Rand, n uint64) uint64 {
 		return 0
 	}
 	return uint64(r.Int63n(int64(n)))
-}
-
-// Latest skews toward recently inserted records.
-type Latest struct{ Z *Zipfian }
-
-// Next implements Generator.
-func (l Latest) Next(r *rand.Rand, n uint64) uint64 {
-	if n == 0 {
-		return 0
-	}
-	off := l.Z.Next(r, n)
-	return n - 1 - off%n
 }
 
 // Zipfian is the standard YCSB Zipfian generator (θ = 0.99 by default) with

@@ -123,25 +123,6 @@ func TestZipfianScrambleSpreadsHotKeys(t *testing.T) {
 	}
 }
 
-func TestLatestFavorsRecent(t *testing.T) {
-	g := Latest{Z: NewZipfian(false)}
-	r := rand.New(rand.NewSource(4))
-	const n = 1000
-	recent := 0
-	for i := 0; i < 10000; i++ {
-		v := g.Next(r, n)
-		if v >= n {
-			t.Fatalf("latest out of range: %d", v)
-		}
-		if v >= n-10 {
-			recent++
-		}
-	}
-	if recent < 1000 {
-		t.Fatalf("latest distribution not recency-skewed: %d/10000 in last 10", recent)
-	}
-}
-
 // memDB is a trivial in-memory DB for runner tests.
 type memDB struct {
 	mu sync.Mutex
@@ -293,39 +274,5 @@ func TestOpKindStrings(t *testing.T) {
 	if OpRead.String() != "read" || OpUpdate.String() != "update" ||
 		OpInsert.String() != "insert" || OpScan.String() != "scan" {
 		t.Fatal("op kind strings")
-	}
-}
-
-func TestWorkloadPresets(t *testing.T) {
-	for _, name := range []string{"a", "b", "c", "d", "e", "f"} {
-		w, ok := Preset(name, 1000)
-		if !ok {
-			t.Fatalf("preset %q missing", name)
-		}
-		total := w.ReadProp + w.UpdateProp + w.InsertProp + w.ScanProp
-		if total < 0.999 || total > 1.001 {
-			t.Fatalf("preset %q proportions sum to %f", name, total)
-		}
-		if w.Gen == nil || w.RecordCount != 1000 {
-			t.Fatalf("preset %q incomplete: %+v", name, w)
-		}
-	}
-	if _, ok := Preset("z", 10); ok {
-		t.Fatal("unknown preset accepted")
-	}
-	if w := WorkloadE(10); w.ScanLength != 100 {
-		t.Fatal("workload E scan length")
-	}
-}
-
-func TestPresetsRunnable(t *testing.T) {
-	db := newMemDB()
-	for _, name := range []string{"a", "d", "e"} {
-		w, _ := Preset(name, 200)
-		r := &Runner{DB: db, W: w, Threads: 2, Seed: 77}
-		rep := r.Run(60 * time.Millisecond)
-		if rep.Ops == 0 || rep.Errors != 0 {
-			t.Fatalf("preset %q: %d ops %d errors", name, rep.Ops, rep.Errors)
-		}
 	}
 }

@@ -71,20 +71,11 @@ type Options struct {
 	// MaxLeafKeys / MaxInnerKeys override the fanout derived from NodeSize.
 	MaxLeafKeys  int
 	MaxInnerKeys int
-	// LegacyTraversals disables Minuet's dirty traversals, reproducing the
-	// prior system of Aguilera et al. (replicated sequence-number table).
-	LegacyTraversals bool
 	// Branching enables writable clones (version trees).
 	Branching bool
 	// Beta bounds the version tree's branching factor and per-node
 	// descendant sets (default 2).
 	Beta int
-	// CacheEntries bounds each proxy's interior-node cache (default 65536;
-	// negative disables caching).
-	CacheEntries int
-	// AllocExtent is the allocator's per-reservation extent size in blocks
-	// (default 64; 1 makes every node allocation a shared compare-and-swap).
-	AllocExtent int
 	// DataDir, when set, gives each memnode a write-ahead redo log in
 	// <DataDir>/node-<i>: acknowledged writes survive a cluster restart
 	// over the same directory. Empty keeps memnodes purely in-memory.
@@ -132,20 +123,17 @@ var ErrNotBranching = core.ErrNotBranching
 
 // NewCluster starts a simulated cluster.
 func NewCluster(opts Options) *Cluster {
-	dirty := !opts.LegacyTraversals
 	cfg := cluster.Config{
 		Machines:      opts.Machines,
 		OneWayLatency: opts.NetworkLatency,
 		Replicate:     opts.Replicate,
-		AllocExtent:   opts.AllocExtent,
 		Tree: core.Config{
 			NodeSize:        opts.NodeSize,
 			MaxLeafKeys:     opts.MaxLeafKeys,
 			MaxInnerKeys:    opts.MaxInnerKeys,
-			DirtyTraversals: dirty,
+			DirtyTraversals: true,
 			Branching:       opts.Branching,
 			Beta:            opts.Beta,
-			CacheEntries:    opts.CacheEntries,
 		},
 	}
 	if opts.DataDir != "" {

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"minuet/internal/ycsb"
 )
 
 func newTestCluster(t *testing.T, opts Options) *Cluster {
@@ -288,21 +290,6 @@ func TestVersionAddressedOnLinearTree(t *testing.T) {
 	}
 }
 
-func TestLegacyModeThroughPublicAPI(t *testing.T) {
-	c := newTestCluster(t, Options{Machines: 2, LegacyTraversals: true})
-	tree, _ := c.CreateTree("legacy")
-	for i := 0; i < 100; i++ {
-		if err := tree.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 100; i++ {
-		if _, ok, err := tree.Get([]byte(fmt.Sprintf("k%03d", i))); err != nil || !ok {
-			t.Fatalf("legacy get %d: %v %v", i, ok, err)
-		}
-	}
-}
-
 func TestGarbageCollectionThroughPublicAPI(t *testing.T) {
 	c := newTestCluster(t, Options{Machines: 2})
 	tree, _ := c.CreateTree("gc")
@@ -546,5 +533,41 @@ func TestVersionQueriesThroughPublicAPI(t *testing.T) {
 	tips, err := tree.KeyAcrossTips(1, []byte("k"))
 	if err != nil || len(tips) != 1 || tips[0].Sid != b2.Sid {
 		t.Fatalf("tips: %+v %v", tips, err)
+	}
+}
+
+// TestClusterDurableRestart is the top-level durability round trip: load a
+// tree on a durable cluster, drop the cluster without any shutdown
+// handshake, rebuild it over the same data directory, and read everything
+// back through a fresh tree handle.
+func TestClusterDurableRestart(t *testing.T) {
+	dir := t.TempDir()
+	const n = 500
+
+	c := NewCluster(Options{Machines: 3, DataDir: dir})
+	tree, err := c.CreateTree("orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := tree.NewBatch()
+	for i := 0; i < n; i++ {
+		batch.Put(ycsb.Key(uint64(i)), ycsb.Value(uint64(i)))
+	}
+	if err := tree.WriteBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+
+	c2 := NewCluster(Options{Machines: 3, DataDir: dir})
+	defer c2.Close()
+	tree2, err := c2.AdoptTree("orders")
+	if err != nil {
+		t.Fatalf("open tree after restart: %v", err)
+	}
+	for i := 0; i < n; i++ {
+		v, ok, err := tree2.Get(ycsb.Key(uint64(i)))
+		if err != nil || !ok || string(v) != string(ycsb.Value(uint64(i))) {
+			t.Fatalf("key %d after restart: %q ok=%v err=%v", i, v, ok, err)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"minuet/internal/alloc"
 	"minuet/internal/core"
+	"minuet/internal/netsim"
 	"minuet/internal/rpcnet"
 	"minuet/internal/sinfonia"
 )
@@ -276,5 +277,29 @@ func TestWriteTooLargeRefused(t *testing.T) {
 	}
 	if _, ok, err := other.Get([]byte("o")); err != nil || ok {
 		t.Errorf("transaction half-applied (%v)", err)
+	}
+}
+
+// startTCPMemnodes boots n in-process memnodes behind real TCP listeners and
+// returns their address map plus a shutdown func.
+func startTCPMemnodes(t testing.TB, n int) (map[netsim.NodeID]string, []sinfonia.NodeID, func()) {
+	t.Helper()
+	addrs := make(map[netsim.NodeID]string, n)
+	nodes := make([]sinfonia.NodeID, n)
+	servers := make([]*rpcnet.Server, 0, n)
+	for i := 0; i < n; i++ {
+		id := sinfonia.NodeID(i)
+		nodes[i] = id
+		srv, err := rpcnet.Listen("127.0.0.1:0", sinfonia.NewMemnode(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		servers = append(servers, srv)
+		addrs[netsim.NodeID(i)] = srv.Addr()
+	}
+	return addrs, nodes, func() {
+		for _, s := range servers {
+			s.Close()
+		}
 	}
 }
