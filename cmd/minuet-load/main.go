@@ -1,8 +1,9 @@
 // Command minuet-load is a proxy-side driver for a cluster of
 // minuet-server memnodes: it creates (or opens) a distributed B-tree over
 // TCP, bulk-loads keys, runs a quick mixed workload, takes a snapshot, and
-// prints throughput and memnode statistics — a smoke test for real-socket
-// deployments.
+// prints throughput, memnode statistics and the proxy's retry counters — a
+// smoke test for real-socket deployments. A load that spends its retry
+// budget fails with the attempts counted by cause.
 //
 // Usage:
 //
@@ -140,6 +141,8 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "memnode %d: items=%d bytes=%d commits=%d aborts=%d busy-aborts=%d\n",
 			node, st.Items, st.Bytes, st.Commits, st.Aborts, st.BusyAborts)
 	}
+	st := bt.Stats()
+	fmt.Fprintf(out, "proxy: ops=%d retries=%d roundtrips=%d\n", st.Ops, st.Retries, st.Roundtrips)
 	return nil
 }
 

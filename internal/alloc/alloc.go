@@ -15,8 +15,10 @@ package alloc
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"minuet/internal/sinfonia"
 	"minuet/internal/space"
@@ -110,16 +112,36 @@ func (a *Allocator) AllocOn(node sinfonia.NodeID) (sinfonia.Ptr, error) {
 	return sinfonia.Ptr{Node: node, Addr: start}, nil
 }
 
+// ErrContended reports that an allocator compare-and-swap kept losing to
+// other proxies for the whole sinfonia.RetryBudget.
+var ErrContended = errors.New("alloc: compare-and-swap lost for the whole retry budget")
+
+// retryCAS runs step, one read-then-compare-and-swap of an allocator cell,
+// until it does not lose the race, waiting on one Backoff between tries.
+func retryCAS(cell sinfonia.Ptr, step func() error) error {
+	var b sinfonia.Backoff
+	for {
+		err := step()
+		if !sinfonia.IsCompareFailed(err) {
+			return err
+		}
+		// Another proxy changed the cell first; re-read and retry.
+		if !b.Wait() {
+			return fmt.Errorf("%w: cell %v, %v", ErrContended, cell, b.Elapsed().Round(time.Millisecond))
+		}
+	}
+}
+
 // bumpExtent atomically advances node's bump pointer by one extent and
 // returns the extent's first block address.
-func (a *Allocator) bumpExtent(node sinfonia.NodeID) (sinfonia.Addr, error) {
+func (a *Allocator) bumpExtent(node sinfonia.NodeID) (start sinfonia.Addr, err error) {
 	bump := sinfonia.Ptr{Node: node, Addr: space.BumpAddr}
-	for {
+	err = retryCAS(bump, func() error {
 		cur, err := a.c.Read(bump)
 		if err != nil {
-			return 0, err
+			return err
 		}
-		start := space.DynamicBase
+		start = space.DynamicBase
 		if cur.Exists {
 			start = sinfonia.Addr(binary.LittleEndian.Uint64(cur.Data))
 		}
@@ -133,38 +155,33 @@ func (a *Allocator) bumpExtent(node sinfonia.NodeID) (sinfonia.Addr, error) {
 			}},
 			Writes: []sinfonia.WriteItem{{Node: node, Addr: space.BumpAddr, Data: buf[:]}},
 		})
-		if err == nil {
-			return start, nil
-		}
-		if !sinfonia.IsCompareFailed(err) {
-			return 0, err
-		}
-		// Another proxy advanced the pointer first; re-read and retry.
-	}
+		return err
+	})
+	return start, err
 }
 
 // popFree pops one block from node's free list. ok is false when the list
 // is empty.
-func (a *Allocator) popFree(node sinfonia.NodeID) (sinfonia.Ptr, bool, error) {
+func (a *Allocator) popFree(node sinfonia.NodeID) (p sinfonia.Ptr, ok bool, err error) {
 	head := sinfonia.Ptr{Node: node, Addr: space.FreeHeadAddr}
-	for {
+	err = retryCAS(head, func() error {
 		cur, err := a.c.Read(head)
 		if err != nil {
-			return sinfonia.NilPtr, false, err
+			return err
 		}
 		var first sinfonia.Addr
 		if cur.Exists && len(cur.Data) >= 8 {
 			first = sinfonia.Addr(binary.LittleEndian.Uint64(cur.Data))
 		}
 		if first == 0 {
-			return sinfonia.NilPtr, false, nil
+			return nil
 		}
 		// Read the next pointer stored in the free block itself. The head
 		// version comparison below makes the pop atomic: if another proxy
 		// popped concurrently, the comparison fails and we retry.
 		blk, err := a.c.Read(sinfonia.Ptr{Node: node, Addr: first})
 		if err != nil {
-			return sinfonia.NilPtr, false, err
+			return err
 		}
 		var next sinfonia.Addr
 		if blk.Exists && len(blk.Data) >= 8 {
@@ -180,12 +197,11 @@ func (a *Allocator) popFree(node sinfonia.NodeID) (sinfonia.Ptr, bool, error) {
 			Writes: []sinfonia.WriteItem{{Node: node, Addr: space.FreeHeadAddr, Data: buf[:]}},
 		})
 		if err == nil {
-			return sinfonia.Ptr{Node: node, Addr: first}, true, nil
+			p, ok = sinfonia.Ptr{Node: node, Addr: first}, true
 		}
-		if !sinfonia.IsCompareFailed(err) {
-			return sinfonia.NilPtr, false, err
-		}
-	}
+		return err
+	})
+	return p, ok, err
 }
 
 // Free pushes a block onto its memnode's free list. The block's contents
@@ -195,7 +211,7 @@ func (a *Allocator) Free(p sinfonia.Ptr) error {
 		return fmt.Errorf("alloc: freeing nil pointer")
 	}
 	head := sinfonia.Ptr{Node: p.Node, Addr: space.FreeHeadAddr}
-	for {
+	err := retryCAS(head, func() error {
 		cur, err := a.c.Read(head)
 		if err != nil {
 			return err
@@ -217,16 +233,15 @@ func (a *Allocator) Free(p sinfonia.Ptr) error {
 				{Node: p.Node, Addr: p.Addr, Data: link[:]},
 			},
 		})
-		if err == nil {
-			a.mu.Lock()
-			a.frees++
-			a.mu.Unlock()
-			return nil
-		}
-		if !sinfonia.IsCompareFailed(err) {
-			return err
-		}
+		return err
+	})
+	if err != nil {
+		return err
 	}
+	a.mu.Lock()
+	a.frees++
+	a.mu.Unlock()
+	return nil
 }
 
 // Stats reports allocation counters for this proxy's allocator.

@@ -1,9 +1,12 @@
 package alloc
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"minuet/internal/netsim"
 	"minuet/internal/sinfonia"
@@ -181,5 +184,94 @@ func TestBumpSharedAcrossAllocators(t *testing.T) {
 			t.Fatalf("overlap: %v %v", p1, p2)
 		}
 		seen[p1], seen[p2] = true, true
+	}
+}
+
+// racingTransport stands in for another proxy that always wins the race:
+// before a compare-and-swap reaches its memnode, it rewrites the compared
+// cell with the contents it already holds, so the version the CAS observed
+// is always stale.
+type racingTransport struct {
+	netsim.Transport
+	other *sinfonia.Client // unwrapped, so its own writes are not raced
+}
+
+func (r racingTransport) Call(to netsim.NodeID, req any) (any, error) {
+	if ec, ok := req.(*sinfonia.ExecCommitReq); ok && len(ec.Compares) > 0 {
+		cell := sinfonia.Ptr{Node: ec.Compares[0].Node, Addr: ec.Compares[0].Addr}
+		cur, err := r.other.Read(cell)
+		if err != nil {
+			return nil, err
+		}
+		if err := r.other.Write(cell, cur.Data); err != nil {
+			return nil, err
+		}
+	}
+	return r.Transport.Call(to, req)
+}
+
+// TestCASLoopsGiveUpWithinBudget: each of the allocator's compare-and-swap
+// loops — the bump pointer, popping the free list, pushing onto it — keeps
+// losing to a racing writer and returns ErrContended once its backoff budget
+// is spent, instead of spinning forever. The three run at once, on separate
+// clusters, so the test waits out one budget.
+func TestCASLoopsGiveUpWithinBudget(t *testing.T) {
+	t.Parallel()
+	loops := map[string]func(fair, raced *Allocator) error{
+		"bumpExtent": func(_, raced *Allocator) error {
+			_, err := raced.AllocOn(0)
+			return err
+		},
+		"popFree": func(fair, raced *Allocator) error {
+			p, err := fair.AllocOn(0)
+			if err == nil {
+				err = fair.Free(p)
+			}
+			if err != nil {
+				return fmt.Errorf("setup: %w", err)
+			}
+			_, err = raced.AllocOn(0)
+			return err
+		},
+		"Free": func(fair, raced *Allocator) error {
+			p, err := fair.AllocOn(0)
+			if err != nil {
+				return fmt.Errorf("setup: %w", err)
+			}
+			return raced.Free(p)
+		},
+	}
+	type result struct {
+		name    string
+		err     error
+		elapsed time.Duration
+	}
+	done := make(chan result, len(loops))
+	for name, op := range loops {
+		tr, nodes := newCluster(1)
+		fairC := sinfonia.NewClient(tr, nodes)
+		fair := New(fairC, 256, 4)
+		if _, err := fair.AllocOn(0); err != nil { // the bump pointer exists
+			t.Fatal(err)
+		}
+		raced := New(sinfonia.NewClient(racingTransport{tr, fairC}, nodes), 256, 4)
+		go func() {
+			start := time.Now()
+			err := op(fair, raced)
+			done <- result{name, err, time.Since(start)}
+		}()
+	}
+	timeout := time.After(sinfonia.RetryBudget + time.Second)
+	for range loops {
+		select {
+		case r := <-done:
+			if !errors.Is(r.err, ErrContended) {
+				t.Errorf("%s: want ErrContended, got %v", r.name, r.err)
+			} else if r.elapsed < sinfonia.RetryBudget {
+				t.Errorf("%s: gave up after %v, inside the %v budget", r.name, r.elapsed, sinfonia.RetryBudget)
+			}
+		case <-timeout:
+			t.Fatalf("a loop is still retrying after %v", sinfonia.RetryBudget+time.Second)
+		}
 	}
 }

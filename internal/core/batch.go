@@ -24,8 +24,9 @@ import (
 //	setRoot   root growth rewrites the target's root cell, and later
 //	          leaf-groups of the same transaction descend from the new root;
 //	retry     the whole transaction commits as a single minitransaction in
-//	          the one optimistic loop (RunMulti); on a validation failure the
-//	          stale proxy caches are dropped and every step runs again.
+//	          the one optimistic loop (dyntx.Run, hooked by RunMulti); on a
+//	          validation failure the stale proxy caches are dropped and every
+//	          step runs again.
 //
 // A batch of more than one key first prefetches its leaves with one
 // multi-read minitransaction per memnode, issued concurrently

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"minuet/internal/alloc"
 	"minuet/internal/dyntx"
@@ -375,6 +377,44 @@ func TestRootGrowthInsideOneTxn(t *testing.T) {
 	sid, root := tipRoot(t, e)
 	if got := walkInvariants(t, e, root, sid); got != n {
 		t.Fatalf("tip holds %d keys, want %d", got, n)
+	}
+}
+
+// TestPutGivesUpWithinBudget: a Put whose every attempt finds an unreadable
+// root (the descent asks for a retry each time) gives up once the backoff
+// budget is spent, with a *dyntx.GiveUpError whose causes add up, and every
+// attempt is charged to the handle's Stats.
+func TestPutGivesUpWithinBudget(t *testing.T) {
+	t.Parallel()
+	e := newEnv(t, 2, smallCfg())
+	mustPut(t, e.bt, 1)
+	_, root := tipRoot(t, e)
+	if err := e.c.Write(root, []byte("not a node")); err != nil {
+		t.Fatal(err)
+	}
+	p := e.openProxy(t, e.nodes[0]) // an empty cache, so it reads the root
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() { done <- p.Put(key(2), val(2)) }()
+	var err error
+	select {
+	case err = <-done:
+	case <-time.After(sinfonia.RetryBudget + time.Second):
+		t.Fatalf("put still retrying after %v", sinfonia.RetryBudget+time.Second)
+	}
+	var gu *dyntx.GiveUpError
+	if !errors.As(err, &gu) || !errors.Is(err, dyntx.ErrRetry) {
+		t.Fatalf("want *dyntx.GiveUpError wrapping ErrRetry, got %v", err)
+	}
+	if gu.Stale+gu.Retry+gu.Aborted != gu.Attempts || gu.Retry != gu.Attempts {
+		t.Fatalf("counts %+v do not add up to %d attempts", gu, gu.Attempts)
+	}
+	if el := time.Since(start); el < sinfonia.RetryBudget {
+		t.Fatalf("gave up after %v, inside the %v budget", el, sinfonia.RetryBudget)
+	}
+	st := p.Stats()
+	if st.Ops != 0 || st.Retries != int64(gu.Attempts-1) || st.Roundtrips < int64(gu.Attempts) {
+		t.Fatalf("stats %+v after %d failed attempts", st, gu.Attempts)
 	}
 }
 

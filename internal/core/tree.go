@@ -4,10 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"minuet/internal/alloc"
 	"minuet/internal/catalog"
@@ -480,53 +478,26 @@ func (bt *BTree) run(fn func(t *dyntx.Txn) error) error {
 	return RunMulti(bt.c, []*BTree{bt}, fn)
 }
 
-// RunMulti executes fn as one dynamic transaction in the optimistic retry
-// loop every operation shares: build the transaction, commit it, and on
-// validation failure invalidate whatever proxy caches went stale before
-// retrying with backoff. The loop is owned here (rather than by dyntx.Run) so
-// that commit-time staleness also feeds cache invalidation. fn may span
-// several trees (the paper's multi-index transactions, §6.2 "Scalability for
-// multi-index transactions"), which must share the Sinfonia client c; every
-// attempt, committed or discarded, is charged to each tree's counters.
+// RunMulti executes fn in dyntx.Run, the one optimistic retry loop, and
+// hooks every attempt: a validation failure invalidates whatever proxy caches
+// went stale before the retry, and the attempt, committed or discarded, is
+// charged to each tree's counters. fn may span several trees (the paper's
+// multi-index transactions, §6.2 "Scalability for multi-index
+// transactions"), which must share the Sinfonia client c.
 func RunMulti(c *sinfonia.Client, trees []*BTree, fn func(t *dyntx.Txn) error) error {
-	const maxAttempts = 512
-	backoff := 20 * time.Microsecond
-	var lastErr error
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		if attempt > 0 {
-			time.Sleep(time.Duration(rand.Int63n(int64(backoff))) + backoff/2)
-			if backoff < time.Millisecond {
-				backoff *= 2
-			}
-			for _, bt := range trees {
-				bt.retries.Add(1)
-			}
-		}
-		t := dyntx.New(c)
-		err := fn(t)
-		if err == nil {
-			err = t.Commit()
-		}
+	return dyntx.Run(c, dyntx.RunOptions{AfterAttempt: func(t *dyntx.Txn, attempt int, err error) {
 		for _, bt := range trees {
 			bt.rts.Add(int64(t.Roundtrips))
+			if attempt > 0 {
+				bt.retries.Add(1)
+			}
 			if err == nil {
 				bt.ops.Add(1)
+			} else {
+				bt.handleStale(err)
 			}
 		}
-		if err == nil {
-			return nil
-		}
-		// The attempt did not commit: return any blocks it reserved.
-		t.Discard()
-		if !dyntx.IsStale(err) && !errors.Is(err, dyntx.ErrRetry) && !errors.Is(err, dyntx.ErrAborted) {
-			return err
-		}
-		for _, bt := range trees {
-			bt.handleStale(err)
-		}
-		lastErr = err
-	}
-	return fmt.Errorf("core: giving up after %d attempts: %w", maxAttempts, lastErr)
+	}}, fn)
 }
 
 // allocNodeOn reserves a node block for a write buffered in t, returning it

@@ -25,7 +25,6 @@ package dyntx
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"minuet/internal/sinfonia"
@@ -536,47 +535,72 @@ func (t *Txn) anchorNode() sinfonia.NodeID {
 	return t.c.Nodes()[0]
 }
 
-// RunOptions tunes the optimistic retry loop.
+// RunOptions configures Run. The zero value is ready to use.
 type RunOptions struct {
-	MaxAttempts int           // 0 means a generous default
-	BaseBackoff time.Duration // 0 means a small default
+	// AfterAttempt, if set, runs after every attempt (counted from 0) with
+	// its transaction and outcome, nil when it committed, before Run
+	// discards the attempt or decides whether to retry it.
+	AfterAttempt func(t *Txn, attempt int, err error)
 }
 
-// Run executes fn inside a dynamic transaction, retrying on optimistic
-// validation failures (StaleError) and on fence-key aborts signalled by fn
-// returning ErrRetry. fn must be idempotent. The committed transaction's
-// statistics are merged into the returned Stats.
-func Run(c *sinfonia.Client, opts RunOptions, fn func(t *Txn) error) error {
-	maxAttempts := opts.MaxAttempts
-	if maxAttempts == 0 {
-		maxAttempts = 256
-	}
-	backoff := opts.BaseBackoff
-	if backoff == 0 {
-		backoff = 20 * time.Microsecond
-	}
+// GiveUpError reports that Run spent its retry budget (sinfonia.RetryBudget
+// of backoff) on attempts that all failed retryably. It counts them by
+// cause, so Stale+Retry+Aborted == Attempts, and wraps the last one's error.
+type GiveUpError struct {
+	Attempts int
+	Elapsed  time.Duration // since the first failed attempt
+	Stale    int           // validation failures (*StaleError)
+	Retry    int           // bodies that returned ErrRetry
+	Aborted  int           // attempts that ended in ErrAborted
+	Last     error
+}
 
-	var lastErr error
-	for attempt := 0; attempt < maxAttempts; attempt++ {
+func (e *GiveUpError) Error() string {
+	return fmt.Sprintf("dyntx: giving up after %d attempts in %v (stale %d, retry requested %d, aborted %d): %v",
+		e.Attempts, e.Elapsed.Round(time.Millisecond), e.Stale, e.Retry, e.Aborted, e.Last)
+}
+
+func (e *GiveUpError) Unwrap() error { return e.Last }
+
+// Run executes fn inside a dynamic transaction, New → fn → Commit, and is
+// the one optimistic retry loop: an attempt that fails with a *StaleError,
+// ErrRetry or ErrAborted is discarded and re-run after a sinfonia.Backoff
+// wait, and *GiveUpError reports the backoff's budget spent. Any other error
+// discards the attempt and is returned as is. fn must be idempotent.
+func Run(c *sinfonia.Client, opts RunOptions, fn func(t *Txn) error) error {
+	var (
+		b                     sinfonia.Backoff
+		stale, retry, aborted int
+	)
+	for attempt := 0; ; attempt++ {
 		t := New(c)
 		err := fn(t)
 		if err == nil {
 			err = t.Commit()
-			if err == nil {
-				return nil
-			}
 		}
-		if !IsStale(err) && !errors.Is(err, ErrRetry) && !errors.Is(err, ErrAborted) {
+		if opts.AfterAttempt != nil {
+			opts.AfterAttempt(t, attempt, err)
+		}
+		if err == nil {
+			return nil
+		}
+		// The attempt did not commit: return whatever it reserved.
+		t.Discard()
+		switch {
+		case IsStale(err):
+			stale++
+		case errors.Is(err, ErrRetry):
+			retry++
+		case errors.Is(err, ErrAborted):
+			aborted++
+		default:
 			return err
 		}
-		lastErr = err
-		sleep := time.Duration(rand.Int63n(int64(backoff))) + backoff/2
-		time.Sleep(sleep)
-		if backoff < time.Millisecond {
-			backoff *= 2
+		if !b.Wait() {
+			return &GiveUpError{Attempts: attempt + 1, Elapsed: b.Elapsed(),
+				Stale: stale, Retry: retry, Aborted: aborted, Last: err}
 		}
 	}
-	return fmt.Errorf("dyntx: giving up after %d attempts: %w", maxAttempts, lastErr)
 }
 
 // ErrRetry is returned by transaction bodies that detected an inconsistency

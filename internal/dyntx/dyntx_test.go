@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"minuet/internal/netsim"
 	"minuet/internal/sinfonia"
@@ -277,6 +278,70 @@ func TestRunPropagatesFatalErrors(t *testing.T) {
 	err := Run(c, RunOptions{}, func(tx *Txn) error { return boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("fatal error swallowed: %v", err)
+	}
+}
+
+// TestRunDiscardsFailedAttempts: an attempt that does not commit gives back
+// what it reserved — Run calls Discard, so OnDiscard callbacks run, for a
+// retried attempt and for one that fails fatally alike.
+func TestRunDiscardsFailedAttempts(t *testing.T) {
+	_, c := newCluster(1)
+	attempts, discarded := 0, 0
+	err := Run(c, RunOptions{}, func(tx *Txn) error {
+		attempts++
+		tx.OnDiscard(func() { discarded++ })
+		if attempts == 1 {
+			return ErrRetry
+		}
+		tx.Write(ref(0, 10), []byte("x"))
+		return nil
+	})
+	if err != nil || attempts != 2 || discarded != 1 {
+		t.Fatalf("run: %v; %d attempts, %d discarded, want 2 and 1", err, attempts, discarded)
+	}
+	boom := errors.New("boom")
+	discarded = 0
+	err = Run(c, RunOptions{}, func(tx *Txn) error {
+		tx.OnDiscard(func() { discarded++ })
+		return boom
+	})
+	if !errors.Is(err, boom) || discarded != 1 {
+		t.Fatalf("fatal attempt: %v, %d discarded, want 1", err, discarded)
+	}
+}
+
+// TestRunGivesUpWithinBudget: a body that always asks for a retry ends in
+// *GiveUpError once the backoff budget is spent. The error counts every
+// attempt by cause and still matches ErrRetry, and the AfterAttempt hook saw
+// each attempt.
+func TestRunGivesUpWithinBudget(t *testing.T) {
+	t.Parallel()
+	_, c := newCluster(1)
+	hooked := 0
+	opts := RunOptions{AfterAttempt: func(tx *Txn, attempt int, err error) {
+		if attempt != hooked || !errors.Is(err, ErrRetry) {
+			t.Errorf("hook: attempt %d (want %d), err %v", attempt, hooked, err)
+		}
+		hooked++
+	}}
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() { done <- Run(c, opts, func(*Txn) error { return ErrRetry }) }()
+	var err error
+	select {
+	case err = <-done:
+	case <-time.After(sinfonia.RetryBudget + time.Second):
+		t.Fatalf("still retrying after %v", sinfonia.RetryBudget+time.Second)
+	}
+	var gu *GiveUpError
+	if !errors.As(err, &gu) || !errors.Is(err, ErrRetry) {
+		t.Fatalf("want *GiveUpError wrapping ErrRetry, got %v", err)
+	}
+	if gu.Stale+gu.Retry+gu.Aborted != gu.Attempts || gu.Retry != gu.Attempts || gu.Attempts != hooked {
+		t.Fatalf("counts %+v do not add up to %d attempts (hook saw %d)", gu, gu.Attempts, hooked)
+	}
+	if el := time.Since(start); el < sinfonia.RetryBudget || gu.Elapsed > el {
+		t.Fatalf("gave up after %v (reported %v), budget %v", el, gu.Elapsed, sinfonia.RetryBudget)
 	}
 }
 

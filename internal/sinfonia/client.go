@@ -19,17 +19,14 @@ type Client struct {
 	t     netsim.Transport
 	nodes []NodeID
 
-	// BlockWait bounds how long a blocking minitransaction may wait at a
-	// memnode for busy locks before aborting like an ordinary one (§4.1:
-	// "bounded by a threshold small enough so that blocking
-	// minitransactions do not trigger Sinfonia's recovery mechanism").
-	BlockWait time.Duration
-
-	// MaxBusyRetries bounds transparent retries of busy aborts.
-	MaxBusyRetries int
-
 	txid atomic.Uint64
 }
+
+// blockWait bounds how long a blocking minitransaction may wait at a memnode
+// for busy locks before aborting like an ordinary one (§4.1: "bounded by a
+// threshold small enough so that blocking minitransactions do not trigger
+// Sinfonia's recovery mechanism").
+const blockWait = 10 * time.Millisecond
 
 var clientSeq atomic.Uint64
 
@@ -37,12 +34,7 @@ var clientSeq atomic.Uint64
 // the cluster (needed by callers that write replicated objects to all
 // memnodes).
 func NewClient(t netsim.Transport, nodes []NodeID) *Client {
-	c := &Client{
-		t:              t,
-		nodes:          append([]NodeID(nil), nodes...),
-		BlockWait:      10 * time.Millisecond,
-		MaxBusyRetries: 4096,
-	}
+	c := &Client{t: t, nodes: append([]NodeID(nil), nodes...)}
 	// Partition the txid space between clients so ids never collide.
 	c.txid.Store(clientSeq.Add(1) << 40)
 	return c
@@ -138,29 +130,63 @@ func groupByNode(m *Minitx) []*perNode {
 	return order
 }
 
+// RetryBudget is the wall time any one contention retry loop may spend
+// waiting before it gives up and reports why: busy-lock retries here,
+// optimistic transaction retries in dyntx.Run, and the allocator's
+// compare-and-swap loops. Every such loop waits on a Backoff. It is long
+// enough that a heavily contended batch still completes: in the
+// three-process `minuet-load -cluster 3 -batch 64` smoke on a 2-CPU host,
+// retried batches that succeed take up to 3.3 s.
+const RetryBudget = 10 * time.Second
+
+// Backoff paces one contention retry loop: jittered exponential waits from
+// 20 µs, doubling to a 1 ms cap, for at most RetryBudget. The zero value is
+// ready to use. The budget runs from the first Wait, that is from the first
+// lost attempt, so a loop that succeeds at once never reads the clock.
+type Backoff struct {
+	start time.Time
+	next  time.Duration
+}
+
+// Wait sleeps before the next retry and reports true, or reports false
+// without sleeping once RetryBudget has passed since the first Wait. The
+// jitter keeps colliding proxies from re-executing in lockstep.
+func (b *Backoff) Wait() bool {
+	if b.next == 0 {
+		b.start, b.next = time.Now(), 20*time.Microsecond
+	} else if time.Since(b.start) >= RetryBudget {
+		return false
+	}
+	time.Sleep(time.Duration(rand.Int63n(int64(b.next))) + b.next/2)
+	b.next = min(2*b.next, time.Millisecond)
+	return true
+}
+
+// Elapsed returns the time since the first Wait.
+func (b *Backoff) Elapsed() time.Duration {
+	if b.next == 0 {
+		return 0
+	}
+	return time.Since(b.start)
+}
+
 // Exec executes a minitransaction and returns its reads. Busy-lock aborts
-// are retried transparently with randomized backoff. A comparison failure
-// aborts the minitransaction and returns *CompareFailedError.
+// are retried transparently on a Backoff; ErrTooBusy reports its budget
+// spent. A comparison failure aborts the minitransaction and returns
+// *CompareFailedError.
 func (c *Client) Exec(m *Minitx) (*Result, error) {
 	groups := groupByNode(m)
 	if len(groups) == 0 {
 		return &Result{Reads: make([]ReadResult, 0)}, nil
 	}
-
-	backoff := 20 * time.Microsecond
-	for attempt := 0; ; attempt++ {
+	var b Backoff
+	for {
 		res, busy, err := c.execOnce(m, groups)
 		if err != nil || !busy {
 			return res, err
 		}
-		if attempt >= c.MaxBusyRetries {
+		if !b.Wait() {
 			return nil, ErrTooBusy
-		}
-		// Randomized exponential backoff keeps colliding proxies from
-		// re-executing in lockstep.
-		time.Sleep(time.Duration(rand.Int63n(int64(backoff))) + backoff/2)
-		if backoff < 2*time.Millisecond {
-			backoff *= 2
 		}
 	}
 }
@@ -176,7 +202,7 @@ func (c *Client) execOnce(m *Minitx, groups []*perNode) (res *Result, busy bool,
 		g := groups[0]
 		resp, err := c.call(g.node, &ExecCommitReq{
 			Txid: txid, Compares: g.cmp, Reads: g.rd, Writes: g.wr,
-			Blocking: m.Blocking, WaitNanos: int64(c.BlockWait),
+			Blocking: m.Blocking, WaitNanos: int64(blockWait),
 		})
 		if err != nil {
 			return nil, false, err
@@ -231,7 +257,7 @@ func (c *Client) execOnce(m *Minitx, groups []*perNode) (res *Result, busy bool,
 func (c *Client) callPrepare(g *perNode, txid uint64, blocking bool, participants []NodeID) (*ExecResp, error) {
 	return c.call(g.node, &PrepareReq{
 		Txid: txid, Compares: g.cmp, Reads: g.rd, Writes: g.wr,
-		Blocking: blocking, WaitNanos: int64(c.BlockWait),
+		Blocking: blocking, WaitNanos: int64(blockWait),
 		Participants: participants,
 	})
 }

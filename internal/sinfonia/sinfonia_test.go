@@ -226,6 +226,35 @@ func TestBusyRetryTransparent(t *testing.T) {
 	}
 }
 
+// TestBusyRetriesGiveUpWithinBudget: a write that meets a lock nobody will
+// release (a prepare that is never resolved) keeps retrying on its Backoff
+// until RetryBudget is spent, then reports ErrTooBusy.
+func TestBusyRetriesGiveUpWithinBudget(t *testing.T) {
+	t.Parallel()
+	_, c, mns := newCluster(1)
+	resp, err := mns[0].HandleRPC(&PrepareReq{
+		Txid:   999,
+		Writes: []WriteItem{{Node: 0, Addr: 77, Data: []byte("locked")}},
+	})
+	if err != nil || resp.(*ExecResp).Vote != voteOK {
+		t.Fatalf("prepare failed: %v %+v", err, resp)
+	}
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() { done <- c.Write(Ptr{Node: 0, Addr: 77}, []byte("never")) }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrTooBusy) {
+			t.Fatalf("want ErrTooBusy, got %v", err)
+		}
+		if el := time.Since(start); el < RetryBudget {
+			t.Fatalf("gave up after %v, inside the %v budget", el, RetryBudget)
+		}
+	case <-time.After(RetryBudget + time.Second):
+		t.Fatalf("still retrying a busy lock after %v", RetryBudget+time.Second)
+	}
+}
+
 func TestBlockingMinitransactionWaits(t *testing.T) {
 	_, c, mns := newCluster(1)
 	resp, _ := mns[0].HandleRPC(&PrepareReq{

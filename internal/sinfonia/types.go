@@ -131,9 +131,9 @@ func IsCompareFailed(err error) bool {
 	return errors.As(err, &cf)
 }
 
-// ErrTooBusy is returned when a minitransaction kept encountering busy locks
-// after the client's full retry budget. The paper's library retries busy
-// aborts transparently; the budget exists only to keep tests from hanging.
+// ErrTooBusy is returned when a minitransaction kept meeting busy locks for
+// the whole RetryBudget. The paper's library retries busy aborts
+// transparently; the budget bounds how long one call may do so.
 var ErrTooBusy = errors.New("sinfonia: retry budget exhausted on busy locks")
 
 // vote is a memnode's phase-one answer.

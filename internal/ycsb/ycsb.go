@@ -1,14 +1,12 @@
 // Package ycsb reimplements the parts of the Yahoo! Cloud Serving Benchmark
 // (Cooper et al., SoCC 2010) that the Minuet paper uses: a load phase that
 // inserts N records, and a run phase issuing a configurable mix of reads,
-// updates, inserts, and range scans with uniform or Zipfian key
-// distributions. Keys are the paper's 14-byte "user"-prefixed keys and
-// values are 8-byte integers.
+// updates, inserts, and range scans with uniformly drawn keys. Keys are the
+// paper's 14-byte "user"-prefixed keys and values are 8-byte integers.
 package ycsb
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -74,95 +72,13 @@ func Value(i uint64) []byte {
 	return v
 }
 
-// Generator produces record indices in [0, n) for some n that may grow as
-// inserts happen.
-type Generator interface {
-	Next(r *rand.Rand, n uint64) uint64
-}
-
-// Uniform picks uniformly at random — the paper's default distribution.
-type Uniform struct{}
-
-// Next implements Generator.
-func (Uniform) Next(r *rand.Rand, n uint64) uint64 {
+// uniform draws a record index in [0, n) uniformly at random — the paper's
+// default distribution. An empty range yields 0.
+func uniform(r *rand.Rand, n uint64) uint64 {
 	if n == 0 {
 		return 0
 	}
 	return uint64(r.Int63n(int64(n)))
-}
-
-// Zipfian is the standard YCSB Zipfian generator (θ = 0.99 by default) with
-// optional FNV scrambling so that the hot keys are spread across the key
-// space rather than clustered at its start.
-type Zipfian struct {
-	Theta    float64
-	Scramble bool
-
-	mu        sync.Mutex
-	forN      uint64
-	zetan     float64
-	zeta2     float64
-	alpha     float64
-	eta       float64
-	threshold float64
-}
-
-// NewZipfian returns a Zipfian generator with the YCSB default θ=0.99.
-func NewZipfian(scramble bool) *Zipfian {
-	return &Zipfian{Theta: 0.99, Scramble: scramble}
-}
-
-func zetaStatic(n uint64, theta float64) float64 {
-	var z float64
-	for i := uint64(1); i <= n; i++ {
-		z += 1 / math.Pow(float64(i), theta)
-	}
-	return z
-}
-
-// prepare (re)computes constants for item count n. Recomputation is
-// O(n) but happens only when n changes by ≥2x, amortizing the cost under
-// insert-heavy workloads.
-func (z *Zipfian) prepare(n uint64) (zetan, alpha, eta float64) {
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	if z.forN != 0 && n < z.forN*2 && n >= z.forN {
-		return z.zetan, z.alpha, z.eta
-	}
-	theta := z.Theta
-	z.zeta2 = zetaStatic(2, theta)
-	z.zetan = zetaStatic(n, theta)
-	z.alpha = 1 / (1 - theta)
-	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - z.zeta2/z.zetan)
-	z.forN = n
-	return z.zetan, z.alpha, z.eta
-}
-
-// Next implements Generator.
-func (z *Zipfian) Next(r *rand.Rand, n uint64) uint64 {
-	if n == 0 {
-		return 0
-	}
-	zetan, alpha, eta := z.prepare(n)
-	theta := z.Theta
-	u := r.Float64()
-	uz := u * zetan
-	var v uint64
-	switch {
-	case uz < 1:
-		v = 0
-	case uz < 1+math.Pow(0.5, theta):
-		v = 1
-	default:
-		v = uint64(float64(n) * math.Pow(eta*u-eta+1, alpha))
-	}
-	if v >= n {
-		v = n - 1
-	}
-	if z.Scramble {
-		v = fnv64(v) % n
-	}
-	return v
 }
 
 func fnv64(v uint64) uint64 {
@@ -182,7 +98,6 @@ type Workload struct {
 	InsertProp float64
 	ScanProp   float64
 	ScanLength int
-	Gen        Generator
 	// RecordCount is the number of records loaded before the run; inserts
 	// extend it.
 	RecordCount uint64
@@ -284,9 +199,6 @@ func (r *Runner) Run(d time.Duration) Report {
 	if r.Threads <= 0 {
 		r.Threads = 1
 	}
-	if r.W.Gen == nil {
-		r.W.Gen = Uniform{}
-	}
 	r.recordCount.Store(r.W.RecordCount)
 	for i := range r.hists {
 		r.hists[i].Reset()
@@ -359,15 +271,15 @@ func (r *Runner) oneOp(rng *rand.Rand) {
 	t0 := time.Now()
 	switch kind {
 	case OpRead:
-		err = r.DB.Read(Key(w.Gen.Next(rng, n)))
+		err = r.DB.Read(Key(uniform(rng, n)))
 	case OpUpdate:
-		i := w.Gen.Next(rng, n)
+		i := uniform(rng, n)
 		err = r.DB.Update(Key(i), Value(i^0xDEAD))
 	case OpInsert:
 		i := r.recordCount.Add(1) - 1
 		err = r.DB.Insert(Key(i), Value(i))
 	case OpScan:
-		i := w.Gen.Next(rng, n)
+		i := uniform(rng, n)
 		err = r.DB.Scan(Key(i), w.ScanLength)
 		if err == nil {
 			r.keysScanned.Add(int64(w.ScanLength))
