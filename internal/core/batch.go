@@ -177,10 +177,10 @@ func (bt *BTree) writeAt(t *dyntx.Txn, sid uint64, ops []BatchOp) (removed int, 
 
 // batchSweep applies sorted, duplicate-free ops to tg leaf by leaf; it is the
 // only code that edits a leaf image. Each group re-traverses through the
-// transaction: dirty reads are shadowed by the write set, so a parent
-// rewritten by an earlier group in this same transaction is observed by
-// later groups with no network traffic, and root growth is observed through
-// tg.root, which setRoot keeps current.
+// transaction: loadNode serves what the attempt holds before the proxy
+// cache, so a parent rewritten by an earlier group in this same transaction
+// is observed by later groups with no network traffic, and root growth is
+// observed through tg.root, which setRoot keeps current.
 func (bt *BTree) batchSweep(t *dyntx.Txn, tg *target, ops []BatchOp) (removed int, err error) {
 	var buf pathBuf
 	for i := 0; i < len(ops); {

@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"minuet/internal/dyntx"
@@ -250,6 +253,96 @@ func TestBatchConcurrentSingleWriters(t *testing.T) {
 	}
 	sid, root := tipRoot(t, e)
 	walkInvariants(t, e, root, sid)
+}
+
+// TestOneProxyConcurrentBatches is the multi-process smoke's shape run
+// in-process: one proxy handle shared by eight goroutines, each applying
+// 64-key batches over its share of 5,000 scrambled keys. Every batch must
+// commit, and a walk of the committed tree through child pointers must reach
+// every acknowledged key. A batch re-descends once per leaf group, so a
+// parent it rewrote earlier in the attempt must come from its own write set:
+// a copy another goroutine put back in the shared cache lacks the
+// separators the attempt added, and rebuilding from it orphans a sibling.
+func TestOneProxyConcurrentBatches(t *testing.T) {
+	e := newEnv(t, 3, Config{NodeSize: 4096, DirtyTraversals: true})
+	const n, workers, batch = 5000, 8, 64
+	keys := make([]wire.Key, n)
+	distinct := make(map[string]bool, n)
+	for i := range keys {
+		h := fnv.New64a()
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], uint64(i))
+		h.Write(b[:])
+		keys[i] = key(int(h.Sum64() % 10_000_000_000))
+		distinct[string(keys[i])] = true
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		lo, hi := w*n/workers, (w+1)*n/workers
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := lo; i < hi; i += batch {
+				ops := make([]BatchOp, 0, batch)
+				for j := i; j < min(i+batch, hi); j++ {
+					ops = append(ops, BatchOp{Key: keys[j], Val: val(j)})
+				}
+				if err := e.bt.ApplyBatch(ops); err != nil {
+					t.Errorf("batch at %d: %v", i, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	sid, root := tipRoot(t, e)
+	if got := walkInvariants(t, e, root, sid); got != len(distinct) {
+		t.Fatalf("tree reaches %d keys, %d acknowledged", got, len(distinct))
+	}
+}
+
+// TestBatchesAfterGC alternates snapshot, batch and collection. Each batch
+// copies the parents the previous snapshot froze, GC then frees those
+// parents' old images, and the next batch both descends past freed blocks
+// still named by cached parents and writes its copies into recycled blocks.
+// Every round must commit promptly.
+func TestBatchesAfterGC(t *testing.T) {
+	e := newEnv(t, 2, smallCfg())
+	const n = 400
+	model := make(map[string]string, n)
+	ops := make([]BatchOp, 0, n)
+	for i := 0; i < n; i++ {
+		ops = append(ops, BatchOp{Key: key(i), Val: val(i)})
+		model[string(key(i))] = string(val(i))
+	}
+	if err := e.bt.ApplyBatch(ops); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 6; round++ {
+		if _, err := e.bt.CreateSnapshot(); err != nil {
+			t.Fatalf("round %d snapshot: %v", round, err)
+		}
+		ops = ops[:0]
+		for i := round % 3; i < n; i += 3 {
+			v := fmt.Sprintf("r%d-%d", round, i)
+			ops = append(ops, BatchOp{Key: key(i), Val: []byte(v)})
+			model[string(key(i))] = v
+		}
+		if err := e.bt.ApplyBatch(ops); err != nil {
+			t.Fatalf("round %d batch: %v", round, err)
+		}
+		if _, err := e.bt.RunGCKeepRecent(1); err != nil {
+			t.Fatalf("round %d GC: %v", round, err)
+		}
+	}
+	checkTip(t, e, model)
+	sid, root := tipRoot(t, e)
+	if got := walkInvariants(t, e, root, sid); got != n {
+		t.Fatalf("tip holds %d keys, want %d", got, n)
+	}
 }
 
 // TestWriteTooLarge: every write entry point refuses a key or value the

@@ -78,17 +78,11 @@ func (bt *BTree) CreateBranchTxn(t *dyntx.Txn, from uint64) (Snapshot, error) {
 	}
 	fe.NumChildren++
 
-	rootObj, err := t.Read(refNode(fe.Root))
+	root, _, err := bt.loadNode(t, fe.Root, loadRead)
 	if err != nil {
 		return Snapshot{}, err
 	}
-	if !rootObj.Exists {
-		return Snapshot{}, dyntx.ErrRetry
-	}
-	cp, err := decodeNode(rootObj.Data) // the new root starts as the old one's content
-	if err != nil {
-		return Snapshot{}, dyntx.ErrRetry
-	}
+	cp := root.materialize() // the new root starts as the old one's content
 	newRootPtr, err := bt.allocNode(t)
 	if err != nil {
 		return Snapshot{}, err
@@ -167,7 +161,7 @@ func (bt *BTree) ListVersions() ([]catalog.Entry, error) {
 // snapshot sid. The linear format sets the copied-snapshot id (§4.2); the
 // branching format inserts a redirect, keeping the set ≤ β by materializing
 // discretionary copies at common ancestors when necessary (§5.2).
-func (bt *BTree) markCopied(t *dyntx.Txn, e pathEntry, sid uint64, copyPtr Ptr, inReadSet bool) error {
+func (bt *BTree) markCopied(t *dyntx.Txn, e pathEntry, sid uint64, copyPtr Ptr) error {
 	old := e.view.materialize()
 	if bt.cfg.Branching {
 		entries := append(old.Redirects, Redirect{Sid: sid, Ptr: copyPtr})
@@ -179,7 +173,7 @@ func (bt *BTree) markCopied(t *dyntx.Txn, e pathEntry, sid uint64, copyPtr Ptr, 
 	} else {
 		old.Copied = sid
 	}
-	bt.writeNodeBack(t, e, old, inReadSet)
+	bt.writeNodeBack(t, e, old)
 	return nil
 }
 
@@ -267,16 +261,9 @@ func (bt *BTree) packRedirects(t *dyntx.Txn, content *nodeView, x uint64, entrie
 // pushRedirects adds redirect entries to an existing committed node,
 // re-packing its set if it overflows.
 func (bt *BTree) pushRedirects(t *dyntx.Txn, p Ptr, rs []Redirect) error {
-	obj, err := t.DirtyRead(refNode(p))
+	n, ver, err := bt.loadNode(t, p, loadDirty)
 	if err != nil {
 		return err
-	}
-	if !obj.Exists {
-		return dyntx.ErrRetry
-	}
-	n, err := parseNode(obj.Data)
-	if err != nil {
-		return dyntx.ErrRetry
 	}
 	nn := n.materialize()
 	entries := append(append([]Redirect(nil), nn.Redirects...), rs...)
@@ -285,7 +272,7 @@ func (bt *BTree) pushRedirects(t *dyntx.Txn, p Ptr, rs []Redirect) error {
 		return err
 	}
 	nn.Redirects = packed
-	t.WriteValidated(refNode(p), nn.encode(), obj.Version)
+	t.WriteValidated(refNode(p), nn.encode(), ver)
 	if bt.cache != nil {
 		bt.cache.invalidate(p)
 	}

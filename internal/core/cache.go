@@ -50,8 +50,14 @@ func (c *nodeCache) get(p Ptr) (cacheEntry, bool) {
 	return e, ok
 }
 
+// put caches e at p unless the cache already holds a newer image of p: two
+// loads that race past an eviction may refill it in either order.
 func (c *nodeCache) put(p Ptr, e cacheEntry) {
 	c.mu.Lock()
+	if old, ok := c.m[p]; ok && old.version > e.version {
+		c.mu.Unlock()
+		return
+	}
 	if len(c.m) >= c.max {
 		// Drop ~1/8 of the cache; map iteration order is effectively
 		// random, which is all the eviction policy needs.

@@ -104,7 +104,7 @@ func (w *diffWalker) full() bool { return w.limit > 0 && len(w.out) >= w.limit }
 // load fetches the node at p as version tg sees it.
 func (w *diffWalker) load(p Ptr, tg *target) (*nodeView, error) {
 	// p's height is unknown; the interior loader also decodes leaves.
-	_, n, _, err := w.bt.loadNode(w.t, tg, p, false)
+	_, n, _, err := w.bt.locate(w.t, tg, p, false)
 	if err != nil {
 		return nil, err
 	}

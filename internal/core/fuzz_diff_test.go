@@ -187,7 +187,7 @@ func checkTip(t *testing.T, e *testEnv, m fuzzModel) {
 // TestDifferentialFuzzLinear interleaves WriteBatch, Put, Remove, Get,
 // multi-op transactions, and snapshot creation on a linear tree, checking every read against the model,
 // every frozen snapshot against its frozen model, and the structural
-// invariants after every batch.
+// invariants after every batch, which is followed by a GC pass.
 func TestDifferentialFuzzLinear(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full fuzz budget; CI runs it as a dedicated -race step")
@@ -211,6 +211,22 @@ func TestDifferentialFuzzLinear(t *testing.T) {
 					sid, root := tipRoot(t, e)
 					if got := walkInvariants(t, e, root, sid); got != len(model) {
 						t.Fatalf("seed %d op %d: tip holds %d keys, model %d", seed, i, got, len(model))
+					}
+					// A GC pass between batches: the next ones descend past
+					// freed blocks and write copies into recycled ones.
+					// Snapshots below the new watermark leave the model.
+					if _, err := e.bt.RunGCKeepRecent(2); err != nil {
+						t.Fatalf("seed %d op %d GC: %v", seed, i, err)
+					}
+					low, err := e.bt.LowestSnapshot()
+					if err != nil {
+						t.Fatal(err)
+					}
+					for sid := range snaps {
+						if sid < low {
+							delete(snaps, sid)
+							delete(snapHandles, sid)
+						}
 					}
 				case r < 6: // single put
 					k := fuzzKey(rng)
@@ -346,6 +362,12 @@ func TestDifferentialFuzzBranching(t *testing.T) {
 					}
 					if got := walkInvariants(t, e, versionRoot(t, e, sid), sid); got != len(models[sid]) {
 						t.Fatalf("seed %d op %d: sid %d holds %d keys, model %d", seed, i, sid, got, len(models[sid]))
+					}
+					// The GC pass between batches: a branching tree refuses
+					// it, untouched, until GC learns the version tree
+					// (docs/ARCHITECTURE.md, "Why GC is linear-only").
+					if _, err := e.bt.CollectGarbage(); err == nil {
+						t.Fatalf("seed %d op %d: GC ran on a branching tree", seed, i)
 					}
 				case r < 4: // mainline batch (un-addressed WriteBatch path)
 					sid := mainline()

@@ -11,20 +11,16 @@ type sepInsert struct {
 	right Ptr
 }
 
-// writeNodeBack emits the updated image of an existing node. Leaves on write
-// paths are already in the read set (transactional read), so a plain write
-// suffices; interior nodes were dirty-read and must first join the read set
-// at their observed version (§3: "if the object is written later on, it will
-// first be added to the read set"). In legacy mode interior updates also
-// bump the node's replicated sequence-table entry on every memnode — the
-// cost dirty traversals eliminate.
-func (bt *BTree) writeNodeBack(t *dyntx.Txn, e pathEntry, n *Node, inReadSet bool) {
-	data := n.encode()
-	if inReadSet {
-		t.Write(refNode(e.ptr), data)
-	} else {
-		t.WriteValidated(refNode(e.ptr), data, e.version)
-	}
+// writeNodeBack emits the updated image of an existing node. The node was
+// observed at e.version, so the write first joins it to the read set at that
+// version (§3: "if the object is written later on, it will first be added to
+// the read set"); for a node the attempt already holds — a leaf read
+// transactionally, a node it wrote before — WriteValidated is a plain write.
+// In legacy mode interior updates also bump the node's replicated
+// sequence-table entry on every memnode — the cost dirty traversals
+// eliminate.
+func (bt *BTree) writeNodeBack(t *dyntx.Txn, e pathEntry, n *Node) {
+	t.WriteValidated(refNode(e.ptr), n.encode(), e.version)
 	if !n.IsLeaf() && !bt.cfg.DirtyTraversals {
 		// Legacy mode: bump the node's replicated sequence number on every
 		// memnode — the write-all that makes interior updates expensive in
@@ -106,11 +102,10 @@ func splitNodeMany(n *Node, maxKeys int) (parts []*Node, seps []wire.Key) {
 // performing copy-on-write when the node belongs to an earlier snapshot and
 // splitting when it overflows, then propagates pointer changes to the
 // parent. newContent must be private to the caller (a materialized or freshly
-// built Node). The leaf (last path entry) is assumed to be in the read set.
+// built Node).
 func (bt *BTree) applyUpdate(t *dyntx.Txn, tg *target, path []pathEntry, level int, newContent *Node) error {
 	e, sid := path[level], tg.sid
 	isLeaf := newContent.IsLeaf()
-	inReadSet := isLeaf && level == len(path)-1
 	inPlace := e.view.Created == sid
 
 	maxKeys := bt.cfg.MaxLeafKeys
@@ -120,7 +115,7 @@ func (bt *BTree) applyUpdate(t *dyntx.Txn, tg *target, path []pathEntry, level i
 
 	if len(newContent.Keys) <= maxKeys {
 		if inPlace {
-			bt.writeNodeBack(t, e, newContent, inReadSet)
+			bt.writeNodeBack(t, e, newContent)
 			return nil
 		}
 		// Copy-on-write (Fig 4): write the new state at a fresh location
@@ -134,7 +129,7 @@ func (bt *BTree) applyUpdate(t *dyntx.Txn, tg *target, path []pathEntry, level i
 		newContent.Copied = NoSnap
 		newContent.Redirects = nil
 		bt.writeNewNode(t, copyPtr, newContent)
-		if err := bt.markCopied(t, e, sid, copyPtr, inReadSet); err != nil {
+		if err := bt.markCopied(t, e, sid, copyPtr); err != nil {
 			return err
 		}
 		bt.copies.Add(1)
@@ -159,14 +154,14 @@ func (bt *BTree) applyUpdate(t *dyntx.Txn, tg *target, path []pathEntry, level i
 		// shrinks, so any concurrent traversal into the moved range fails
 		// its fence check and retries.
 		leftPtr = e.ptr
-		bt.writeNodeBack(t, e, parts[0], inReadSet)
+		bt.writeNodeBack(t, e, parts[0])
 	} else {
 		leftPtr, err = bt.allocNodeOn(t, e.ptr.Node)
 		if err != nil {
 			return err
 		}
 		bt.writeNewNode(t, leftPtr, parts[0])
-		if err := bt.markCopied(t, e, sid, leftPtr, inReadSet); err != nil {
+		if err := bt.markCopied(t, e, sid, leftPtr); err != nil {
 			return err
 		}
 		bt.copies.Add(1)

@@ -42,16 +42,9 @@ func (bt *BTree) CreateSnapshotTxn(t *dyntx.Txn) (Snapshot, error) {
 	loc := decodePtr(rootObj.Data)
 	newTip := sid + 1
 
-	oldRootObj, err := t.Read(refNode(loc))
+	oldRoot, _, err := bt.loadNode(t, loc, loadRead)
 	if err != nil {
 		return Snapshot{}, err
-	}
-	if !oldRootObj.Exists {
-		return Snapshot{}, dyntx.ErrRetry
-	}
-	oldRoot, err := parseNode(oldRootObj.Data)
-	if err != nil {
-		return Snapshot{}, dyntx.ErrRetry
 	}
 
 	newRootPtr, err := bt.allocNode(t)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+
 	"minuet/internal/dyntx"
 	"minuet/internal/wire"
 )
@@ -15,7 +17,7 @@ type pathEntry struct {
 	ptr      Ptr
 	anchor   Ptr
 	view     *nodeView
-	version  uint64 // item version observed at the memnode (or via cache)
+	version  uint64 // item version observed at the memnode or cache; 0 for the attempt's own write
 	childIdx int    // index of the child taken (interior nodes)
 }
 
@@ -23,85 +25,66 @@ type pathEntry struct {
 // to the heap, nothing more.
 type pathBuf [6]pathEntry
 
-// loadInner fetches an interior node, serving from the proxy cache when
-// possible. In legacy mode (dirty traversals OFF) the node's replicated
-// sequence-table entry is fetched alongside it and added to t's read set, so
-// that commit validates the whole traversal path exactly as in Aguilera et
-// al. — while replication keeps those validations local to the commit's
-// memnode.
-func (bt *BTree) loadInner(t *dyntx.Txn, p Ptr) (*nodeView, uint64, error) {
-	if bt.cache != nil {
-		if e, ok := bt.cache.get(p); ok {
-			if !bt.cfg.DirtyTraversals {
-				t.InjectRead(bt.refSeq(p), e.seqVer, nil, e.seqVer != 0)
-			}
-			return e.view, e.version, nil
-		}
-	}
+// loadMode says how loadNode fetches an image that the attempt does not hold.
+type loadMode uint8
 
-	if bt.cfg.DirtyTraversals {
-		obj, err := t.DirtyRead(refNode(p))
+const (
+	// loadInterior serves an interior node from the proxy cache, else reads
+	// it dirtily and caches it. In legacy mode (dirty traversals OFF) the
+	// node's replicated sequence-table entry is fetched alongside and joins
+	// the read set, so that commit validates the whole traversal path as in
+	// Aguilera et al. — while replication keeps those validations local to
+	// the commit's memnode.
+	loadInterior loadMode = iota
+	// loadDirty reads the node dirtily: a leaf of a frozen version, which
+	// fence keys and copied-snapshot checks alone make safe (§4.2), or a node
+	// whose write-back validates it (WriteValidated).
+	loadDirty
+	// loadRead reads the node transactionally: it joins the read set and the
+	// fetch piggy-backs validation of the tip objects, so an up-to-date leaf
+	// costs a single round trip.
+	loadRead
+)
+
+// loadNode is the one place a Ptr becomes a *nodeView. The lookup order is
+// fixed: the image this attempt already holds (t.Held: its own pending write,
+// then what its read set observed), then — for loadInterior — the proxy
+// cache, then the memnode. An absent or unparseable image means a stale
+// pointer, and the attempt retries. It returns the view and the item version
+// that a later write-back validates against.
+func (bt *BTree) loadNode(t *dyntx.Txn, p Ptr, how loadMode) (*nodeView, uint64, error) {
+	ref := refNode(p)
+	obj, held := t.Held(ref)
+	var seqVer uint64 // legacy mode: the node's seq-table entry, 0 if never written
+	if !held {
+		interior := how == loadInterior
+		if interior && bt.cache != nil {
+			if e, ok := bt.cache.get(p); ok {
+				if !bt.cfg.DirtyTraversals {
+					t.InjectRead(bt.refSeq(p), e.seqVer, nil, e.seqVer != 0)
+				}
+				return e.view, e.version, nil
+			}
+		}
+		var err error
+		switch {
+		case how == loadRead:
+			obj, err = t.Read(ref)
+		case interior && !bt.cfg.DirtyTraversals:
+			// Read the seq entry at the node's owner, which also holds a
+			// replica; this keeps the fetch a single-memnode, single-round-
+			// trip operation.
+			seqAtOwner := dyntx.Ref{Ptr: Ptr{Node: p.Node, Addr: bt.refSeq(p).Ptr.Addr}, Replicated: true}
+			var objs []dyntx.Obj
+			if objs, err = t.DirtyReadMany([]dyntx.Ref{ref, seqAtOwner}); err == nil {
+				obj, seqVer = objs[0], objs[1].Version
+			}
+		default:
+			obj, err = t.DirtyRead(ref)
+		}
 		if err != nil {
 			return nil, 0, err
 		}
-		if !obj.Exists {
-			return nil, 0, dyntx.ErrRetry
-		}
-		n, err := parseNode(obj.Data)
-		if err != nil {
-			return nil, 0, dyntx.ErrRetry
-		}
-		if bt.cache != nil && obj.Version > 0 && !n.IsLeaf() {
-			bt.cache.put(p, cacheEntry{view: n, version: obj.Version})
-		}
-		return n, obj.Version, nil
-	}
-
-	// Legacy mode: fetch the node image and its seq-table entry (local
-	// replica) in one minitransaction; the entry joins the read set.
-	seqRef := bt.refSeq(p)
-	// Read the seq entry at the node's owner, which also holds a replica;
-	// this keeps the fetch a single-memnode, single-round-trip operation.
-	seqRefAtOwner := dyntx.Ref{Ptr: Ptr{Node: p.Node, Addr: seqRef.Ptr.Addr}, Replicated: true}
-	objs, err := t.DirtyReadMany([]dyntx.Ref{refNode(p), seqRefAtOwner})
-	if err != nil {
-		return nil, 0, err
-	}
-	if !objs[0].Exists {
-		return nil, 0, dyntx.ErrRetry
-	}
-	n, err := parseNode(objs[0].Data)
-	if err != nil {
-		return nil, 0, dyntx.ErrRetry
-	}
-	seqVer := objs[1].Version
-	if _, shadowed := t.PendingWrite(seqRef); !shadowed {
-		// Don't validate a seq entry this transaction has itself written
-		// (the shadowed read reports version 0, which is not the entry's
-		// memnode version): the pending blind write supersedes it.
-		t.InjectRead(seqRef, seqVer, nil, objs[1].Exists)
-	}
-	if bt.cache != nil && objs[0].Version > 0 && !n.IsLeaf() {
-		bt.cache.put(p, cacheEntry{view: n, version: objs[0].Version, seqVer: seqVer})
-	}
-	return n, objs[0].Version, nil
-}
-
-// loadLeaf fetches a leaf node. Up-to-date operations (validate=true) read
-// it transactionally — the read joins the read set and piggy-backs
-// validation of the tip objects, making the common case a single round trip.
-// Reads on read-only snapshots (validate=false) fetch dirtily and rely on
-// fence keys and copied-snapshot checks alone (§4.2).
-func (bt *BTree) loadLeaf(t *dyntx.Txn, p Ptr, validate bool) (*nodeView, uint64, error) {
-	var obj dyntx.Obj
-	var err error
-	if validate {
-		obj, err = t.Read(refNode(p))
-	} else {
-		obj, err = t.DirtyRead(refNode(p))
-	}
-	if err != nil {
-		return nil, 0, err
 	}
 	if !obj.Exists {
 		return nil, 0, dyntx.ErrRetry
@@ -109,6 +92,14 @@ func (bt *BTree) loadLeaf(t *dyntx.Txn, p Ptr, validate bool) (*nodeView, uint64
 	n, err := parseNode(obj.Data)
 	if err != nil {
 		return nil, 0, dyntx.ErrRetry
+	}
+	if !held && how == loadInterior {
+		if !bt.cfg.DirtyTraversals {
+			t.InjectRead(bt.refSeq(p), seqVer, nil, seqVer != 0)
+		}
+		if bt.cache != nil && obj.Version > 0 && !n.IsLeaf() {
+			bt.cache.put(p, cacheEntry{view: n, version: obj.Version, seqVer: seqVer})
+		}
 	}
 	return n, obj.Version, nil
 }
@@ -157,35 +148,36 @@ func (bt *BTree) bestRedirect(n *nodeView, sid uint64) (Ptr, bool, error) {
 	return n.Redirects[best].Ptr, true, nil
 }
 
-// loadNode fetches the node at p as version tg sees it: an interior node from
-// the proxy cache or a dirty read, a leaf transactionally when tg validates.
-// While the node carries a redirect whose snapshot is an ancestor-or-self of
-// tg.sid it hops to that copy (§5.2; only the branching format writes
-// redirects, so on a linear tree the first load returns). It reports where
-// the node was finally found.
-func (bt *BTree) loadNode(t *dyntx.Txn, tg *target, p Ptr, leaf bool) (Ptr, *nodeView, uint64, error) {
+// locate loads the node at p as version tg sees it: interior nodes with
+// loadInterior, a leaf with loadRead when tg validates and loadDirty
+// otherwise. While the node carries a redirect whose snapshot is an
+// ancestor-or-self of tg.sid it hops to that copy (§5.2; only the branching
+// format writes redirects, so on a linear tree the first load returns). It
+// reports where the node was finally found — on an error, the location it
+// failed to load.
+func (bt *BTree) locate(t *dyntx.Txn, tg *target, p Ptr, leaf bool) (Ptr, *nodeView, uint64, error) {
 	for hops := 0; hops < 64; hops++ {
-		var n *nodeView
-		var ver uint64
-		var err error
+		how := loadInterior
 		if leaf {
-			n, ver, err = bt.loadLeaf(t, p, tg.validate)
-		} else {
-			n, ver, err = bt.loadInner(t, p)
+			how = loadDirty
+			if tg.validate {
+				how = loadRead
+			}
 		}
+		n, ver, err := bt.loadNode(t, p, how)
 		if err != nil {
-			return Ptr{}, nil, 0, err
+			return p, nil, 0, err
 		}
 		tp, ok, err := bt.bestRedirect(n, tg.sid)
 		if err != nil {
-			return Ptr{}, nil, 0, err
+			return p, nil, 0, err
 		}
 		if !ok {
 			return p, n, ver, nil
 		}
 		p, leaf = tp, n.IsLeaf()
 	}
-	return Ptr{}, nil, 0, dyntx.ErrRetry // redirect cycle: torn state, retry
+	return p, nil, 0, dyntx.ErrRetry // redirect cycle: torn state, retry
 }
 
 // descend walks from tg's root toward the leaf responsible for k, stopping at
@@ -194,23 +186,27 @@ func (bt *BTree) loadNode(t *dyntx.Txn, tg *target, p Ptr, leaf bool) (Ptr, *nod
 // only the leaf is read transactionally (when tg validates). It returns the
 // visited path, deepest node last, appended to buf[:0] — callers pass a
 // pathBuf of their own frame, so a descent of ordinary depth allocates no
-// path. On any inconsistency it invalidates the relevant cache entries and
-// returns dyntx.ErrRetry for the optimistic retry loop.
+// path. On any inconsistency — a failed check, or an image that is absent or
+// not a node (a pointer into a block GC freed) — it invalidates the cache
+// entries that led there and returns dyntx.ErrRetry for the optimistic retry
+// loop.
 func (bt *BTree) descend(t *dyntx.Txn, tg *target, k wire.Key, floor uint8, buf *pathBuf) ([]pathEntry, error) {
 	path := buf[:0]
 
 	anchor := tg.root
-	ptr, cur, ver, err := bt.loadNode(t, tg, anchor, false)
-	if err != nil {
-		return nil, err
-	}
+	ptr, cur, ver, err := bt.locate(t, tg, anchor, false)
 	// A Minuet tree always has at least two levels, so the root is interior;
 	// a leaf here means a stale root pointer — the proxy's cached root
 	// location for tg.sid is itself stale.
-	if cur.IsLeaf() || !bt.checkNode(cur, tg.sid) || !cur.inRange(k) {
-		bt.invalidateRoot(tg.sid)
-		bt.invalidateTraversal(ptr, nil)
-		return nil, dyntx.ErrRetry
+	if err == nil && (cur.IsLeaf() || !bt.checkNode(cur, tg.sid) || !cur.inRange(k)) {
+		err = dyntx.ErrRetry
+	}
+	if err != nil {
+		if errors.Is(err, dyntx.ErrRetry) {
+			bt.invalidateRoot(tg.sid)
+			bt.invalidateTraversal(ptr, nil)
+		}
+		return nil, err
 	}
 	path = append(path, pathEntry{ptr: ptr, anchor: anchor, view: cur, version: ver})
 
@@ -218,16 +214,18 @@ func (bt *BTree) descend(t *dyntx.Txn, tg *target, k wire.Key, floor uint8, buf 
 		i := cur.childIndex(k)
 		path[len(path)-1].childIdx = i
 		anchor = cur.kid(i) // what the parent's slot holds, pre-redirect
-		ptr, next, ver, err := bt.loadNode(t, tg, anchor, cur.Height == 1)
-		if err != nil {
-			return nil, err
-		}
+		ptr, next, ver, err := bt.locate(t, tg, anchor, cur.Height == 1)
 		// Fatal-inconsistency checks (Fig 5 line 15 plus §4.2): height must
 		// decrease by exactly one, and the child must pass fence/version
 		// checks.
-		if next.Height != cur.Height-1 || !bt.checkNode(next, tg.sid) || !next.inRange(k) {
-			bt.invalidateTraversal(ptr, &path[len(path)-1])
-			return nil, dyntx.ErrRetry
+		if err == nil && (next.Height != cur.Height-1 || !bt.checkNode(next, tg.sid) || !next.inRange(k)) {
+			err = dyntx.ErrRetry
+		}
+		if err != nil {
+			if errors.Is(err, dyntx.ErrRetry) {
+				bt.invalidateTraversal(ptr, &path[len(path)-1])
+			}
+			return nil, err
 		}
 		path = append(path, pathEntry{ptr: ptr, anchor: anchor, view: next, version: ver})
 		cur = next

@@ -362,15 +362,9 @@ func (bt *BTree) resolve(t *dyntx.Txn, sid uint64) (target, error) {
 		}
 		idRef, rootRef := bt.refTipID(), bt.refTipRoot()
 		tg := target{rootRef: rootRef, validate: true}
-		if t.InReadSet(idRef) {
-			id, err := t.Read(idRef)
-			if err != nil {
-				return target{}, err
-			}
-			root, err := t.Read(rootRef)
-			if err != nil {
-				return target{}, err
-			}
+		id, idHeld := t.Held(idRef)
+		root, rootHeld := t.Held(rootRef)
+		if idHeld && rootHeld {
 			tg.sid, tg.root = decodeU64(id.Data), decodePtr(root.Data)
 		} else {
 			tip, err := bt.loadTip()
@@ -384,27 +378,20 @@ func (bt *BTree) resolve(t *dyntx.Txn, sid uint64) (target, error) {
 		return tg, nil
 	}
 	tip := sid == tipSid
+	var err error
 	if tip {
-		var err error
 		if sid, err = bt.ResolveTip(initialSnapID); err != nil {
 			return target{}, err
 		}
 	}
 	ref := bt.cat.Ref(sid)
 	var ent catalog.Entry
-	if t.InReadSet(ref) {
-		obj, err := t.Read(ref)
-		if err != nil {
-			return target{}, err
-		}
+	if obj, held := t.Held(ref); held {
 		if ent, err = catalog.Decode(obj.Data); err != nil {
 			return target{}, dyntx.ErrRetry
 		}
-	} else {
-		var err error
-		if ent, err = bt.cat.Get(sid); err != nil {
-			return target{}, err
-		}
+	} else if ent, err = bt.cat.Get(sid); err != nil {
+		return target{}, err
 	}
 	if !ent.Writable() {
 		if tip {

@@ -188,23 +188,35 @@ func (t *Txn) Aborted() bool { return t.aborted }
 // ReadSetSize returns the number of objects that commit must validate.
 func (t *Txn) ReadSetSize() int { return len(t.reads.order) }
 
+// Held returns the image of ref that this attempt already holds, without
+// any network traffic: its own pending write first, then the version its read
+// set observed. It is the one rule by which every read below serves a ref the
+// attempt holds, so a transaction observes its own writes and keeps acting on
+// the image it will validate. A write-set hit reports Version 0; that value
+// is inert, because InjectRead and WriteValidated add no compare for a held
+// ref.
+func (t *Txn) Held(ref Ref) (Obj, bool) {
+	k := ref.key()
+	if w := t.writes.find(k); w != nil {
+		return Obj{Data: w.data, Exists: true}, true
+	}
+	if re := t.reads.find(k); re != nil {
+		return Obj{Data: re.data, Version: re.version, Exists: re.exists}, true
+	}
+	return Obj{}, false
+}
+
 // Read performs a transactional read: the object is added to the read set
-// and will be validated at commit. Reads are served from the write set or
-// read-set cache when possible; otherwise a minitransaction fetches the
-// object and piggy-backs validation of any read-set entries that can be
-// compared on the same memnode (replicated entries always can).
+// and will be validated at commit. A held ref is served by Held; otherwise a
+// minitransaction fetches the object and piggy-backs validation of any
+// read-set entries that can be compared on the same memnode (replicated
+// entries always can).
 func (t *Txn) Read(ref Ref) (Obj, error) {
 	if t.aborted {
 		return Obj{}, ErrAborted
 	}
-	k := ref.key()
-	if w := t.writes.find(k); w != nil {
-		return Obj{Data: w.data, Version: 0, Exists: true}, nil
-	}
-	if re := t.reads.find(k); re != nil {
-		// Serve from the read set: commit validates the version first
-		// observed, so the transaction must keep acting on that image.
-		return Obj{Data: re.data, Version: re.version, Exists: re.exists}, nil
+	if obj, ok := t.Held(ref); ok {
+		return obj, nil
 	}
 	obj, err := t.fetch(ref, true)
 	if err != nil {
@@ -268,14 +280,14 @@ func (t *Txn) fetch(ref Ref, validate bool) (Obj, error) {
 	return Obj{Data: r.Data, Version: r.Version, Exists: r.Exists}, nil
 }
 
-// DirtyRead fetches an object without adding it to the read set (§3). The
-// write set still shadows it so a transaction observes its own writes.
+// DirtyRead fetches an object without adding it to the read set (§3). A held
+// ref is served by Held at no cost.
 func (t *Txn) DirtyRead(ref Ref) (Obj, error) {
 	if t.aborted {
 		return Obj{}, ErrAborted
 	}
-	if w := t.writes.find(ref.key()); w != nil {
-		return Obj{Data: w.data, Version: 0, Exists: true}, nil
+	if obj, ok := t.Held(ref); ok {
+		return obj, nil
 	}
 	return t.fetch(ref, false)
 }
@@ -283,9 +295,8 @@ func (t *Txn) DirtyRead(ref Ref) (Obj, error) {
 // DirtyReadMany fetches several objects on the same memnode in a single
 // minitransaction, without touching the read set. Used by the legacy
 // traversal mode to fetch a node image together with its replicated
-// sequence-number entry in one round trip. Like DirtyRead, the write set
-// shadows each ref so a transaction observes its own buffered writes
-// (multi-operation assemblers re-traverse structures they just rewrote).
+// sequence-number entry in one round trip. Like DirtyRead, held refs are
+// served by Held.
 func (t *Txn) DirtyReadMany(refs []Ref) ([]Obj, error) {
 	if t.aborted {
 		return nil, ErrAborted
@@ -294,8 +305,8 @@ func (t *Txn) DirtyReadMany(refs []Ref) ([]Obj, error) {
 	m := &sinfonia.Minitx{}
 	fetchIdx := make([]int, 0, len(refs))
 	for i, r := range refs {
-		if w := t.writes.find(r.key()); w != nil {
-			out[i] = Obj{Data: w.data, Version: 0, Exists: true}
+		if obj, ok := t.Held(r); ok {
+			out[i] = obj
 			continue
 		}
 		fetchIdx = append(fetchIdx, i)
@@ -322,9 +333,8 @@ func (t *Txn) DirtyReadMany(refs []Ref) ([]Obj, error) {
 // separate linearization points — the commit's validation of every observed
 // version is what makes the whole set atomic, exactly as for single reads.
 //
-// Objects already in the write or read set are served from there (and not
-// refetched), so ReadBatch is also safe to use as a prefetch. Results are
-// parallel to refs.
+// Held refs are served by Held (and not refetched), so ReadBatch is also safe
+// to use as a prefetch. Results are parallel to refs.
 func (t *Txn) ReadBatch(refs []Ref) ([]Obj, error) {
 	if t.aborted {
 		return nil, ErrAborted
@@ -338,13 +348,8 @@ func (t *Txn) ReadBatch(refs []Ref) ([]Obj, error) {
 	}
 	fetches := make(map[int]fetchPos) // refs index -> where its read went
 	for i, ref := range refs {
-		k := ref.key()
-		if w := t.writes.find(k); w != nil {
-			out[i] = Obj{Data: w.data, Version: 0, Exists: true}
-			continue
-		}
-		if re := t.reads.find(k); re != nil {
-			out[i] = Obj{Data: re.data, Version: re.version, Exists: re.exists}
+		if obj, ok := t.Held(ref); ok {
+			out[i] = obj
 			continue
 		}
 		node := ref.Ptr.Node
@@ -379,9 +384,9 @@ func (t *Txn) ReadBatch(refs []Ref) ([]Obj, error) {
 			continue
 		}
 		r := byNodeRes[pos.node].Reads[pos.idx]
-		if re := t.reads.find(ref.key()); re != nil {
+		if obj, ok := t.Held(ref); ok {
 			// Duplicate ref within the batch: keep the first observation.
-			out[i] = Obj{Data: re.data, Version: re.version, Exists: re.exists}
+			out[i] = obj
 			continue
 		}
 		t.reads.add(entry{ref: ref, node: ref.Ptr.Node, version: r.Version, data: r.Data, exists: r.Exists})
@@ -391,24 +396,17 @@ func (t *Txn) ReadBatch(refs []Ref) ([]Obj, error) {
 	return out, nil
 }
 
-// PendingWrite returns the data buffered in the write set for ref, if any.
-// Multi-operation assemblers use it to observe their own structural updates
-// (e.g. a root location written earlier in the same transaction) without a
-// network fetch.
-func (t *Txn) PendingWrite(ref Ref) ([]byte, bool) {
-	if w := t.writes.find(ref.key()); w != nil {
-		return w.data, true
-	}
-	return nil, false
-}
-
 // InjectRead adds an entry to the read set from a proxy-side cache without
 // any network traffic — the paper's "adds its cached copy of the tip
 // snapshot ... to the transaction's read set". The commit (or the next
 // piggy-backed read) validates the cached version; if the cache was stale
-// the transaction aborts with a StaleError naming ref.
+// the transaction aborts with a StaleError naming ref. A held ref is left
+// as it is: the attempt already acts on its own image of it.
 func (t *Txn) InjectRead(ref Ref, version uint64, data []byte, exists bool) {
-	if t.aborted || t.InReadSet(ref) {
+	if t.aborted {
+		return
+	}
+	if _, held := t.Held(ref); held {
 		return
 	}
 	t.reads.add(entry{ref: ref, node: ref.Ptr.Node, version: version, data: data, exists: exists})
@@ -433,19 +431,18 @@ func (t *Txn) Write(ref Ref, data []byte) {
 // WriteValidated buffers a write to an object that was previously observed
 // (usually via DirtyRead) at the given version. Per the paper, "if the
 // object is written later on, it will first be added to the read set": the
-// commit will validate that the object still has that version.
+// commit will validate that the object still has that version. For a held
+// ref it is a plain Write: a read ref is validated already, and a written
+// one is either validated already or freshly allocated by this attempt.
 func (t *Txn) WriteValidated(ref Ref, data []byte, observedVersion uint64) {
 	if t.aborted {
 		return
 	}
-	if !t.InReadSet(ref) {
+	if _, held := t.Held(ref); !held {
 		t.reads.add(entry{ref: ref, node: ref.Ptr.Node, version: observedVersion})
 	}
 	t.Write(ref, data)
 }
-
-// InReadSet reports whether ref is already in the read set.
-func (t *Txn) InReadSet(ref Ref) bool { return t.reads.find(ref.key()) != nil }
 
 // Commit validates the read set and applies the write set atomically.
 // A read-only transaction whose read set was fully validated by its last

@@ -133,6 +133,76 @@ func TestReadYourOwnWrites(t *testing.T) {
 	}
 }
 
+// TestWriteValidatedOfOwnWriteCommits rewrites a block the attempt already
+// wrote blind, as a batch does with a node it copied into a recycled block
+// earlier in the same attempt. The write-set hit reports version 0, which
+// must not turn into a compare against a block whose memnode version is ≥ 1.
+func TestWriteValidatedOfOwnWriteCommits(t *testing.T) {
+	_, c := newCluster(1)
+	if err := c.Write(sinfonia.Ptr{Node: 0, Addr: 10}, []byte("freed")); err != nil {
+		t.Fatal(err)
+	}
+	tx := New(c)
+	tx.Write(ref(0, 10), []byte("copy"))
+	obj, err := tx.DirtyRead(ref(0, 10))
+	if err != nil || string(obj.Data) != "copy" {
+		t.Fatalf("dirty read-own-write: %+v %v", obj, err)
+	}
+	tx.WriteValidated(ref(0, 10), []byte("copy, edited"), obj.Version)
+	if n := tx.ReadSetSize(); n != 0 {
+		t.Fatalf("own write joined the read set: %d entries", n)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatalf("rewrite of an own write: %v", err)
+	}
+	if r, _ := c.Read(sinfonia.Ptr{Node: 0, Addr: 10}); string(r.Data) != "copy, edited" {
+		t.Fatalf("committed %q", r.Data)
+	}
+}
+
+// TestDirtyReadServesReadSet: once an attempt has read an object, a dirty
+// read returns the same image with no round trip.
+func TestDirtyReadServesReadSet(t *testing.T) {
+	_, c := newCluster(1)
+	if err := c.Write(sinfonia.Ptr{Node: 0, Addr: 10}, []byte("seen")); err != nil {
+		t.Fatal(err)
+	}
+	tx := New(c)
+	first, err := tx.Read(ref(0, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Write(sinfonia.Ptr{Node: 0, Addr: 10}, []byte("moved")); err != nil {
+		t.Fatal(err)
+	}
+	rts := tx.Roundtrips
+	obj, err := tx.DirtyRead(ref(0, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tx.Roundtrips != rts {
+		t.Fatalf("dirty read of a read-set object cost %d round trip(s)", tx.Roundtrips-rts)
+	}
+	if string(obj.Data) != "seen" || obj.Version != first.Version {
+		t.Fatalf("dirty read returned %q@%d, read set holds %q@%d", obj.Data, obj.Version, first.Data, first.Version)
+	}
+}
+
+// TestInjectReadOfOwnWriteAddsNoCompare: a cached image injected for an
+// object the attempt already writes is ignored; the pending write stands.
+func TestInjectReadOfOwnWriteAddsNoCompare(t *testing.T) {
+	_, c := newCluster(1)
+	tx := New(c)
+	tx.Write(ref(0, 10), []byte("pending"))
+	tx.InjectRead(ref(0, 10), 99, []byte("cached"), true)
+	if n := tx.ReadSetSize(); n != 0 {
+		t.Fatalf("injected read of an own write joined the read set: %d entries", n)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestReadOnlyValidatedCommitIsFree(t *testing.T) {
 	tr, c := newCluster(1)
 	if err := c.Write(sinfonia.Ptr{Node: 0, Addr: 10}, []byte("x")); err != nil {

@@ -2,12 +2,15 @@ package minuet
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"minuet/internal/dyntx"
 )
 
 // TestKitchenSinkStress runs everything at once on one cluster for a while:
@@ -87,6 +90,13 @@ func TestKitchenSinkStress(t *testing.T) {
 					next = binary.LittleEndian.Uint64(v) + 1
 					return tx.Put(h, key(i), enc(next))
 				})
+				// Fail-over errors are tolerated; spending the whole retry
+				// budget is not: that is a livelock, not contention.
+				var gu *dyntx.GiveUpError
+				if errors.As(err, &gu) {
+					t.Errorf("writer %d gave up: %v", w, err)
+					return
+				}
 				if err == nil && next > 0 {
 					// Track the highest value ever written per key. Racy
 					// upward-only update is fine for a lower bound.
