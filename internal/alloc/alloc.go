@@ -118,8 +118,8 @@ var ErrContended = errors.New("alloc: compare-and-swap lost for the whole retry 
 
 // retryCAS runs step, one read-then-compare-and-swap of an allocator cell,
 // until it does not lose the race, waiting on one Backoff between tries.
-func retryCAS(cell sinfonia.Ptr, step func() error) error {
-	var b sinfonia.Backoff
+func (a *Allocator) retryCAS(cell sinfonia.Ptr, step func() error) error {
+	b := a.c.Backoff()
 	for {
 		err := step()
 		if !sinfonia.IsCompareFailed(err) {
@@ -136,7 +136,7 @@ func retryCAS(cell sinfonia.Ptr, step func() error) error {
 // returns the extent's first block address.
 func (a *Allocator) bumpExtent(node sinfonia.NodeID) (start sinfonia.Addr, err error) {
 	bump := sinfonia.Ptr{Node: node, Addr: space.BumpAddr}
-	err = retryCAS(bump, func() error {
+	err = a.retryCAS(bump, func() error {
 		cur, err := a.c.Read(bump)
 		if err != nil {
 			return err
@@ -164,7 +164,7 @@ func (a *Allocator) bumpExtent(node sinfonia.NodeID) (start sinfonia.Addr, err e
 // is empty.
 func (a *Allocator) popFree(node sinfonia.NodeID) (p sinfonia.Ptr, ok bool, err error) {
 	head := sinfonia.Ptr{Node: node, Addr: space.FreeHeadAddr}
-	err = retryCAS(head, func() error {
+	err = a.retryCAS(head, func() error {
 		cur, err := a.c.Read(head)
 		if err != nil {
 			return err
@@ -211,7 +211,7 @@ func (a *Allocator) Free(p sinfonia.Ptr) error {
 		return fmt.Errorf("alloc: freeing nil pointer")
 	}
 	head := sinfonia.Ptr{Node: p.Node, Addr: space.FreeHeadAddr}
-	err := retryCAS(head, func() error {
+	err := a.retryCAS(head, func() error {
 		cur, err := a.c.Read(head)
 		if err != nil {
 			return err

@@ -214,9 +214,10 @@ func (r racingTransport) Call(to netsim.NodeID, req any) (any, error) {
 // loops — the bump pointer, popping the free list, pushing onto it — keeps
 // losing to a racing writer and returns ErrContended once its backoff budget
 // is spent, instead of spinning forever. The three run at once, on separate
-// clusters, so the test waits out one budget.
+// clusters, and the budget passes on a virtual clock that all three advance.
 func TestCASLoopsGiveUpWithinBudget(t *testing.T) {
-	t.Parallel()
+	v := new(netsim.Virtual)
+	defer netsim.SetClock(netsim.SetClock(v))
 	loops := map[string]func(fair, raced *Allocator) error{
 		"bumpExtent": func(_, raced *Allocator) error {
 			_, err := raced.AllocOn(0)
@@ -256,9 +257,9 @@ func TestCASLoopsGiveUpWithinBudget(t *testing.T) {
 		}
 		raced := New(sinfonia.NewClient(racingTransport{tr, fairC}, nodes), 256, 4)
 		go func() {
-			start := time.Now()
+			start := v.Now()
 			err := op(fair, raced)
-			done <- result{name, err, time.Since(start)}
+			done <- result{name, err, v.Now().Sub(start)}
 		}()
 	}
 	timeout := time.After(sinfonia.RetryBudget + time.Second)

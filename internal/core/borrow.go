@@ -3,7 +3,51 @@ package core
 import (
 	"sync"
 	"sync/atomic"
+	"time"
+
+	"minuet/internal/netsim"
 )
+
+// borrower is Fig 7's borrowing rule, the one implementation that both the
+// snapshot creation service (SCS.Create) and proxy-side borrowing
+// (ProxyBorrower.Get) run: if, between a request's arrival and its turn in
+// the critical section, some other request started AND finished an
+// acquisition, that snapshot postdates this request's start and is returned
+// without acquiring another, which preserves strict serializability.
+type borrower struct {
+	mu       sync.Mutex
+	acquired atomic.Int64 // completed acquisitions (Fig 7's numSnapshots)
+	last     Snapshot     // guarded by mu
+	lastAt   time.Time    // guarded by mu
+	haveLast bool         // guarded by mu
+
+	borrowed atomic.Int64
+}
+
+// get returns a snapshot that reflects some instant after get was called.
+// With borrow set, one acquired by another request during the wait is
+// borrowed (Fig 7). Otherwise a snapshot acquired less than stale ago, on the
+// netsim clock, is reused (§6.3's k; zero reuses nothing), and failing both,
+// acquire makes a new one. borrowed reports a borrow or a reuse.
+func (b *borrower) get(borrow bool, stale time.Duration, acquire func() (Snapshot, error)) (snap Snapshot, borrowed bool, err error) {
+	tmp1 := b.acquired.Load()
+
+	b.mu.Lock()
+	defer b.mu.Unlock()
+
+	clock := netsim.CurrentClock()
+	if b.haveLast && (borrow && b.acquired.Load() >= tmp1+2 || stale > 0 && clock.Now().Sub(b.lastAt) < stale) {
+		b.borrowed.Add(1)
+		return b.last, true, nil
+	}
+	snap, err = acquire()
+	if err != nil {
+		return Snapshot{}, false, err
+	}
+	b.acquired.Add(1)
+	b.last, b.lastAt, b.haveLast = snap, clock.Now(), true
+	return snap, false, nil
+}
 
 // Proxy-side snapshot borrowing — the extension §4.3 sketches but leaves
 // unimplemented: "the decision to share a snapshot among two transactions
@@ -12,24 +56,15 @@ import (
 // we consider sharing only at the SCS."
 //
 // ProxyBorrower wraps any snapshot source (normally the RPC call to the
-// SCS) with the same two-counter protocol Fig 7 uses inside the service:
-// if, between a request's arrival and its turn in the critical section,
-// some other local request started AND finished a snapshot acquisition,
-// that snapshot postdates this request's start and can be returned without
-// contacting the service at all. Under bursts of snapshot requests from one
-// proxy this eliminates most SCS round trips while preserving strict
-// serializability, for exactly the reason borrowing inside the SCS does.
+// SCS) with the same borrowing rule the service runs. Under bursts of
+// snapshot requests from one proxy this eliminates most SCS round trips
+// while preserving strict serializability, for exactly the reason borrowing
+// inside the SCS does.
 type ProxyBorrower struct {
 	// Fetch acquires a snapshot from the authoritative source (the SCS).
 	Fetch func() (Snapshot, error)
 
-	mu       sync.Mutex
-	acquired atomic.Int64 // completed acquisitions (local analogue of numSnapshots)
-	last     Snapshot     // guarded by mu
-	haveLast bool         // guarded by mu
-
-	fetched  atomic.Int64
-	borrowed atomic.Int64
+	b borrower
 }
 
 // NewProxyBorrower wraps fetch with proxy-side borrowing.
@@ -39,31 +74,9 @@ func NewProxyBorrower(fetch func() (Snapshot, error)) *ProxyBorrower {
 
 // Get returns a snapshot that reflects some instant after Get was called,
 // borrowing a locally acquired one when the Fig 7 condition holds.
-func (p *ProxyBorrower) Get() (Snapshot, bool, error) {
-	tmp1 := p.acquired.Load()
-
-	p.mu.Lock()
-	defer p.mu.Unlock()
-
-	tmp2 := p.acquired.Load()
-	if tmp2 >= tmp1+2 && p.haveLast {
-		// Another local request started and finished while we waited: its
-		// snapshot covers our request window.
-		p.borrowed.Add(1)
-		return p.last, true, nil
-	}
-	snap, err := p.Fetch()
-	if err != nil {
-		return Snapshot{}, false, err
-	}
-	p.acquired.Add(1)
-	p.fetched.Add(1)
-	p.last = snap
-	p.haveLast = true
-	return snap, false, nil
-}
+func (p *ProxyBorrower) Get() (Snapshot, bool, error) { return p.b.get(true, 0, p.Fetch) }
 
 // Counters reports fetched-vs-borrowed acquisition counts.
 func (p *ProxyBorrower) Counters() (fetched, borrowed int64) {
-	return p.fetched.Load(), p.borrowed.Load()
+	return p.b.acquired.Load(), p.b.borrowed.Load()
 }

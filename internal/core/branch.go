@@ -273,9 +273,7 @@ func (bt *BTree) pushRedirects(t *dyntx.Txn, p Ptr, rs []Redirect) error {
 	}
 	nn.Redirects = packed
 	t.WriteValidated(refNode(p), nn.encode(), ver)
-	if bt.cache != nil {
-		bt.cache.invalidate(p)
-	}
+	bt.cache.invalidate(p)
 	return nil
 }
 

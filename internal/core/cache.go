@@ -31,10 +31,10 @@ type nodeCache struct {
 	misses atomic.Int64
 }
 
+// cacheEntries bounds every tree handle's proxy node cache.
+const cacheEntries = 1 << 16
+
 func newNodeCache(maxEntries int) *nodeCache {
-	if maxEntries <= 0 {
-		maxEntries = 1 << 16
-	}
 	return &nodeCache{max: maxEntries, m: make(map[Ptr]cacheEntry, maxEntries/4)}
 }
 

@@ -383,9 +383,11 @@ func TestRootGrowthInsideOneTxn(t *testing.T) {
 // TestPutGivesUpWithinBudget: a Put whose every attempt finds an unreadable
 // root (the descent asks for a retry each time) gives up once the backoff
 // budget is spent, with a *dyntx.GiveUpError whose causes add up, and every
-// attempt is charged to the handle's Stats.
+// attempt is charged to the handle's Stats. The budget passes on a virtual
+// clock.
 func TestPutGivesUpWithinBudget(t *testing.T) {
-	t.Parallel()
+	v := new(netsim.Virtual)
+	defer netsim.SetClock(netsim.SetClock(v))
 	e := newEnv(t, 2, smallCfg())
 	mustPut(t, e.bt, 1)
 	_, root := tipRoot(t, e)
@@ -393,7 +395,7 @@ func TestPutGivesUpWithinBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := e.openProxy(t, e.nodes[0]) // an empty cache, so it reads the root
-	start := time.Now()
+	start := v.Now()
 	done := make(chan error, 1)
 	go func() { done <- p.Put(key(2), val(2)) }()
 	var err error
@@ -409,7 +411,7 @@ func TestPutGivesUpWithinBudget(t *testing.T) {
 	if gu.Stale+gu.Retry+gu.Aborted != gu.Attempts || gu.Retry != gu.Attempts {
 		t.Fatalf("counts %+v do not add up to %d attempts", gu, gu.Attempts)
 	}
-	if el := time.Since(start); el < sinfonia.RetryBudget {
+	if el := v.Now().Sub(start); el < sinfonia.RetryBudget {
 		t.Fatalf("gave up after %v, inside the %v budget", el, sinfonia.RetryBudget)
 	}
 	st := p.Stats()

@@ -78,9 +78,7 @@ func (bt *BTree) CollectGarbage() (int, error) {
 			if err := bt.al.Free(p); err != nil {
 				return freed, err
 			}
-			if bt.cache != nil {
-				bt.cache.invalidate(p)
-			}
+			bt.cache.invalidate(p)
 			freed++
 		}
 	}

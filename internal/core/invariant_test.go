@@ -228,24 +228,6 @@ func TestMemnodeOutageAndReturn(t *testing.T) {
 	}
 }
 
-func TestCacheDisabled(t *testing.T) {
-	cfg := smallCfg()
-	cfg.CacheEntries = -1 // ablation: no proxy cache
-	e := newEnv(t, 2, cfg)
-	for i := 0; i < 100; i++ {
-		mustPut(t, e.bt, i)
-	}
-	for i := 0; i < 100; i++ {
-		v, ok, err := e.bt.Get(key(i))
-		if err != nil || !ok || string(v) != string(val(i)) {
-			t.Fatalf("no-cache get %d: %q %v %v", i, v, ok, err)
-		}
-	}
-	if s := e.bt.Stats(); s.CacheHits != 0 {
-		t.Fatal("cache disabled but hits recorded")
-	}
-}
-
 func TestStaleTipCacheRecovers(t *testing.T) {
 	// Proxy A caches the tip; proxy B creates snapshots, invalidating it.
 	// A's next operation must transparently refresh and succeed.

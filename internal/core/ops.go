@@ -27,9 +27,7 @@ func (bt *BTree) writeNodeBack(t *dyntx.Txn, e pathEntry, n *Node) {
 		// the prior system (§3).
 		t.Write(bt.refSeq(e.ptr), nil)
 	}
-	if bt.cache != nil {
-		bt.cache.invalidate(e.ptr)
-	}
+	bt.cache.invalidate(e.ptr)
 }
 
 // writeNewNode emits a freshly allocated node. The write is blind: the

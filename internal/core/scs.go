@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync"
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // SCS is the snapshot creation service of §4.3 (Fig 7). All snapshot
 // requests for a tree are routed to one SCS instance, which serializes
@@ -23,18 +19,12 @@ type SCS struct {
 	// AllowBorrow enables Fig 7 borrowing (on by default; Fig 15's
 	// "no borrowed snapshots" series turns it off).
 	AllowBorrow bool
-	// MinInterval is the minimum time between snapshot creations ("k").
-	// Zero means every non-borrowed request creates a fresh snapshot.
+	// MinInterval is the minimum time, on the netsim clock, between snapshot
+	// creations ("k"). Zero means every non-borrowed request creates a fresh
+	// snapshot.
 	MinInterval time.Duration
 
-	mu           sync.Mutex
-	numSnapshots atomic.Int64
-	last         Snapshot  // guarded by mu
-	haveLast     bool      // guarded by mu
-	lastAt       time.Time // guarded by mu
-
-	created  atomic.Int64
-	borrowed atomic.Int64
+	b borrower
 }
 
 // NewSCS returns a snapshot creation service for tree bt.
@@ -44,42 +34,14 @@ func NewSCS(bt *BTree) *SCS {
 
 // Create returns a snapshot id and root location, either by creating a new
 // snapshot or by borrowing one created during this request's wait (Fig 7).
-// borrowed reports which happened.
+// borrowed reports which happened. A request that reuses the most recent
+// snapshot under MinInterval counts as borrowed too; that reuse is not
+// strictly serializable — the caller opted into up to k staleness.
 func (s *SCS) Create() (snap Snapshot, borrowed bool, err error) {
-	tmpNum1 := s.numSnapshots.Load()
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
-	tmpNum2 := s.numSnapshots.Load()
-	if s.AllowBorrow && tmpNum2 >= tmpNum1+2 {
-		// Some other request started *and finished* a snapshot creation
-		// while we were queued, so its snapshot postdates our request:
-		// borrowing preserves strict serializability.
-		s.borrowed.Add(1)
-		return s.last, true, nil
-	}
-
-	if s.MinInterval > 0 && s.haveLast && time.Since(s.lastAt) < s.MinInterval {
-		// Staleness mode (§6.3): reuse the most recent snapshot. Not
-		// strictly serializable — the caller opted into up to k staleness.
-		s.borrowed.Add(1)
-		return s.last, true, nil
-	}
-
-	snap, err = s.bt.CreateSnapshot()
-	if err != nil {
-		return Snapshot{}, false, err
-	}
-	s.numSnapshots.Add(1)
-	s.created.Add(1)
-	s.last = snap
-	s.haveLast = true
-	s.lastAt = time.Now()
-	return snap, false, nil
+	return s.b.get(s.AllowBorrow, s.MinInterval, s.bt.CreateSnapshot)
 }
 
 // Counters reports how many snapshots were created vs. borrowed.
 func (s *SCS) Counters() (created, borrowed int64) {
-	return s.created.Load(), s.borrowed.Load()
+	return s.b.acquired.Load(), s.b.borrowed.Load()
 }

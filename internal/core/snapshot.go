@@ -66,9 +66,7 @@ func (bt *BTree) CreateSnapshotTxn(t *dyntx.Txn) (Snapshot, error) {
 	// Whatever the outcome, this proxy's tip cache and the old root's cache
 	// entry are about to be stale.
 	bt.invalidateTip()
-	if bt.cache != nil {
-		bt.cache.invalidate(loc)
-	}
+	bt.cache.invalidate(loc)
 	return Snapshot{Sid: sid, Root: loc}, nil
 }
 

@@ -58,7 +58,7 @@ func (bt *BTree) loadNode(t *dyntx.Txn, p Ptr, how loadMode) (*nodeView, uint64,
 	var seqVer uint64 // legacy mode: the node's seq-table entry, 0 if never written
 	if !held {
 		interior := how == loadInterior
-		if interior && bt.cache != nil {
+		if interior {
 			if e, ok := bt.cache.get(p); ok {
 				if !bt.cfg.DirtyTraversals {
 					t.InjectRead(bt.refSeq(p), e.seqVer, nil, e.seqVer != 0)
@@ -97,7 +97,7 @@ func (bt *BTree) loadNode(t *dyntx.Txn, p Ptr, how loadMode) (*nodeView, uint64,
 		if !bt.cfg.DirtyTraversals {
 			t.InjectRead(bt.refSeq(p), seqVer, nil, seqVer != 0)
 		}
-		if bt.cache != nil && obj.Version > 0 && !n.IsLeaf() {
+		if obj.Version > 0 && !n.IsLeaf() {
 			bt.cache.put(p, cacheEntry{view: n, version: obj.Version, seqVer: seqVer})
 		}
 	}
@@ -246,9 +246,6 @@ func (bt *BTree) leafFor(t *dyntx.Txn, tg *target, k wire.Key) (*nodeView, error
 // invalidateTraversal drops the cache entries that led to an inconsistent
 // read: the offending node and the parent whose stale pointer produced it.
 func (bt *BTree) invalidateTraversal(child Ptr, parent *pathEntry) {
-	if bt.cache == nil {
-		return
-	}
 	bt.cache.invalidate(child)
 	if parent != nil {
 		bt.cache.invalidate(parent.ptr)

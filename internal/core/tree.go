@@ -38,9 +38,6 @@ type Config struct {
 	// Beta bounds both the version tree's branching factor and each node's
 	// redirect (descendant) set (§5.2). Default 2.
 	Beta int
-	// CacheEntries bounds the proxy node cache. Default 65536; negative
-	// disables caching.
-	CacheEntries int
 }
 
 // FillDefaults populates zero fields with the paper's defaults.
@@ -56,9 +53,6 @@ func (c *Config) FillDefaults() {
 	}
 	if c.Beta == 0 {
 		c.Beta = 2
-	}
-	if c.CacheEntries == 0 {
-		c.CacheEntries = 1 << 16
 	}
 }
 
@@ -220,9 +214,7 @@ func Open(c *sinfonia.Client, al *alloc.Allocator, treeIdx int, local sinfonia.N
 		al:    al,
 		local: local,
 		cat:   catalog.New(c, treeIdx, local),
-	}
-	if cfg.CacheEntries > 0 {
-		bt.cache = newNodeCache(cfg.CacheEntries)
+		cache: newNodeCache(cacheEntries),
 	}
 	// Verify the tree exists.
 	res, err := c.Read(ctlPtr(local, treeIdx, space.CtlTipSnapID))
@@ -254,9 +246,7 @@ func (bt *BTree) Stats() Stats {
 		CopyOnWr:   bt.copies.Load(),
 		Discretion: bt.discretion.Load(),
 	}
-	if bt.cache != nil {
-		s.CacheHits, s.CacheMiss, _ = bt.cache.stats()
-	}
+	s.CacheHits, s.CacheMiss, _ = bt.cache.stats()
 	return s
 }
 
@@ -447,15 +437,11 @@ func (bt *BTree) handleStale(err error) {
 		case a >= space.SeqTableBase:
 			// Legacy seq-table entry: recover the node pointer from the
 			// address and invalidate just that node's cache entry.
-			if bt.cache != nil {
-				if p, ok := space.SeqTableAddrInverse(a); ok {
-					bt.cache.invalidate(p)
-				}
+			if p, ok := space.SeqTableAddrInverse(a); ok {
+				bt.cache.invalidate(p)
 			}
 		default:
-			if bt.cache != nil {
-				bt.cache.invalidate(ref.Ptr)
-			}
+			bt.cache.invalidate(ref.Ptr)
 		}
 	}
 }

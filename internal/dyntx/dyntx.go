@@ -561,14 +561,12 @@ func (e *GiveUpError) Unwrap() error { return e.Last }
 
 // Run executes fn inside a dynamic transaction, New → fn → Commit, and is
 // the one optimistic retry loop: an attempt that fails with a *StaleError,
-// ErrRetry or ErrAborted is discarded and re-run after a sinfonia.Backoff
-// wait, and *GiveUpError reports the backoff's budget spent. Any other error
+// ErrRetry or ErrAborted is discarded and re-run after a wait on c's Backoff,
+// and *GiveUpError reports the backoff's budget spent. Any other error
 // discards the attempt and is returned as is. fn must be idempotent.
 func Run(c *sinfonia.Client, opts RunOptions, fn func(t *Txn) error) error {
-	var (
-		b                     sinfonia.Backoff
-		stale, retry, aborted int
-	)
+	b := c.Backoff()
+	var stale, retry, aborted int
 	for attempt := 0; ; attempt++ {
 		t := New(c)
 		err := fn(t)

@@ -383,9 +383,10 @@ func TestRunDiscardsFailedAttempts(t *testing.T) {
 // TestRunGivesUpWithinBudget: a body that always asks for a retry ends in
 // *GiveUpError once the backoff budget is spent. The error counts every
 // attempt by cause and still matches ErrRetry, and the AfterAttempt hook saw
-// each attempt.
+// each attempt. The budget passes on a virtual clock.
 func TestRunGivesUpWithinBudget(t *testing.T) {
-	t.Parallel()
+	v := new(netsim.Virtual)
+	defer netsim.SetClock(netsim.SetClock(v))
 	_, c := newCluster(1)
 	hooked := 0
 	opts := RunOptions{AfterAttempt: func(tx *Txn, attempt int, err error) {
@@ -394,7 +395,7 @@ func TestRunGivesUpWithinBudget(t *testing.T) {
 		}
 		hooked++
 	}}
-	start := time.Now()
+	start := v.Now()
 	done := make(chan error, 1)
 	go func() { done <- Run(c, opts, func(*Txn) error { return ErrRetry }) }()
 	var err error
@@ -410,7 +411,7 @@ func TestRunGivesUpWithinBudget(t *testing.T) {
 	if gu.Stale+gu.Retry+gu.Aborted != gu.Attempts || gu.Retry != gu.Attempts || gu.Attempts != hooked {
 		t.Fatalf("counts %+v do not add up to %d attempts (hook saw %d)", gu, gu.Attempts, hooked)
 	}
-	if el := time.Since(start); el < sinfonia.RetryBudget || gu.Elapsed > el {
+	if el := v.Now().Sub(start); el < sinfonia.RetryBudget || gu.Elapsed > el {
 		t.Fatalf("gave up after %v (reported %v), budget %v", el, gu.Elapsed, sinfonia.RetryBudget)
 	}
 }

@@ -10,12 +10,13 @@ import (
 // trustworthy because a failing seed replays identically; one stray wall
 // clock read or unseeded random draw breaks that contract silently.
 //
-// Inside its scope (internal/netsim and the cluster crash-sweep harness,
-// _test.go files included — the harness *is* test code) it forbids:
+// Inside its full scope (internal/netsim and the cluster crash-sweep
+// harness, _test.go files included — the harness *is* test code) it
+// forbids:
 //
-//   - time.Now / time.Since / time.Sleep / time.After — wall-clock time.
-//     Route through the netsim clock (netsim.SetClock / netsim.Delay),
-//     which a test can replace with a virtual clock.
+//   - time.Now / time.Since / time.Sleep / time.After / timers and tickers
+//     — wall-clock time. Route through the netsim clock (netsim.SetClock /
+//     netsim.Delay), which a test can replace with a virtual clock.
 //   - package-level math/rand functions (rand.Intn, rand.Int63, ...) and
 //     math/rand/v2 equivalents — unseeded global randomness. Use an
 //     explicit rand.New(rand.NewSource(seed)) instance.
@@ -25,6 +26,10 @@ import (
 //
 // Methods on a *rand.Rand instance are allowed: an instance forces the
 // seed decision to the caller, which is exactly the discipline wanted.
+//
+// The clock scope (sinfonia, dyntx, alloc and core: every wait, deadline and
+// age of the retry path) gets the first two rules on its non-test files
+// only; its map ranges and tests wait for the seeded simulation.
 var DetCheck = &Analyzer{
 	Name:  "detcheck",
 	Doc:   "no wall-clock time, global math/rand, or map-iteration-order dependence in deterministic sim code",
@@ -32,15 +37,25 @@ var DetCheck = &Analyzer{
 	Run:   runDetCheck,
 }
 
-// detCheckPkgs lists the deterministic packages. "detcheck" is the fixture
-// package under testdata/src.
-var detCheckPkgs = map[string]bool{
-	"minuet/internal/netsim":  true,
-	"minuet/internal/cluster": true,
-	"detcheck":                true,
-}
+// detCheckPkgs lists the deterministic packages, and detClockPkgs the clock
+// scope. "detcheck" and "detclock" are the fixture packages under
+// testdata/src.
+var (
+	detCheckPkgs = map[string]bool{
+		"minuet/internal/netsim":  true,
+		"minuet/internal/cluster": true,
+		"detcheck":                true,
+	}
+	detClockPkgs = map[string]bool{
+		"minuet/internal/sinfonia": true,
+		"minuet/internal/dyntx":    true,
+		"minuet/internal/alloc":    true,
+		"minuet/internal/core":     true,
+		"detclock":                 true,
+	}
+)
 
-func detCheckScope(pkgPath string) bool { return detCheckPkgs[pkgPath] }
+func detCheckScope(pkgPath string) bool { return detCheckPkgs[pkgPath] || detClockPkgs[pkgPath] }
 
 var detCheckTimeFuncs = map[string]bool{
 	"Now": true, "Since": true, "Until": true, "Sleep": true,
@@ -48,12 +63,19 @@ var detCheckTimeFuncs = map[string]bool{
 }
 
 func runDetCheck(pass *Pass) {
+	clockOnly := detClockPkgs[pass.Pkg.Path()]
 	for _, f := range pass.Files {
+		if clockOnly && pass.IsTestFile(f.Pos()) {
+			continue
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch node := n.(type) {
 			case *ast.SelectorExpr:
 				checkDetCall(pass, node)
 			case *ast.RangeStmt:
+				if clockOnly {
+					break
+				}
 				if tv, ok := pass.Info.Types[node.X]; ok {
 					if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
 						pass.Reportf(node.Pos(), "map iteration order is nondeterministic: sort the keys, or lint:ignore with why order cannot matter")

@@ -40,6 +40,7 @@ import (
 func TestLockCheckFixture(t *testing.T)   { runFixture(t, LockCheck, "lockcheck") }
 func TestDurErrFixture(t *testing.T)      { runFixture(t, DurErr, "durerr") }
 func TestDetCheckFixture(t *testing.T)    { runFixture(t, DetCheck, "detcheck") }
+func TestDetClockFixture(t *testing.T)    { runFixture(t, DetCheck, "detclock") }
 func TestDecodeBoundFixture(t *testing.T) { runFixture(t, DecodeBound, "decodebound") }
 
 // The interprocedural analyzers get multi-package fixtures: subdirectories

@@ -9,7 +9,9 @@
 //     must not be discarded on non-test paths (the fail-stop contract).
 //   - detcheck: no time.Now, global math/rand, or map-iteration-order
 //     dependence inside the deterministic simulation packages (netsim and
-//     the crash-sweep harness in internal/cluster).
+//     the crash-sweep harness in internal/cluster), and no wall clock or
+//     global math/rand in the non-test files of sinfonia, dyntx, alloc
+//     and core.
 //   - decodebound: allocation sizes and loop bounds taken from wire- or
 //     WAL-decoded integers must be bounded against remaining input first
 //     (the wire.Reader.Count pattern).

@@ -7,9 +7,10 @@ import (
 )
 
 // Clock is the simulator's time source. Everything in netsim that reads or
-// advances time goes through the active Clock, so a test can swap in a
-// Virtual clock and make an entire run — latency injection included —
-// deterministic and instantaneous. The detcheck analyzer enforces this:
+// advances time goes through the active Clock, and so does every wait,
+// deadline and age in sinfonia, dyntx, alloc and core, so a test can swap
+// in a Virtual clock and make an entire run — latency injection and retry
+// budgets included — deterministic and instantaneous. The detcheck analyzer enforces this:
 // direct time.Now/time.Sleep calls in netsim are findings, and the two
 // wall-clock calls below carry the only justified suppressions.
 type Clock interface {

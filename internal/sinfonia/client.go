@@ -2,7 +2,7 @@ package sinfonia
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,12 +21,6 @@ type Client struct {
 
 	txid atomic.Uint64
 }
-
-// blockWait bounds how long a blocking minitransaction may wait at a memnode
-// for busy locks before aborting like an ordinary one (§4.1: "bounded by a
-// threshold small enough so that blocking minitransactions do not trigger
-// Sinfonia's recovery mechanism").
-const blockWait = 10 * time.Millisecond
 
 var clientSeq atomic.Uint64
 
@@ -130,34 +124,44 @@ func groupByNode(m *Minitx) []*perNode {
 	return order
 }
 
-// RetryBudget is the wall time any one contention retry loop may spend
-// waiting before it gives up and reports why: busy-lock retries here,
-// optimistic transaction retries in dyntx.Run, and the allocator's
-// compare-and-swap loops. Every such loop waits on a Backoff. It is long
-// enough that a heavily contended batch still completes: in the
+// RetryBudget is the time, on the netsim clock, that any one contention
+// retry loop may spend waiting before it gives up and reports why: busy-lock
+// retries here, optimistic transaction retries in dyntx.Run, and the
+// allocator's compare-and-swap loops. Every such loop waits on a Backoff. It
+// is long enough that a heavily contended batch still completes: in the
 // three-process `minuet-load -cluster 3 -batch 64` smoke on a 2-CPU host,
 // retried batches that succeed take up to 3.3 s.
 const RetryBudget = 10 * time.Second
 
 // Backoff paces one contention retry loop: jittered exponential waits from
-// 20 µs, doubling to a 1 ms cap, for at most RetryBudget. The zero value is
-// ready to use. The budget runs from the first Wait, that is from the first
-// lost attempt, so a loop that succeeds at once never reads the clock.
+// 20 µs, doubling to a 1 ms cap, for at most RetryBudget, all on the netsim
+// clock. Get one from Client.Backoff. The budget runs from the first Wait,
+// that is from the first lost attempt, so a loop that succeeds at once never
+// reads the clock.
 type Backoff struct {
+	c     *Client
 	start time.Time
 	next  time.Duration
+	rng   rand.PCG // jitter, seeded from c's txid counter at the first Wait
 }
+
+// Backoff returns a Backoff for one retry loop of c's.
+func (c *Client) Backoff() Backoff { return Backoff{c: c} }
 
 // Wait sleeps before the next retry and reports true, or reports false
 // without sleeping once RetryBudget has passed since the first Wait. The
-// jitter keeps colliding proxies from re-executing in lockstep.
+// jitter keeps colliding proxies from re-executing in lockstep; it comes
+// from a generator of the Backoff's own, so clients seeded alike replay the
+// same waits.
 func (b *Backoff) Wait() bool {
+	clock := netsim.CurrentClock()
 	if b.next == 0 {
-		b.start, b.next = time.Now(), 20*time.Microsecond
-	} else if time.Since(b.start) >= RetryBudget {
+		b.start, b.next = clock.Now(), 20*time.Microsecond
+		b.rng.Seed(b.c.nextTxid(), 0)
+	} else if clock.Now().Sub(b.start) >= RetryBudget {
 		return false
 	}
-	time.Sleep(time.Duration(rand.Int63n(int64(b.next))) + b.next/2)
+	clock.Sleep(time.Duration(b.rng.Uint64()%uint64(b.next)) + b.next/2)
 	b.next = min(2*b.next, time.Millisecond)
 	return true
 }
@@ -167,7 +171,7 @@ func (b *Backoff) Elapsed() time.Duration {
 	if b.next == 0 {
 		return 0
 	}
-	return time.Since(b.start)
+	return netsim.CurrentClock().Now().Sub(b.start)
 }
 
 // Exec executes a minitransaction and returns its reads. Busy-lock aborts
@@ -179,7 +183,7 @@ func (c *Client) Exec(m *Minitx) (*Result, error) {
 	if len(groups) == 0 {
 		return &Result{Reads: make([]ReadResult, 0)}, nil
 	}
-	var b Backoff
+	b := c.Backoff()
 	for {
 		res, busy, err := c.execOnce(m, groups)
 		if err != nil || !busy {
@@ -202,7 +206,7 @@ func (c *Client) execOnce(m *Minitx, groups []*perNode) (res *Result, busy bool,
 		g := groups[0]
 		resp, err := c.call(g.node, &ExecCommitReq{
 			Txid: txid, Compares: g.cmp, Reads: g.rd, Writes: g.wr,
-			Blocking: m.Blocking, WaitNanos: int64(blockWait),
+			Blocking: m.Blocking,
 		})
 		if err != nil {
 			return nil, false, err
@@ -257,8 +261,7 @@ func (c *Client) execOnce(m *Minitx, groups []*perNode) (res *Result, busy bool,
 func (c *Client) callPrepare(g *perNode, txid uint64, blocking bool, participants []NodeID) (*ExecResp, error) {
 	return c.call(g.node, &PrepareReq{
 		Txid: txid, Compares: g.cmp, Reads: g.rd, Writes: g.wr,
-		Blocking: blocking, WaitNanos: int64(blockWait),
-		Participants: participants,
+		Blocking: blocking, Participants: participants,
 	})
 }
 
@@ -286,7 +289,7 @@ func (c *Client) finishPhase(groups []*perNode, txid uint64, ok bool) error {
 				if _, err = c.t.Call(g.node, req); err == nil {
 					return
 				}
-				time.Sleep(time.Duration(try+1) * time.Millisecond)
+				netsim.Delay(time.Duration(try+1) * time.Millisecond)
 			}
 			errs[i] = err
 		}(i, g)

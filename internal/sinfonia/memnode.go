@@ -208,26 +208,37 @@ func touchedAddrs(cmp []CompareItem, rd []ReadItem, wr []WriteItem) []Addr {
 	return out
 }
 
+// blockWait bounds how long a blocking minitransaction may wait at a memnode
+// for busy locks before it is refused like an ordinary one (§4.1: "bounded by
+// a threshold small enough so that blocking minitransactions do not trigger
+// Sinfonia's recovery mechanism"). The bound is the memnode's: no request
+// field can lengthen how long a handler polls.
+const blockWait = 10 * time.Millisecond
+
 // waitUnlocked blocks until none of addrs is locked by another transaction,
-// or the deadline passes. It must be called with m.mu held; it releases and
-// reacquires the mutex while polling. Returns false on timeout.
+// or blockWait passes on the netsim clock. It must be called with m.mu held;
+// it releases and reacquires the mutex while polling. Returns false on
+// timeout.
 //
 // Blocking minitransactions are used only for rare, contention-prone updates
 // (the replicated tip snapshot id, §4.1), so a short poll interval costs
 // nothing measurable while keeping the lock manager free of wait queues.
-func (m *Memnode) waitUnlocked(addrs []Addr, txid uint64, deadline time.Time) bool {
+func (m *Memnode) waitUnlocked(addrs []Addr, txid uint64) bool {
 	const pollEvery = 50 * time.Microsecond
-	for {
-		if !m.anyLocked(addrs, txid) {
-			return true
-		}
-		if time.Now().After(deadline) {
+	if !m.anyLocked(addrs, txid) {
+		return true
+	}
+	clock := netsim.CurrentClock()
+	deadline := clock.Now().Add(blockWait)
+	for m.anyLocked(addrs, txid) {
+		if clock.Now().After(deadline) {
 			return false
 		}
 		m.mu.Unlock()
-		time.Sleep(pollEvery)
+		clock.Sleep(pollEvery)
 		m.mu.Lock()
 	}
+	return true
 }
 
 // anyLocked reports whether any of addrs is locked by a different txn.
@@ -287,10 +298,9 @@ func (m *Memnode) doReadsLocked(rd []ReadItem) []ReadResult {
 // comparisons, perform the reads. A non-nil refused is the vote to send back
 // instead of going on. Caller holds m.mu, which a blocking wait releases and
 // retakes.
-func (m *Memnode) admitLocked(txid uint64, addrs []Addr, cmp []CompareItem, rd []ReadItem, blocking bool, waitNanos int64) (reads []ReadResult, refused *ExecResp) {
+func (m *Memnode) admitLocked(txid uint64, addrs []Addr, cmp []CompareItem, rd []ReadItem, blocking bool) (reads []ReadResult, refused *ExecResp) {
 	if blocking {
-		deadline := time.Now().Add(time.Duration(waitNanos))
-		if !m.waitUnlocked(addrs, txid, deadline) {
+		if !m.waitUnlocked(addrs, txid) {
 			m.busyAborts++
 			return nil, &ExecResp{Vote: voteBusy}
 		}
@@ -392,7 +402,7 @@ func (m *Memnode) execCommit(r *ExecCommitReq) (*ExecResp, error) {
 	}
 
 	m.mu.Lock()
-	reads, refused := m.admitLocked(r.Txid, addrs, r.Compares, r.Reads, r.Blocking, r.WaitNanos)
+	reads, refused := m.admitLocked(r.Txid, addrs, r.Compares, r.Reads, r.Blocking)
 	if refused != nil {
 		m.mu.Unlock()
 		return refused, nil
@@ -413,7 +423,7 @@ func (m *Memnode) prepare(r *PrepareReq) (*ExecResp, error) {
 	}
 
 	m.mu.Lock()
-	reads, refused := m.admitLocked(r.Txid, addrs, r.Compares, r.Reads, r.Blocking, r.WaitNanos)
+	reads, refused := m.admitLocked(r.Txid, addrs, r.Compares, r.Reads, r.Blocking)
 	if refused != nil {
 		m.mu.Unlock()
 		return refused, nil
@@ -425,7 +435,7 @@ func (m *Memnode) prepare(r *PrepareReq) (*ExecResp, error) {
 		writes:       r.Writes,
 		addrs:        addrs,
 		participants: r.Participants,
-		preparedAt:   time.Now(),
+		preparedAt:   netsim.CurrentClock().Now(),
 	}
 	m.staged[r.Txid] = st
 	var rec *RedoRecord
@@ -492,8 +502,9 @@ func (m *Memnode) inDoubt(r *InDoubtReq) *InDoubtResp {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	resp := &InDoubtResp{}
+	now := netsim.CurrentClock().Now()
 	for txid, st := range m.staged {
-		age := time.Since(st.preparedAt)
+		age := now.Sub(st.preparedAt)
 		if age < time.Duration(r.MinAgeNanos) {
 			continue
 		}

@@ -177,17 +177,25 @@ func (rc *RecoveryCoordinator) finish(txid uint64, participants []NodeID, commit
 	return firstErr
 }
 
-// Run sweeps periodically until stop is closed. Intended to be launched as
-// a background goroutine by the cluster's management process.
+// Run sweeps every interval, on the netsim clock, until stop is closed. It
+// waits in slices of at most runPoll, so it returns within one slice of stop
+// closing. Intended to be launched as a background goroutine by the
+// cluster's management process.
 func (rc *RecoveryCoordinator) Run(interval time.Duration, stop <-chan struct{}) {
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
+	const runPoll = 5 * time.Millisecond
+	clock := netsim.CurrentClock()
+	next := clock.Now().Add(interval)
 	for {
 		select {
 		case <-stop:
 			return
-		case <-ticker.C:
-			_, _, _ = rc.SweepOnce()
+		default:
 		}
+		if wait := next.Sub(clock.Now()); wait > 0 {
+			clock.Sleep(min(wait, runPoll))
+			continue
+		}
+		_, _, _ = rc.SweepOnce()
+		next = clock.Now().Add(interval)
 	}
 }

@@ -1,8 +1,11 @@
 package sinfonia
 
 import (
+	"runtime"
 	"testing"
 	"time"
+
+	"minuet/internal/netsim"
 )
 
 // prepareAt stages a transaction directly at a memnode, simulating a
@@ -197,6 +200,59 @@ func TestRecoveryBackgroundLoop(t *testing.T) {
 	}
 	close(stop)
 	<-done
+}
+
+// TestRecoveryRunsOnTheNetsimClock: the sweep cadence and the in-doubt age
+// both read the netsim clock, so under a virtual one an orphan older than
+// MinAge is resolved only once a whole interval has passed, and Run still
+// returns promptly when stop closes.
+func TestRecoveryRunsOnTheNetsimClock(t *testing.T) {
+	v := new(netsim.Virtual)
+	defer netsim.SetClock(netsim.SetClock(v))
+	tr, c, mns := newCluster(2)
+	parts := []NodeID{0, 1}
+	prepareAt(t, mns[0], 151, parts, WriteItem{Node: 0, Addr: 800, Data: []byte("v")})
+	prepareAt(t, mns[1], 151, parts, WriteItem{Node: 1, Addr: 800, Data: []byte("v")})
+
+	rc := NewRecoveryCoordinator(tr, parts)
+	rc.SetMinAge(30 * time.Second)
+	start := v.Now()
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		rc.Run(time.Minute, stop)
+		close(done)
+	}()
+	watchdog := time.After(5 * time.Second)
+	for {
+		// Ask the memnode, not a client: a client read would meet the
+		// orphan's lock and spend its own retry budget on the same clock.
+		resp, err := mns[0].HandleRPC(&TxnStatusReq{Txid: 151})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.(*TxnStatusResp).Status == TxnCommitted {
+			break
+		}
+		select {
+		case <-watchdog:
+			t.Fatal("background recovery never resolved the orphan")
+		default:
+			runtime.Gosched()
+		}
+	}
+	if el := v.Now().Sub(start); el < time.Minute {
+		t.Fatalf("orphan resolved after %v of a one-minute interval", el)
+	}
+	if r, err := c.Read(Ptr{Node: 0, Addr: 800}); err != nil || !r.Exists {
+		t.Fatalf("recovered write missing: %+v %v", r, err)
+	}
+	close(stop)
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run kept going after stop closed")
+	}
 }
 
 // TestStaleStagedMirrorNotResurrected: stage/seed messages that race a

@@ -2,8 +2,8 @@ package sinfonia
 
 import (
 	"errors"
-	"time"
 
+	"minuet/internal/netsim"
 	"minuet/internal/wire"
 )
 
@@ -199,7 +199,7 @@ func (s *state) redoLocked(rec *RedoRecord) {
 			writes:       writes,
 			addrs:        rec.Locks,
 			participants: rec.Participants,
-			preparedAt:   time.Now(),
+			preparedAt:   netsim.CurrentClock().Now(),
 		}
 	case recResolve:
 		delete(s.staged, rec.Txid)

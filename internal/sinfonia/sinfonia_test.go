@@ -228,9 +228,11 @@ func TestBusyRetryTransparent(t *testing.T) {
 
 // TestBusyRetriesGiveUpWithinBudget: a write that meets a lock nobody will
 // release (a prepare that is never resolved) keeps retrying on its Backoff
-// until RetryBudget is spent, then reports ErrTooBusy.
+// until RetryBudget is spent, then reports ErrTooBusy. The budget passes on
+// a virtual clock, so the test takes as long as the attempts do.
 func TestBusyRetriesGiveUpWithinBudget(t *testing.T) {
-	t.Parallel()
+	v := new(netsim.Virtual)
+	defer netsim.SetClock(netsim.SetClock(v))
 	_, c, mns := newCluster(1)
 	resp, err := mns[0].HandleRPC(&PrepareReq{
 		Txid:   999,
@@ -239,7 +241,7 @@ func TestBusyRetriesGiveUpWithinBudget(t *testing.T) {
 	if err != nil || resp.(*ExecResp).Vote != voteOK {
 		t.Fatalf("prepare failed: %v %+v", err, resp)
 	}
-	start := time.Now()
+	start := v.Now()
 	done := make(chan error, 1)
 	go func() { done <- c.Write(Ptr{Node: 0, Addr: 77}, []byte("never")) }()
 	select {
@@ -247,11 +249,106 @@ func TestBusyRetriesGiveUpWithinBudget(t *testing.T) {
 		if !errors.Is(err, ErrTooBusy) {
 			t.Fatalf("want ErrTooBusy, got %v", err)
 		}
-		if el := time.Since(start); el < RetryBudget {
+		if el := v.Now().Sub(start); el < RetryBudget {
 			t.Fatalf("gave up after %v, inside the %v budget", el, RetryBudget)
 		}
 	case <-time.After(RetryBudget + time.Second):
 		t.Fatalf("still retrying a busy lock after %v", RetryBudget+time.Second)
+	}
+}
+
+// TestBlockingWaitIsBounded: a blocking minitransaction that meets a lock
+// nobody releases waits out the memnode's own blockWait, on the netsim clock,
+// and is then refused as busy like an ordinary one.
+func TestBlockingWaitIsBounded(t *testing.T) {
+	v := new(netsim.Virtual)
+	defer netsim.SetClock(netsim.SetClock(v))
+	_, _, mns := newCluster(1)
+	resp, err := mns[0].HandleRPC(&PrepareReq{
+		Txid:   999,
+		Writes: []WriteItem{{Node: 0, Addr: 77, Data: []byte("locked")}},
+	})
+	if err != nil || resp.(*ExecResp).Vote != voteOK {
+		t.Fatalf("prepare failed: %v %+v", err, resp)
+	}
+	start := v.Now()
+	resp, err = mns[0].HandleRPC(&ExecCommitReq{
+		Txid:     1000,
+		Writes:   []WriteItem{{Node: 0, Addr: 77, Data: []byte("blocked")}},
+		Blocking: true,
+	})
+	if err != nil || resp.(*ExecResp).Vote != voteBusy {
+		t.Fatalf("want a busy refusal, got %v %+v", err, resp)
+	}
+	if waited := v.Now().Sub(start); waited < blockWait || waited > blockWait+time.Millisecond {
+		t.Fatalf("waited %v for the lock, want the %v bound", waited, blockWait)
+	}
+}
+
+// busyLivelock runs one Write against a lock nobody releases, on a fresh
+// virtual clock, from a client whose txid counter starts at seed. It returns
+// the virtual time of every attempt, from the first, and how long the write
+// retried before it gave up.
+func busyLivelock(t *testing.T, seed uint64) (attempts []time.Duration, elapsed time.Duration) {
+	t.Helper()
+	v := new(netsim.Virtual)
+	defer netsim.SetClock(netsim.SetClock(v))
+	tr, _, mns := newCluster(1)
+	if _, err := mns[0].HandleRPC(&PrepareReq{
+		Txid:   1,
+		Writes: []WriteItem{{Node: 0, Addr: 77, Data: []byte("locked")}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	start := v.Now()
+	c := NewClient(tickTransport{tr, func() {
+		attempts = append(attempts, v.Now().Sub(start))
+	}}, []NodeID{0})
+	c.txid.Store(seed)
+	if err := c.Write(Ptr{Node: 0, Addr: 77}, []byte("never")); !errors.Is(err, ErrTooBusy) {
+		t.Fatalf("want ErrTooBusy, got %v", err)
+	}
+	return attempts, v.Now().Sub(start)
+}
+
+// tickTransport calls tick before every call it forwards.
+type tickTransport struct {
+	netsim.Transport
+	tick func()
+}
+
+func (a tickTransport) Call(to NodeID, req any) (any, error) {
+	a.tick()
+	return a.Transport.Call(to, req)
+}
+
+// TestRetryPathReplays: under a virtual clock a livelocked retry loop is a
+// function of its client's seed. Two runs from clients seeded alike make the
+// same attempts at the same times and give up after the same elapsed time;
+// a client seeded differently does not wait in lockstep with them.
+func TestRetryPathReplays(t *testing.T) {
+	a, elA := busyLivelock(t, 5<<40)
+	b, elB := busyLivelock(t, 5<<40)
+	if len(a) != len(b) || elA != elB {
+		t.Fatalf("runs seeded alike differ: %d attempts in %v vs %d in %v", len(a), elA, len(b), elB)
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("runs seeded alike differ at attempt %d: %v vs %v", i, a[i], b[i])
+		}
+	}
+	if elA < RetryBudget {
+		t.Fatalf("gave up after %v, inside the %v budget", elA, RetryBudget)
+	}
+	other, _ := busyLivelock(t, 6<<40)
+	same := 0
+	for i := 1; i < min(len(a), len(other)); i++ {
+		if a[i] == other[i] {
+			same++
+		}
+	}
+	if same > 0 {
+		t.Fatalf("clients seeded differently retried at the same instant %d times", same)
 	}
 }
 

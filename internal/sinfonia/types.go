@@ -105,7 +105,7 @@ type Minitx struct {
 	// Blocking selects the blocking variant used to update the replicated
 	// tip snapshot id (§4.1 of the Minuet paper): instead of aborting when
 	// a lock is busy, the memnode waits for the lock to be released, up to
-	// the client's wait budget.
+	// its own bound (blockWait).
 	Blocking bool
 }
 
@@ -150,12 +150,11 @@ const (
 
 // ExecCommitReq executes a single-memnode minitransaction in one phase.
 type ExecCommitReq struct {
-	Txid      uint64
-	Compares  []CompareItem
-	Reads     []ReadItem
-	Writes    []WriteItem
-	Blocking  bool
-	WaitNanos int64
+	Txid     uint64
+	Compares []CompareItem
+	Reads    []ReadItem
+	Writes   []WriteItem
+	Blocking bool
 }
 
 // PrepareReq is phase one of a distributed minitransaction: lock the touched
@@ -168,7 +167,6 @@ type PrepareReq struct {
 	Reads        []ReadItem
 	Writes       []WriteItem
 	Blocking     bool
-	WaitNanos    int64
 	Participants []NodeID
 }
 
