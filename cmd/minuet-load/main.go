@@ -155,9 +155,9 @@ func (d *treeDB) Read(key []byte) error {
 }
 func (d *treeDB) Update(key, val []byte) error { return d.bt.Put(key, val) }
 func (d *treeDB) Insert(key, val []byte) error { return d.Update(key, val) }
-func (d *treeDB) Scan(start []byte, count int) error {
-	_, err := d.bt.ScanTip(start, count)
-	return err
+func (d *treeDB) Scan(start []byte, count int) (int, error) {
+	kvs, err := d.bt.ScanTip(start, count)
+	return len(kvs), err
 }
 
 // WriteBatch implements ycsb.BatchDB over the core batch path.

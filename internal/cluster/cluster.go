@@ -84,6 +84,7 @@ type Cluster struct {
 
 	recovery  *sinfonia.RecoveryCoordinator
 	stop      chan struct{}
+	stopped   chan struct{} // closed once the recovery loop has returned
 	closeOnce sync.Once
 
 	mu    sync.Mutex
@@ -169,15 +170,21 @@ func Build(cfg Config) (*Cluster, error) {
 	// tests may additionally trigger sweeps explicitly.
 	cl.recovery = sinfonia.NewRecoveryCoordinator(cl.tr, nodes)
 	cl.stop = make(chan struct{})
-	go cl.recovery.Run(50*time.Millisecond, cl.stop)
+	cl.stopped = make(chan struct{})
+	go func() {
+		defer close(cl.stopped)
+		cl.recovery.Run(50*time.Millisecond, cl.stop)
+	}()
 	return cl, nil
 }
 
-// Close stops the cluster's background services (recovery sweeps) and closes
-// any durable memnode logs. Safe to call more than once.
+// Close stops the cluster's background services (recovery sweeps), waits
+// for them to return, and closes any durable memnode logs. Safe to call
+// more than once.
 func (cl *Cluster) Close() {
 	cl.closeOnce.Do(func() {
 		close(cl.stop)
+		<-cl.stopped
 		for _, mn := range cl.memnodes {
 			_ = mn.Close()
 		}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"minuet/internal/core"
+	"minuet/internal/netsim"
 	"minuet/internal/sinfonia"
 )
 
@@ -367,5 +368,54 @@ func TestRecoveryCoordinatorThroughCluster(t *testing.T) {
 	}
 	if committed != 0 || aborted != 0 {
 		t.Fatalf("healthy cluster had orphans: %d/%d", committed, aborted)
+	}
+}
+
+// TestCloseWaitsForRecovery: the recovery loop sleeps on the netsim clock,
+// and so does every call its sweep makes, so under a virtual clock it
+// advances time by itself. Close returns only once that loop has exited:
+// a sweep still in flight when Close is called finishes first, and after
+// Close nothing advances the clock any more.
+func TestCloseWaitsForRecovery(t *testing.T) {
+	v := new(netsim.Virtual)
+	defer netsim.SetClock(netsim.SetClock(v))
+	cfg := testCfg(2)
+	cfg.OneWayLatency = 50 * time.Microsecond // each call of a sweep sleeps
+	cl := New(cfg)
+	// Hold the first sweep inside its call to memnode 0.
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	mn := cl.Memnode(0)
+	cl.Transport().Bind(0, netsim.HandlerFunc(func(req any) (any, error) {
+		if _, ok := req.(*sinfonia.InDoubtReq); ok {
+			once.Do(func() {
+				close(entered)
+				<-release
+			})
+		}
+		return mn.HandleRPC(req)
+	}))
+	<-entered
+
+	closedAt := make(chan time.Time, 1)
+	go func() {
+		cl.Close()
+		closedAt <- v.Now()
+	}()
+	var at time.Time
+	select {
+	case at = <-closedAt:
+		// Close returned with the sweep still held; it must not have.
+	//lint:ignore detcheck the virtual clock stands still while the sweep is held, so only real time can bound the wait for Close
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	if at.IsZero() {
+		at = <-closedAt
+	}
+	//lint:ignore detcheck gives a recovery loop that outlived Close real time to move the virtual clock
+	time.Sleep(time.Millisecond)
+	if now := v.Now(); !now.Equal(at) {
+		t.Fatalf("the clock moved %v after Close returned", now.Sub(at))
 	}
 }

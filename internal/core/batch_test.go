@@ -65,6 +65,38 @@ func TestBatchLargeMultiwaySplit(t *testing.T) {
 	}
 }
 
+// TestBatchGrowsRootSeveralLevels: one batch into an empty linear tree
+// splits its one leaf into hundreds and the root into more parts than a
+// new root can hold, so growRoot stacks two interior levels over them
+// before a single root fits: the tree goes from height 1 to 4 in one
+// transaction.
+func TestBatchGrowsRootSeveralLevels(t *testing.T) {
+	e := newEnv(t, 2, smallCfg()) // 4 keys per leaf/inner node
+	const n = 2000
+	ops := make([]BatchOp, 0, n)
+	for i := 0; i < n; i++ {
+		ops = append(ops, BatchOp{Key: batchKey(i), Val: []byte(fmt.Sprintf("v%d", i))})
+	}
+	if err := e.bt.ApplyBatch(ops); err != nil {
+		t.Fatal(err)
+	}
+	sid, root := tipRoot(t, e)
+	res, err := e.c.Read(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rn, err := decodeNode(res.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rn.Height != 4 {
+		t.Fatalf("root height %d after one batch of %d keys, want 4", rn.Height, n)
+	}
+	if got := walkInvariants(t, e, root, sid); got != n {
+		t.Fatalf("tree holds %d keys, want %d", got, n)
+	}
+}
+
 // TestBatchLegacyTraversals loads a batch in legacy mode (dirty traversals
 // OFF), where traversals fetch node+seq pairs via DirtyReadMany: the sweep
 // must observe its own parent rewrites through the write-set shadow, and

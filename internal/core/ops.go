@@ -236,65 +236,40 @@ func (bt *BTree) replaceChild(t *dyntx.Txn, tg *target, path []pathEntry, level 
 // growRoot grows the tree after a root split: newPtr plus the split's new
 // right siblings become children of a freshly allocated root. A batched
 // update can split the root into more parts than one interior node may
-// hold, in which case whole levels are built bottom-up until a single root
-// fits.
+// hold; the over-full root is then split like any interior node, and the
+// parts become the children of a root one level up, until one root fits.
 func (bt *BTree) growRoot(t *dyntx.Txn, tg *target, oldRoot *nodeView, newPtr Ptr, ins []sepInsert) error {
-	sid := tg.sid
-	keys := make([]wire.Key, 0, len(ins))
-	kids := make([]Ptr, 0, len(ins)+1)
-	kids = append(kids, newPtr)
-	for _, s := range ins {
-		keys = append(keys, s.key)
-		kids = append(kids, s.right)
+	root := &Node{
+		Tree: oldRoot.Tree, Height: oldRoot.Height + 1, Created: tg.sid, Copied: NoSnap,
+		Low: wire.NegInf, High: wire.PosInf,
+		Keys: make([]wire.Key, 0, len(ins)), Kids: append(make([]Ptr, 0, len(ins)+1), newPtr),
 	}
-	height := oldRoot.Height + 1
-	for len(keys) > bt.cfg.MaxInnerKeys {
-		// Build one full interior level over kids, then go around again.
-		k := len(keys)
-		m := (k + 1 + bt.cfg.MaxInnerKeys) / (bt.cfg.MaxInnerKeys + 1)
-		upKeys := make([]wire.Key, 0, m-1)
-		upKids := make([]Ptr, 0, m)
-		start := 0
-		for i := 0; i < m; i++ {
-			r := m - i
-			avail := k - start - (r - 1)
-			size := (avail + r - 1) / r
-			end := start + size
-			low, high := wire.NegInf, wire.PosInf
-			if start > 0 {
-				low = wire.FenceAt(keys[start-1])
-			}
-			if i < m-1 {
-				high = wire.FenceAt(keys[end])
-			}
+	for _, s := range ins {
+		root.Keys = append(root.Keys, s.key)
+		root.Kids = append(root.Kids, s.right)
+	}
+	for len(root.Keys) > bt.cfg.MaxInnerKeys {
+		parts, seps := splitNodeMany(root, bt.cfg.MaxInnerKeys)
+		up := &Node{
+			Tree: root.Tree, Height: root.Height + 1, Created: root.Created, Copied: NoSnap,
+			Low: wire.NegInf, High: wire.PosInf,
+			Keys: seps, Kids: make([]Ptr, 0, len(parts)),
+		}
+		for _, part := range parts {
 			p, err := bt.allocNode(t)
 			if err != nil {
 				return err
 			}
-			bt.writeNewNode(t, p, &Node{
-				Tree: oldRoot.Tree, Height: height, Created: sid, Copied: NoSnap,
-				Low: low, High: high,
-				Keys: append([]wire.Key(nil), keys[start:end]...),
-				Kids: append([]Ptr(nil), kids[start:end+1]...),
-			})
-			upKids = append(upKids, p)
-			if i < m-1 {
-				upKeys = append(upKeys, keys[end])
-			}
-			start = end + 1
+			bt.writeNewNode(t, p, part)
+			up.Kids = append(up.Kids, p)
 		}
-		keys, kids = upKeys, upKids
-		height++
+		root = up
 	}
 	rootPtr, err := bt.allocNode(t)
 	if err != nil {
 		return err
 	}
-	bt.writeNewNode(t, rootPtr, &Node{
-		Tree: oldRoot.Tree, Height: height, Created: sid, Copied: NoSnap,
-		Low: wire.NegInf, High: wire.PosInf,
-		Keys: keys, Kids: kids,
-	})
+	bt.writeNewNode(t, rootPtr, root)
 	bt.setRoot(t, tg, rootPtr)
 	return nil
 }

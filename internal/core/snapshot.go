@@ -1,6 +1,9 @@
 package core
 
-import "minuet/internal/dyntx"
+import (
+	"minuet/internal/catalog"
+	"minuet/internal/dyntx"
+)
 
 // Snapshot identifies a read-only version of the tree: its snapshot id and
 // the location of its root node. Holders of a Snapshot can read it forever
@@ -10,8 +13,22 @@ type Snapshot struct {
 	Root Ptr
 }
 
-// Tip returns the current tip snapshot id and root location.
+// Tip returns the current tip snapshot id and root location: the tip cells
+// of a linear tree, the mainline's writable version of a branching one
+// (resolved through the catalog, which is the only place a branching tree
+// keeps its roots).
 func (bt *BTree) Tip() (Snapshot, error) {
+	if bt.cfg.Branching {
+		sid, err := bt.ResolveTip(initialSnapID)
+		if err != nil {
+			return Snapshot{}, err
+		}
+		e, err := bt.cat.Get(sid)
+		if err != nil {
+			return Snapshot{}, err
+		}
+		return Snapshot{Sid: sid, Root: e.Root}, nil
+	}
 	tip, err := bt.loadTip()
 	if err != nil {
 		return Snapshot{}, err
@@ -26,8 +43,32 @@ func (bt *BTree) Tip() (Snapshot, error) {
 // blocking minitransactions (§4.1) because this write-all is the one
 // contention-prone operation in the system.
 //
+// On a branching tree creating a snapshot and creating a branch are the
+// same operation (branch.go): the mainline tip is branched, which freezes
+// it, and the frozen version is the snapshot. A tip that a concurrent
+// branch froze after it was resolved returns ErrRetry, so the retry
+// re-resolves instead of adding a sibling.
+//
 // The snapshot is not actually created until t commits.
 func (bt *BTree) CreateSnapshotTxn(t *dyntx.Txn) (Snapshot, error) {
+	if bt.cfg.Branching {
+		sid, err := bt.ResolveTip(initialSnapID)
+		if err != nil {
+			return Snapshot{}, err
+		}
+		obj, err := t.Read(bt.cat.Ref(sid))
+		if err != nil {
+			return Snapshot{}, err
+		}
+		e, err := catalog.Decode(obj.Data)
+		if err != nil || !e.Writable() {
+			return Snapshot{}, dyntx.ErrRetry
+		}
+		if _, err := bt.CreateBranchTxn(t, sid); err != nil {
+			return Snapshot{}, err
+		}
+		return Snapshot{Sid: sid, Root: e.Root}, nil
+	}
 	t.Blocking = true
 
 	tipObj, err := t.Read(bt.refTipID())

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 )
 
@@ -79,5 +80,125 @@ func TestTipOpsFollowMainlineOnBranchingTree(t *testing.T) {
 	kvs, err := e.bt.ScanTip(nil, n+10)
 	if err != nil || len(kvs) != n {
 		t.Fatalf("plain ScanTip after branch: %d keys, %v", len(kvs), err)
+	}
+}
+
+// TestSnapshotOfBranchingTreeIsFrozen: on a branching tree, creating a
+// snapshot branches the mainline tip, so the snapshot is a frozen version
+// that later tip writes do not reach, and Tip and a later branch see the
+// version tree that creation left. Snapshot creation used to rewrite the
+// linear tip cells, which a branching tree seeds at Create and never
+// maintains: the "snapshot" was the live tip, and Tip reported a version id
+// that a later branch then reused.
+func TestSnapshotOfBranchingTreeIsFrozen(t *testing.T) {
+	e := newEnv(t, 2, branchCfg(2))
+	const n = 500
+	for i := 0; i < n; i++ {
+		mustPut(t, e.bt, i)
+	}
+	snap, err := e.bt.CreateSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Sid != initialSnapID {
+		t.Fatalf("first snapshot sid %d, want %d", snap.Sid, initialSnapID)
+	}
+	for i := 0; i < n; i++ {
+		if err := e.bt.Put(key(i), []byte("overwritten")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		v, ok, err := e.bt.GetSnap(snap, key(i))
+		if err != nil || !ok || string(v) != string(val(i)) {
+			t.Fatalf("snapshot key %d: %q %v %v", i, v, ok, err)
+		}
+	}
+	kvs, err := e.bt.ScanSnapshot(snap, nil, 2*n)
+	if err != nil || len(kvs) != n {
+		t.Fatalf("snapshot scan: %d keys, %v", len(kvs), err)
+	}
+	for i, kv := range kvs {
+		if string(kv.Val) != string(val(i)) {
+			t.Fatalf("snapshot scan key %d: %q", i, kv.Val)
+		}
+	}
+
+	tip, err := e.bt.Tip()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mainline, err := e.bt.ResolveTip(initialSnapID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tip.Sid == snap.Sid || tip.Sid != mainline || tip.Root != versionRoot(t, e, mainline) {
+		t.Fatalf("tip %+v after snapshot %+v; mainline is %d at %v", tip, snap, mainline, versionRoot(t, e, mainline))
+	}
+	if v, ok, err := e.bt.GetAt(tip.Sid, key(0)); err != nil || !ok || string(v) != "overwritten" {
+		t.Fatalf("tip version key 0: %q %v %v", v, ok, err)
+	}
+	br, err := e.bt.CreateBranch(snap.Sid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if br.Sid == tip.Sid {
+		t.Fatalf("branch of the snapshot reused the tip's id %d", br.Sid)
+	}
+	if v, ok, err := e.bt.GetAt(br.Sid, key(0)); err != nil || !ok || string(v) != string(val(0)) {
+		t.Fatalf("branch of the snapshot key 0: %q %v %v", v, ok, err)
+	}
+}
+
+// TestConcurrentSnapshotsOfBranchingTree: snapshots created concurrently
+// from two proxies each freeze a distinct mainline version and never add a
+// sibling: the mainline stays a chain with one version per snapshot plus
+// the tip.
+func TestConcurrentSnapshotsOfBranchingTree(t *testing.T) {
+	e := newEnv(t, 2, branchCfg(2))
+	for i := 0; i < 40; i++ {
+		mustPut(t, e.bt, i)
+	}
+	proxies := []*BTree{e.bt, e.openProxy(t, e.nodes[1])}
+	const workers, each = 4, 5
+	sids := make(chan uint64, workers*each)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(bt *BTree) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				s, err := bt.CreateSnapshot()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				sids <- s.Sid
+			}
+		}(proxies[w%len(proxies)])
+	}
+	wg.Wait()
+	close(sids)
+	seen := map[uint64]bool{}
+	for sid := range sids {
+		if seen[sid] {
+			t.Fatalf("snapshot %d returned twice", sid)
+		}
+		seen[sid] = true
+	}
+	vs, err := e.bt.ListVersions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(vs) != workers*each+1 {
+		t.Fatalf("%d versions after %d snapshots", len(vs), workers*each)
+	}
+	for _, v := range vs {
+		if v.NumChildren > 1 {
+			t.Fatalf("version %d has %d children: a snapshot added a sibling", v.Sid, v.NumChildren)
+		}
+		if !seen[v.Sid] && !v.Writable() {
+			t.Fatalf("version %d frozen by no snapshot", v.Sid)
+		}
 	}
 }

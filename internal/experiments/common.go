@@ -9,9 +9,9 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,6 +19,7 @@ import (
 	"minuet/internal/cdb"
 	"minuet/internal/cluster"
 	"minuet/internal/core"
+	"minuet/internal/dyntx"
 	"minuet/internal/ycsb"
 )
 
@@ -57,8 +58,9 @@ func Quick() Scale {
 	}
 }
 
-// newMinuet builds a cluster with the experiment defaults.
-func newMinuet(sc Scale, machines int, dirty bool, trees int) (*cluster.Cluster, error) {
+// newMinuet builds a cluster with the experiment defaults holding trees
+// trees, and returns it with one ycsb adapter per tree.
+func newMinuet(sc Scale, machines int, dirty bool, trees int) (*cluster.Cluster, []*minuetDB, error) {
 	cl := cluster.New(cluster.Config{
 		Machines:      machines,
 		OneWayLatency: sc.Latency,
@@ -70,12 +72,36 @@ func newMinuet(sc Scale, machines int, dirty bool, trees int) (*cluster.Cluster,
 			DirtyTraversals: dirty,
 		},
 	})
-	for i := 0; i < trees; i++ {
+	dbs := make([]*minuetDB, trees)
+	for i := range dbs {
 		if err := cl.CreateTree(i); err != nil {
-			return nil, err
+			cl.Close()
+			return nil, nil, err
+		}
+		db, err := newMinuetDB(cl, i)
+		if err != nil {
+			cl.Close()
+			return nil, nil, err
+		}
+		dbs[i] = db
+	}
+	return cl, dbs, nil
+}
+
+// loadMinuet is the setup of every figure after Fig 10: a cluster with dirty
+// traversals on and sc.Preload records loaded into each of its trees.
+func loadMinuet(sc Scale, machines, trees int) (*cluster.Cluster, []*minuetDB, error) {
+	cl, dbs, err := newMinuet(sc, machines, true, trees)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, db := range dbs {
+		if err := ycsb.Load(db, 0, sc.Preload, 4*machines); err != nil {
+			cl.Close()
+			return nil, nil, err
 		}
 	}
-	return cl, nil
+	return cl, dbs, nil
 }
 
 // minuetDB adapts a Minuet tree to the ycsb.DB interface. Operations
@@ -86,11 +112,6 @@ type minuetDB struct {
 	treeIdx int
 	trees   []*core.BTree
 	rr      atomic.Uint64
-
-	// SnapshotScans selects the paper's scan strategy: create (or borrow)
-	// a snapshot through the SCS and scan it. When false, scans run
-	// against the tip as one validated transaction.
-	SnapshotScans bool
 }
 
 func newMinuetDB(cl *cluster.Cluster, treeIdx int) (*minuetDB, error) {
@@ -126,19 +147,49 @@ func (db *minuetDB) Insert(key, val []byte) error {
 	return bt.Put(key, val)
 }
 
-func (db *minuetDB) Scan(start []byte, count int) error {
+// Scan is the paper's scan (§4.3): take a snapshot through the proxy's
+// snapshot creation service, then scan that snapshot on the same proxy.
+func (db *minuetDB) Scan(start []byte, count int) (int, error) {
 	i, bt := db.pick()
-	if !db.SnapshotScans {
-		_, err := bt.ScanTip(start, count)
-		return err
-	}
 	snap, _, err := db.cl.Proxy(i).Snapshot(db.treeIdx)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	_, err = bt.ScanSnapshot(snap, start, count)
-	return err
+	kvs, err := bt.ScanSnapshot(snap, start, count)
+	return len(kvs), err
 }
+
+// dualMinuetDB is Fig 13's Minuet client: every operation is one dynamic
+// transaction that touches its key in both trees, on the proxy the
+// round-robin picks. The two trees place their leaves independently, so
+// the commit engages at most two memnodes.
+type dualMinuetDB struct{ a, b *minuetDB }
+
+func (d *dualMinuetDB) txn(fn func(tx *dyntx.Txn, bt *core.BTree) error) error {
+	i, btA := d.a.pick()
+	btB := d.b.trees[i]
+	return core.RunMulti(d.a.cl.Proxy(i).Client, []*core.BTree{btA, btB}, func(tx *dyntx.Txn) error {
+		if err := fn(tx, btA); err != nil {
+			return err
+		}
+		return fn(tx, btB)
+	})
+}
+
+func (d *dualMinuetDB) Read(key []byte) error {
+	return d.txn(func(tx *dyntx.Txn, bt *core.BTree) error {
+		_, _, err := bt.GetTxn(tx, key)
+		return err
+	})
+}
+
+func (d *dualMinuetDB) Update(key, val []byte) error {
+	return d.txn(func(tx *dyntx.Txn, bt *core.BTree) error { return bt.PutTxn(tx, key, val) })
+}
+
+func (d *dualMinuetDB) Insert(key, val []byte) error { return d.Update(key, val) }
+
+func (d *dualMinuetDB) Scan([]byte, int) (int, error) { return 0, errNoScan }
 
 // cdbDB adapts the CDB emulation to ycsb.DB.
 type cdbDB struct {
@@ -152,14 +203,33 @@ func (c *cdbDB) Read(key []byte) error {
 }
 func (c *cdbDB) Update(key, val []byte) error { return c.db.Upsert(c.tbl, key, val) }
 func (c *cdbDB) Insert(key, val []byte) error { return c.db.Upsert(c.tbl, key, val) }
-func (c *cdbDB) Scan(start []byte, count int) error {
-	_, err := c.db.Scan(c.tbl, start, count)
-	return err
+func (c *cdbDB) Scan(start []byte, count int) (int, error) {
+	kvs, err := c.db.Scan(c.tbl, start, count)
+	return len(kvs), err
 }
 
-// newCDB builds the baseline sized like a Minuet cluster.
-func newCDB(sc Scale, machines, tables int) *cdb.DB {
-	return cdb.New(cdb.Config{
+// dualCDB is Fig 13's CDB client: every operation is one stored procedure
+// that touches its key in both tables. CDB fences every partition for such
+// a multi-partition transaction, whatever the keys.
+type dualCDB struct{ db *cdb.DB }
+
+func (c *dualCDB) Read(key []byte) error {
+	_, err := c.db.MultiRead([]int{0, 1}, [][]byte{key, key})
+	return err
+}
+func (c *dualCDB) Update(key, val []byte) error {
+	return c.db.MultiUpsert([]int{0, 1}, [][]byte{key, key}, [][]byte{val, val})
+}
+func (c *dualCDB) Insert(key, val []byte) error  { return c.Update(key, val) }
+func (c *dualCDB) Scan([]byte, int) (int, error) { return 0, errNoScan }
+
+// errNoScan is returned by the dual-key clients, whose workloads never scan.
+var errNoScan = errors.New("experiments: dual-key clients do not scan")
+
+// loadCDB builds the baseline sized like a Minuet cluster, with sc.Preload
+// records loaded into each of its tables.
+func loadCDB(sc Scale, machines, tables int) (*cdb.DB, error) {
+	db := cdb.New(cdb.Config{
 		Partitions:     machines,
 		Tables:         tables,
 		NetworkLatency: sc.Latency,
@@ -167,30 +237,37 @@ func newCDB(sc Scale, machines, tables int) *cdb.DB {
 		ProcTime:       25 * time.Microsecond,
 		ScanRowLimit:   sc.ScanLength * 10, // generous, but finite (paper: CDB hit limits at 1M)
 	})
+	for tbl := 0; tbl < tables; tbl++ {
+		if err := ycsb.Load(&cdbDB{db: db, tbl: tbl}, 0, sc.Preload, 8*machines); err != nil {
+			db.Stop()
+			return nil, err
+		}
+	}
+	return db, nil
 }
 
-// updaterPool runs continuous single-key updates until stop is closed,
-// returning a counter of completed updates. Used by the snapshot
-// experiments that need an ambient OLTP workload.
-func updaterPool(db ycsb.DB, n uint64, threads int, stop <-chan struct{}) *sync.WaitGroup {
+// startPools starts every runner for one window of d, side by side, and
+// returns a wait that blocks until all of them have finished and returns
+// their reports in order. A runner with no threads is not started and
+// reports nothing. It is the one place in this package that starts client
+// goroutines; a figure that runs one pool alone calls Run directly.
+func startPools(d time.Duration, runners ...*ycsb.Runner) (wait func() []ycsb.Report) {
+	reps := make([]ycsb.Report, len(runners))
 	var wg sync.WaitGroup
-	for t := 0; t < threads; t++ {
+	for i, r := range runners {
+		if r.Threads <= 0 {
+			continue
+		}
 		wg.Add(1)
-		go func(t int) {
+		go func(i int, r *ycsb.Runner) {
 			defer wg.Done()
-			r := newRand(int64(t) + 42)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				i := uint64(r.Int63n(int64(n)))
-				_ = db.Update(ycsb.Key(i), ycsb.Value(i))
-			}
-		}(t)
+			reps[i] = r.Run(d)
+		}(i, r)
 	}
-	return &wg
+	return func() []ycsb.Report {
+		wg.Wait()
+		return reps
+	}
 }
 
 // fprintf writes a formatted row, ignoring errors (output is best-effort
@@ -200,6 +277,3 @@ func fprintf(w io.Writer, format string, args ...any) {
 		fmt.Fprintf(w, format, args...)
 	}
 }
-
-// newRand returns a seeded PRNG (wrapper keeps call sites short).
-func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

@@ -117,6 +117,31 @@ func TestFig15RowsComplete(t *testing.T) {
 	}
 }
 
+// TestFig16CountsKeysReturned: Fig 16 reports the keys its scans returned,
+// which is at most ScanLength per scan (keys are scrambled, so a scan often
+// runs off the end of the key space and returns fewer).
+func TestFig16CountsKeysReturned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("figure experiments are wall-clock perf comparisons; meaningless under -short/-race")
+	}
+	sc := microScale()
+	rows, err := Fig16(sc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(sc.Machines) {
+		t.Fatalf("rows %d", len(rows))
+	}
+	for _, r := range rows {
+		if r.KeysPerSec <= 0 || r.ScansPerSec <= 0 {
+			t.Fatalf("zero scan throughput: %+v", r)
+		}
+		if per := r.KeysPerSec / r.ScansPerSec; per > float64(sc.ScanLength) {
+			t.Fatalf("%.0f keys per scan, scans are %d keys: %+v", per, sc.ScanLength, r)
+		}
+	}
+}
+
 func TestFig17NoScansIsCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure experiments are wall-clock perf comparisons; meaningless under -short/-race")

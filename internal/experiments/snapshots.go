@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"io"
-	"sync"
 	"time"
 
 	"minuet/internal/core"
@@ -24,55 +23,28 @@ type Fig14Result struct {
 // throughput shows the copy-on-write dip and recovery.
 func Fig14(sc Scale, w io.Writer) (*Fig14Result, error) {
 	machines := sc.Machines[len(sc.Machines)-1]
-	cl, err := newMinuet(sc, machines, true, 1)
+	cl, dbs, err := loadMinuet(sc, machines, 1)
 	if err != nil {
 		return nil, err
 	}
 	defer cl.Close()
-	db, err := newMinuetDB(cl, 0)
-	if err != nil {
-		return nil, err
-	}
-	if err := ycsb.Load(db, 0, sc.Preload, 4*machines); err != nil {
-		return nil, err
-	}
 
 	total := 5 * sc.Duration
 	width := total / 20
 	snapshotAt := total / 4
 	ts := metrics.NewTimeSeries(width, 20)
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	threads := sc.ThreadsPerMachine * machines
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			r := newRand(int64(t) + 500)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				i := uint64(r.Int63n(int64(sc.Preload)))
-				if db.Update(ycsb.Key(i), ycsb.Value(i)) == nil {
-					ts.Add(1)
-				}
-			}
-		}(t)
-	}
-
+	wait := startPools(total, &ycsb.Runner{
+		DB:      seriesDB{DB: dbs[0], ts: ts},
+		W:       ycsb.Workload{UpdateProp: 1, RecordCount: sc.Preload},
+		Threads: sc.ThreadsPerMachine * machines,
+		Seed:    500,
+	})
 	time.Sleep(snapshotAt)
-	if _, _, err := cl.Proxy(0).Snapshot(0); err != nil {
-		close(stop)
-		wg.Wait()
+	_, _, err = cl.Proxy(0).Snapshot(0)
+	wait()
+	if err != nil {
 		return nil, err
 	}
-	time.Sleep(total - snapshotAt)
-	close(stop)
-	wg.Wait()
 
 	res := &Fig14Result{BucketWidth: width, SnapshotAt: snapshotAt}
 	for _, n := range ts.Buckets() {
@@ -84,6 +56,20 @@ func Fig14(sc Scale, w io.Writer) (*Fig14Result, error) {
 		fprintf(w, "%-10v %-14.0f\n", time.Duration(i)*width, v)
 	}
 	return res, nil
+}
+
+// seriesDB counts Fig 14's completed updates into its time series.
+type seriesDB struct {
+	ycsb.DB
+	ts *metrics.TimeSeries
+}
+
+func (s seriesDB) Update(key, val []byte) error {
+	err := s.DB.Update(key, val)
+	if err == nil {
+		s.ts.Add(1)
+	}
+	return err
 }
 
 // ---------------------------------------------------------------- Fig 15 --
@@ -106,63 +92,21 @@ func Fig15(sc Scale, w io.Writer) ([]Fig15Row, error) {
 	fprintf(w, "# Fig 15: scan throughput vs. scan length (scans/s), %d machines\n", machines)
 	fprintf(w, "%-10s %-14s %-14s\n", "keys", "borrowed", "no-borrow")
 
+	scanners, updaters := scanSplit(machines * sc.ThreadsPerMachine)
 	var rows []Fig15Row
 	for _, L := range lengths {
 		if L < 1 {
 			L = 1
 		}
+		scL := sc
+		scL.ScanLength = L
 		var per [2]float64
 		for i, borrow := range []bool{true, false} {
-			cl, err := newMinuet(sc, machines, true, 1)
+			rep, _, err := scansBesideUpdates(scL, machines, scanners, updaters, func(scs *core.SCS) { scs.AllowBorrow = borrow })
 			if err != nil {
 				return nil, err
 			}
-			defer cl.Close()
-			db, err := newMinuetDB(cl, 0)
-			if err != nil {
-				return nil, err
-			}
-			if err := ycsb.Load(db, 0, sc.Preload, 4*machines); err != nil {
-				return nil, err
-			}
-			cl.SCS(0).AllowBorrow = borrow
-
-			stop := make(chan struct{})
-			// 12/15 of clients update, 3/15 scan (the paper's partition).
-			updaters := updaterPool(db, sc.Preload, machines*sc.ThreadsPerMachine*4/5, stop)
-			scanThreads := machines * sc.ThreadsPerMachine / 5
-			if scanThreads < 1 {
-				scanThreads = 1
-			}
-			cnt := metrics.NewCounter()
-			var wg sync.WaitGroup
-			deadline := time.Now().Add(sc.Duration)
-			for t := 0; t < scanThreads; t++ {
-				wg.Add(1)
-				go func(t int) {
-					defer wg.Done()
-					r := newRand(int64(t) + 900)
-					bt := db.trees[t%len(db.trees)]
-					for time.Now().Before(deadline) {
-						snap, _, err := cl.Proxy(t % machines).Snapshot(0)
-						if err != nil {
-							continue
-						}
-						maxStart := int64(sc.Preload) - int64(L)
-						if maxStart < 1 {
-							maxStart = 1
-						}
-						start := ycsb.Key(uint64(r.Int63n(maxStart)))
-						if _, err := bt.ScanSnapshot(snap, start, L); err == nil {
-							cnt.Add(1)
-						}
-					}
-				}(t)
-			}
-			wg.Wait()
-			close(stop)
-			updaters.Wait()
-			per[i] = cnt.Rate()
+			per[i] = rep.Throughput
 			rows = append(rows, Fig15Row{ScanLength: L, Borrow: borrow, ScansPerS: per[i]})
 		}
 		fprintf(w, "%-10d %-14.1f %-14.1f\n", L, per[0], per[1])
@@ -188,10 +132,12 @@ func Fig16(sc Scale, w io.Writer) ([]Fig16Row, error) {
 	fprintf(w, "%-9s %-16s %-12s\n", "machines", "keys/s", "scans/s")
 	var rows []Fig16Row
 	for _, m := range sc.Machines {
-		kps, sps, err := scansWithUpdates(sc, m, k, sc.ScanLength, true)
+		scanners, updaters := scanSplit(m * sc.ThreadsPerMachine)
+		rep, _, err := scansBesideUpdates(sc, m, scanners, updaters, func(scs *core.SCS) { scs.MinInterval = k })
 		if err != nil {
 			return nil, err
 		}
+		kps, sps := float64(rep.KeysScanned)/rep.Duration.Seconds(), rep.Throughput
 		rows = append(rows, Fig16Row{Machines: m, KeysPerSec: kps, ScansPerSec: sps})
 		fprintf(w, "%-9d %-16.0f %-12.2f\n", m, kps, sps)
 	}
@@ -218,22 +164,24 @@ func Fig17(sc Scale, w io.Writer) ([]Fig17Row, error) {
 	fprintf(w, "%-9s %-11s %-11s %-11s %-11s %-11s\n", "machines", "k=0", "k=d/8", "k=d/2", "k=d", "no-scans")
 	var rows []Fig17Row
 	for _, m := range sc.Machines {
+		total := m * sc.ThreadsPerMachine
+		updaters := total * 4 / 5
 		line := make([]float64, 0, len(ks)+1)
 		for _, k := range ks {
-			ups, err := updatesWithScans(sc, m, k, sc.ScanLength)
+			_, rep, err := scansBesideUpdates(sc, m, total-updaters, updaters, func(scs *core.SCS) { scs.MinInterval = k })
 			if err != nil {
 				return nil, err
 			}
-			rows = append(rows, Fig17Row{Machines: m, K: k, UpdatesPerS: ups})
-			line = append(line, ups)
+			rows = append(rows, Fig17Row{Machines: m, K: k, UpdatesPerS: rep.Throughput})
+			line = append(line, rep.Throughput)
 		}
-		// No-scans ceiling.
-		ups, err := updatesWithScans(sc, m, -1, 0)
+		// No-scans ceiling: every client updates.
+		_, rep, err := scansBesideUpdates(sc, m, 0, total, func(*core.SCS) {})
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, Fig17Row{Machines: m, K: -1, NoScans: true, UpdatesPerS: ups})
-		line = append(line, ups)
+		rows = append(rows, Fig17Row{Machines: m, K: -1, NoScans: true, UpdatesPerS: rep.Throughput})
+		line = append(line, rep.Throughput)
 		fprintf(w, "%-9d %-11.1f %-11.1f %-11.1f %-11.1f %-11.1f\n",
 			m, line[0]/1000, line[1]/1000, line[2]/1000, line[3]/1000, line[4]/1000)
 	}
@@ -258,16 +206,18 @@ func Fig18(sc Scale, w io.Writer) ([]Fig18Row, error) {
 	ks := []time.Duration{0, sc.Duration / 8, sc.Duration / 4, sc.Duration / 2, sc.Duration}
 	fprintf(w, "# Fig 18: scan latency vs. snapshot interval k (%d machines, scan=%d keys)\n", machines, sc.ScanLength)
 	fprintf(w, "%-10s %-16s %-16s\n", "k", "with-updates", "no-updates")
+	scanners, updaters := scanSplit(machines * sc.ThreadsPerMachine)
 	var rows []Fig18Row
 	for _, k := range ks {
 		var per [2]time.Duration
-		for i, withUpd := range []bool{true, false} {
-			lat, err := scanLatency(sc, machines, k, sc.ScanLength, withUpd)
+		for i, upd := range []int{updaters, 0} {
+			rep, _, err := scansBesideUpdates(sc, machines, scanners, upd, func(scs *core.SCS) { scs.MinInterval = k })
 			if err != nil {
 				return nil, err
 			}
+			lat := rep.PerOp[ycsb.OpScan].Mean // the snapshot request plus the scan
 			per[i] = lat
-			rows = append(rows, Fig18Row{K: k, WithUpdates: withUpd, MeanLatency: lat})
+			rows = append(rows, Fig18Row{K: k, WithUpdates: upd > 0, MeanLatency: lat})
 		}
 		fprintf(w, "%-10v %-16v %-16v\n", k, per[0], per[1])
 	}
@@ -276,189 +226,37 @@ func Fig18(sc Scale, w io.Writer) ([]Fig18Row, error) {
 
 // --------------------------------------------------------------- drivers --
 
-// scansWithUpdates runs 80% update / 20% scan clients for sc.Duration and
-// returns scan throughput (keys/s and scans/s).
-func scansWithUpdates(sc Scale, machines int, k time.Duration, scanLen int, wantScanRate bool) (float64, float64, error) {
-	cl, err := newMinuet(sc, machines, true, 1)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer cl.Close()
-	db, err := newMinuetDB(cl, 0)
-	if err != nil {
-		return 0, 0, err
-	}
-	if err := ycsb.Load(db, 0, sc.Preload, 4*machines); err != nil {
-		return 0, 0, err
-	}
-	cl.SCS(0).MinInterval = k
-
-	stop := make(chan struct{})
-	total := machines * sc.ThreadsPerMachine
-	updaters := updaterPool(db, sc.Preload, total*4/5, stop)
-	scanThreads := total / 5
-	if scanThreads < 1 {
-		scanThreads = 1
-	}
-
-	keys := metrics.NewCounter()
-	scans := metrics.NewCounter()
-	var wg sync.WaitGroup
-	deadline := time.Now().Add(sc.Duration)
-	for t := 0; t < scanThreads; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			r := newRand(int64(t) + 1300)
-			bt := db.trees[t%len(db.trees)]
-			for time.Now().Before(deadline) {
-				snap, _, err := cl.Proxy(t % machines).Snapshot(0)
-				if err != nil {
-					continue
-				}
-				maxStart := int64(sc.Preload) - int64(scanLen)
-				if maxStart < 1 {
-					maxStart = 1
-				}
-				start := ycsb.Key(uint64(r.Int63n(maxStart)))
-				kvs, err := bt.ScanSnapshot(snap, start, scanLen)
-				if err == nil {
-					keys.Add(int64(len(kvs)))
-					scans.Add(1)
-				}
-			}
-		}(t)
-	}
-	wg.Wait()
-	close(stop)
-	updaters.Wait()
-	return keys.Rate(), scans.Rate(), nil
+// scanSplit is the paper's partition of total clients for Figs 15, 16 and
+// 18: 20% scan (at least one), 80% update.
+func scanSplit(total int) (scanners, updaters int) {
+	return max(1, total/5), total * 4 / 5
 }
 
-// updatesWithScans measures update throughput while scan clients run with
-// snapshot interval k. k < 0 disables scan clients entirely.
-func updatesWithScans(sc Scale, machines int, k time.Duration, scanLen int) (float64, error) {
-	cl, err := newMinuet(sc, machines, true, 1)
+// scansBesideUpdates runs scanners scan clients (sc.ScanLength keys per
+// scan) beside updaters update clients for one window of sc.Duration, on a
+// freshly loaded cluster whose snapshot creation service setup configures
+// first, and returns the two pools' reports. A pool of no clients is not
+// run.
+func scansBesideUpdates(sc Scale, machines, scanners, updaters int, setup func(*core.SCS)) (scan, upd ycsb.Report, err error) {
+	cl, dbs, err := loadMinuet(sc, machines, 1)
 	if err != nil {
-		return 0, err
+		return scan, upd, err
 	}
 	defer cl.Close()
-	db, err := newMinuetDB(cl, 0)
-	if err != nil {
-		return 0, err
-	}
-	if err := ycsb.Load(db, 0, sc.Preload, 4*machines); err != nil {
-		return 0, err
-	}
-	total := machines * sc.ThreadsPerMachine
-	updThreads := total
-	scanThreads := 0
-	if k >= 0 {
-		cl.SCS(0).MinInterval = k
-		updThreads = total * 4 / 5
-		scanThreads = total - updThreads
-	}
-
-	cnt := metrics.NewCounter()
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	deadline := time.Now().Add(sc.Duration)
-	for t := 0; t < updThreads; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			r := newRand(int64(t) + 1700)
-			for time.Now().Before(deadline) {
-				i := uint64(r.Int63n(int64(sc.Preload)))
-				if db.Update(ycsb.Key(i), ycsb.Value(i)) == nil {
-					cnt.Add(1)
-				}
-			}
-		}(t)
-	}
-	for t := 0; t < scanThreads; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			r := newRand(int64(t) + 1900)
-			bt := db.trees[t%len(db.trees)]
-			for time.Now().Before(deadline) {
-				snap, _, err := cl.Proxy(t % machines).Snapshot(0)
-				if err != nil {
-					continue
-				}
-				maxStart := int64(sc.Preload) - int64(scanLen)
-				if maxStart < 1 {
-					maxStart = 1
-				}
-				start := ycsb.Key(uint64(r.Int63n(maxStart)))
-				_, _ = bt.ScanSnapshot(snap, start, scanLen)
-			}
-		}(t)
-	}
-	wg.Wait()
-	close(stop)
-	return cnt.Rate(), nil
+	setup(cl.SCS(0))
+	reps := startPools(sc.Duration,
+		&ycsb.Runner{
+			DB:      dbs[0],
+			W:       ycsb.Workload{ScanProp: 1, ScanLength: sc.ScanLength, RecordCount: sc.Preload},
+			Threads: scanners,
+			Seed:    1300,
+		},
+		&ycsb.Runner{
+			DB:      dbs[0],
+			W:       ycsb.Workload{UpdateProp: 1, RecordCount: sc.Preload},
+			Threads: updaters,
+			Seed:    1700,
+		},
+	)()
+	return reps[0], reps[1], nil
 }
-
-// scanLatency measures mean scan latency (snapshot request + scan) with
-// snapshot interval k, optionally under a concurrent update workload.
-func scanLatency(sc Scale, machines int, k time.Duration, scanLen int, withUpdates bool) (time.Duration, error) {
-	cl, err := newMinuet(sc, machines, true, 1)
-	if err != nil {
-		return 0, err
-	}
-	defer cl.Close()
-	db, err := newMinuetDB(cl, 0)
-	if err != nil {
-		return 0, err
-	}
-	if err := ycsb.Load(db, 0, sc.Preload, 4*machines); err != nil {
-		return 0, err
-	}
-	cl.SCS(0).MinInterval = k
-
-	stop := make(chan struct{})
-	var updaters *sync.WaitGroup
-	if withUpdates {
-		updaters = updaterPool(db, sc.Preload, machines*sc.ThreadsPerMachine*4/5, stop)
-	}
-	var hist metrics.Histogram
-	scanThreads := machines * sc.ThreadsPerMachine / 5
-	if scanThreads < 1 {
-		scanThreads = 1
-	}
-	var wg sync.WaitGroup
-	deadline := time.Now().Add(sc.Duration)
-	for t := 0; t < scanThreads; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			r := newRand(int64(t) + 2300)
-			bt := db.trees[t%len(db.trees)]
-			for time.Now().Before(deadline) {
-				t0 := time.Now()
-				snap, _, err := cl.Proxy(t % machines).Snapshot(0)
-				if err != nil {
-					continue
-				}
-				maxStart := int64(sc.Preload) - int64(scanLen)
-				if maxStart < 1 {
-					maxStart = 1
-				}
-				start := ycsb.Key(uint64(r.Int63n(maxStart)))
-				if _, err := bt.ScanSnapshot(snap, start, scanLen); err == nil {
-					hist.Observe(time.Since(t0))
-				}
-			}
-		}(t)
-	}
-	wg.Wait()
-	close(stop)
-	if updaters != nil {
-		updaters.Wait()
-	}
-	return hist.Mean(), nil
-}
-
-var _ = core.NoSnap // referenced to keep the core import for doc links

@@ -1,7 +1,7 @@
 // Package metrics provides the measurement primitives the benchmark harness
 // uses to reproduce the paper's evaluation: lock-free latency histograms
-// (mean / percentiles), throughput counters, and per-second time series
-// (Fig 14's snapshot-impact plot).
+// (mean / percentiles) and per-interval time series (Fig 14's
+// snapshot-impact plot).
 package metrics
 
 import (
@@ -168,28 +168,3 @@ func (ts *TimeSeries) Buckets() []int64 {
 
 // Width returns the bucket width.
 func (ts *TimeSeries) Width() time.Duration { return ts.width }
-
-// Counter is a convenience wrapper over an atomic op counter with a start
-// time, yielding ops/sec.
-type Counter struct {
-	n     atomic.Int64
-	start time.Time
-}
-
-// NewCounter returns a running counter.
-func NewCounter() *Counter { return &Counter{start: time.Now()} }
-
-// Add increments the counter.
-func (c *Counter) Add(n int64) { c.n.Add(n) }
-
-// Total returns the event count.
-func (c *Counter) Total() int64 { return c.n.Load() }
-
-// Rate returns events per second since the counter started.
-func (c *Counter) Rate() float64 {
-	el := time.Since(c.start).Seconds()
-	if el <= 0 {
-		return 0
-	}
-	return float64(c.n.Load()) / el
-}

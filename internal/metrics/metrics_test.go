@@ -144,15 +144,3 @@ func TestTimeSeriesBuckets(t *testing.T) {
 		t.Fatal("out-of-range event not dropped")
 	}
 }
-
-func TestCounterRate(t *testing.T) {
-	c := NewCounter()
-	c.Add(50)
-	time.Sleep(10 * time.Millisecond)
-	if c.Total() != 50 {
-		t.Fatalf("total %d", c.Total())
-	}
-	if r := c.Rate(); r <= 0 || r > 50_000 {
-		t.Fatalf("rate %f", r)
-	}
-}

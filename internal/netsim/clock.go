@@ -70,6 +70,25 @@ func (w Wall) Sleep(d time.Duration) {
 	}
 }
 
+// SleepOrDone is c.Sleep(d) for a loop that polls done between sleeps: on
+// the Wall clock the sleep also ends as soon as done closes, so the loop
+// stops without waiting out its slice (a Virtual sleep returns at once
+// anyway). It has none of Wall.Sleep's accuracy; it is for polling, not
+// for modelled latency.
+func SleepOrDone(c Clock, d time.Duration, done <-chan struct{}) {
+	if _, wall := c.(Wall); !wall || d <= 0 {
+		c.Sleep(d)
+		return
+	}
+	//lint:ignore detcheck the Wall clock's interruptible sleep, as Wall.Sleep is its plain one
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+	case <-done:
+	}
+}
+
 // Virtual is a deterministic Clock: time stands still except that Sleep
 // advances it by exactly the requested duration. Two runs that issue the
 // same sequence of sleeps observe the same sequence of times, and no real

@@ -178,9 +178,10 @@ func (rc *RecoveryCoordinator) finish(txid uint64, participants []NodeID, commit
 }
 
 // Run sweeps every interval, on the netsim clock, until stop is closed. It
-// waits in slices of at most runPoll, so it returns within one slice of stop
-// closing. Intended to be launched as a background goroutine by the
-// cluster's management process.
+// waits in slices of at most runPoll, which a closing stop cuts short on the
+// wall clock, so it returns as soon as a sweep in flight has finished.
+// Intended to be launched as a background goroutine by the cluster's
+// management process.
 func (rc *RecoveryCoordinator) Run(interval time.Duration, stop <-chan struct{}) {
 	const runPoll = 5 * time.Millisecond
 	clock := netsim.CurrentClock()
@@ -192,7 +193,7 @@ func (rc *RecoveryCoordinator) Run(interval time.Duration, stop <-chan struct{})
 		default:
 		}
 		if wait := next.Sub(clock.Now()); wait > 0 {
-			clock.Sleep(min(wait, runPoll))
+			netsim.SleepOrDone(clock, min(wait, runPoll), stop)
 			continue
 		}
 		_, _, _ = rc.SweepOnce()

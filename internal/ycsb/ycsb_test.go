@@ -102,9 +102,9 @@ func (d *memDB) Insert(key, val []byte) error {
 	d.m[string(key)] = val
 	return nil
 }
-func (d *memDB) Scan(start []byte, count int) error {
+func (d *memDB) Scan(start []byte, count int) (int, error) {
 	d.scans.Add(1)
-	return nil
+	return count, nil
 }
 
 func TestLoadInsertsAll(t *testing.T) {
@@ -216,6 +216,38 @@ func TestRunnerScanAccounting(t *testing.T) {
 	if rep.KeysScanned != db.scans.Load()*50 {
 		t.Fatalf("keys scanned %d for %d scans", rep.KeysScanned, db.scans.Load())
 	}
+
+	// A scan that runs off the end of the key space returns fewer keys than
+	// asked; KeysScanned counts what came back.
+	short := &shortScanDB{memDB: newMemDB()}
+	r = &Runner{
+		DB:      short,
+		W:       Workload{ScanProp: 1, ScanLength: 50, RecordCount: 100},
+		Threads: 2,
+		Seed:    12,
+	}
+	rep = r.Run(100 * time.Millisecond)
+	scans := short.scans.Load()
+	if scans == 0 || rep.KeysScanned != short.returned.Load() {
+		t.Fatalf("keys scanned %d, DB returned %d in %d scans", rep.KeysScanned, short.returned.Load(), scans)
+	}
+	if rep.KeysScanned >= scans*50 {
+		t.Fatalf("keys scanned %d for %d short scans of at most 49 keys", rep.KeysScanned, scans)
+	}
+}
+
+// shortScanDB returns between 0 and count-1 keys per scan, depending on the
+// start key, and totals what it returned.
+type shortScanDB struct {
+	*memDB
+	returned atomic.Int64
+}
+
+func (d *shortScanDB) Scan(start []byte, count int) (int, error) {
+	d.scans.Add(1)
+	n := int(start[len(start)-1]) % count
+	d.returned.Add(int64(n))
+	return n, nil
 }
 
 func TestOpKindStrings(t *testing.T) {
