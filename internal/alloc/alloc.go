@@ -60,9 +60,6 @@ func New(c *sinfonia.Client, blockSize, extentBlocks int) *Allocator {
 	}
 }
 
-// BlockSize returns the allocator's block size.
-func (a *Allocator) BlockSize() int { return int(a.blockSize) }
-
 // Alloc reserves one block on a memnode chosen round-robin.
 func (a *Allocator) Alloc() (sinfonia.Ptr, error) {
 	a.mu.Lock()
@@ -150,8 +147,7 @@ func (a *Allocator) bumpExtent(node sinfonia.NodeID) (start sinfonia.Addr, err e
 		binary.LittleEndian.PutUint64(buf[:], uint64(next))
 		_, err = a.c.Exec(&sinfonia.Minitx{
 			Compares: []sinfonia.CompareItem{{
-				Node: node, Addr: space.BumpAddr,
-				Kind: sinfonia.CompareVersion, Version: cur.Version,
+				Node: node, Addr: space.BumpAddr, Version: cur.Version,
 			}},
 			Writes: []sinfonia.WriteItem{{Node: node, Addr: space.BumpAddr, Data: buf[:]}},
 		})
@@ -191,8 +187,7 @@ func (a *Allocator) popFree(node sinfonia.NodeID) (p sinfonia.Ptr, ok bool, err 
 		binary.LittleEndian.PutUint64(buf[:], uint64(next))
 		_, err = a.c.Exec(&sinfonia.Minitx{
 			Compares: []sinfonia.CompareItem{{
-				Node: node, Addr: space.FreeHeadAddr,
-				Kind: sinfonia.CompareVersion, Version: cur.Version,
+				Node: node, Addr: space.FreeHeadAddr, Version: cur.Version,
 			}},
 			Writes: []sinfonia.WriteItem{{Node: node, Addr: space.FreeHeadAddr, Data: buf[:]}},
 		})
@@ -225,8 +220,7 @@ func (a *Allocator) Free(p sinfonia.Ptr) error {
 		binary.LittleEndian.PutUint64(newHead[:], uint64(p.Addr))
 		_, err = a.c.Exec(&sinfonia.Minitx{
 			Compares: []sinfonia.CompareItem{{
-				Node: p.Node, Addr: space.FreeHeadAddr,
-				Kind: sinfonia.CompareVersion, Version: cur.Version,
+				Node: p.Node, Addr: space.FreeHeadAddr, Version: cur.Version,
 			}},
 			Writes: []sinfonia.WriteItem{
 				{Node: p.Node, Addr: space.FreeHeadAddr, Data: newHead[:]},

@@ -36,8 +36,9 @@ const allocExtent = 64
 type Config struct {
 	// Machines is the number of simulated hosts (memnode + proxy each).
 	Machines int
-	// OneWayLatency is the injected one-way network latency (default 50 µs,
-	// a 10 GigE data-center LAN figure).
+	// OneWayLatency is the injected one-way network latency. Zero, the
+	// default, injects none: calls run at function-call speed. The paper's
+	// experiments use 50 µs, a 10 GigE data-center LAN figure.
 	OneWayLatency time.Duration
 	// Replicate enables primary-backup replication memnode i → i+1 mod n.
 	Replicate bool

@@ -170,7 +170,9 @@ func (bt *BTree) writeAt(t *dyntx.Txn, sid uint64, ops []BatchOp) (removed int, 
 		// Prefetch the touched leaves into the read set. Best-effort: on any
 		// planning hiccup the sweep fetches leaves itself (one round trip
 		// each).
-		bt.prefetchLeaves(t, &tg, ops)
+		if err := bt.prefetchLeaves(t, &tg, ops); err != nil {
+			return 0, err
+		}
 	}
 	return bt.batchSweep(t, &tg, ops)
 }
@@ -224,13 +226,15 @@ func (bt *BTree) batchSweep(t *dyntx.Txn, tg *target, ops []BatchOp) (removed in
 
 // prefetchLeaves plans the leaf for every op by descending to the leaf's
 // parent (interior nodes come from the proxy cache, dirty reads on a miss)
-// and fetches all distinct planned leaves with one concurrent multi-read
-// minitransaction per memnode, injecting them into the read set. A fetched
-// leaf may itself carry a redirect toward tg.sid (its copy lives elsewhere),
-// so a few extra rounds chase those copies into the read set too. Planning
-// errors abandon the prefetch — the authoritative sweep re-traverses and
-// reports them properly.
-func (bt *BTree) prefetchLeaves(t *dyntx.Txn, tg *target, ops []BatchOp) {
+// and reads all distinct planned leaves with one Read: one minitransaction
+// per memnode, run side by side, and every leaf joins the read set. A
+// fetched leaf may itself carry a redirect toward tg.sid (its copy lives
+// elsewhere), so a few extra rounds chase those copies into the read set
+// too. Planning errors abandon the prefetch — the authoritative sweep
+// re-traverses and reports them properly. A failed read is returned: when
+// its piggy-backed validation failed, the attempt is over, and the
+// *StaleError tells the retry loop which cache entries went stale.
+func (bt *BTree) prefetchLeaves(t *dyntx.Txn, tg *target, ops []BatchOp) error {
 	var refs []dyntx.Ref
 	planned := false
 	var high wire.Fence // upper fence of the last planned leaf
@@ -241,7 +245,7 @@ func (bt *BTree) prefetchLeaves(t *dyntx.Txn, tg *target, ops []BatchOp) {
 		}
 		path, err := bt.descend(t, tg, op.Key, 1, &buf)
 		if err != nil {
-			return
+			return nil
 		}
 		parent := path[len(path)-1].view
 		i := parent.childIndex(op.Key)
@@ -251,9 +255,9 @@ func (bt *BTree) prefetchLeaves(t *dyntx.Txn, tg *target, ops []BatchOp) {
 	}
 	const maxRedirectRounds = 4
 	for round := 0; len(refs) > 0 && round <= maxRedirectRounds; round++ {
-		objs, err := t.ReadBatch(refs)
+		objs, err := t.Read(refs...)
 		if err != nil {
-			return
+			return err
 		}
 		refs = refs[:0]
 		for _, o := range objs {
@@ -266,11 +270,12 @@ func (bt *BTree) prefetchLeaves(t *dyntx.Txn, tg *target, ops []BatchOp) {
 			}
 			p, ok, err := bt.bestRedirect(n, tg.sid)
 			if err != nil {
-				return
+				return nil
 			}
 			if ok {
 				refs = append(refs, refNode(p))
 			}
 		}
 	}
+	return nil
 }

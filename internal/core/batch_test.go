@@ -98,7 +98,7 @@ func TestBatchGrowsRootSeveralLevels(t *testing.T) {
 }
 
 // TestBatchLegacyTraversals loads a batch in legacy mode (dirty traversals
-// OFF), where traversals fetch node+seq pairs via DirtyReadMany: the sweep
+// OFF), where traversals fetch node+seq pairs in one DirtyRead: the sweep
 // must observe its own parent rewrites through the write-set shadow, and
 // must not inject bogus validations for seq entries it has itself written.
 func TestBatchLegacyTraversals(t *testing.T) {

@@ -54,20 +54,15 @@ func (bt *BTree) CreateBranchTxn(t *dyntx.Txn, from uint64) (Snapshot, error) {
 	}
 	t.Blocking = true
 
-	nextObj, err := t.Read(bt.refNextSnap())
+	objs, err := t.Read(bt.refNextSnap(), bt.cat.Ref(from))
 	if err != nil {
 		return Snapshot{}, err
 	}
-	newSid := decodeU64(nextObj.Data)
-
-	fromObj, err := t.Read(bt.cat.Ref(from))
-	if err != nil {
-		return Snapshot{}, err
-	}
-	if !fromObj.Exists {
+	newSid := decodeU64(objs[0].Data)
+	if !objs[1].Exists {
 		return Snapshot{}, fmt.Errorf("core: snapshot %d does not exist", from)
 	}
-	fe, err := catalog.Decode(fromObj.Data)
+	fe, err := catalog.Decode(objs[1].Data)
 	if err != nil {
 		return Snapshot{}, dyntx.ErrRetry
 	}

@@ -56,11 +56,11 @@ func (bt *BTree) CreateSnapshotTxn(t *dyntx.Txn) (Snapshot, error) {
 		if err != nil {
 			return Snapshot{}, err
 		}
-		obj, err := t.Read(bt.cat.Ref(sid))
+		objs, err := t.Read(bt.cat.Ref(sid))
 		if err != nil {
 			return Snapshot{}, err
 		}
-		e, err := catalog.Decode(obj.Data)
+		e, err := catalog.Decode(objs[0].Data)
 		if err != nil || !e.Writable() {
 			return Snapshot{}, dyntx.ErrRetry
 		}
@@ -71,16 +71,12 @@ func (bt *BTree) CreateSnapshotTxn(t *dyntx.Txn) (Snapshot, error) {
 	}
 	t.Blocking = true
 
-	tipObj, err := t.Read(bt.refTipID())
+	tip, err := t.Read(bt.refTipID(), bt.refTipRoot())
 	if err != nil {
 		return Snapshot{}, err
 	}
-	rootObj, err := t.Read(bt.refTipRoot())
-	if err != nil {
-		return Snapshot{}, err
-	}
-	sid := decodeU64(tipObj.Data)
-	loc := decodePtr(rootObj.Data)
+	sid := decodeU64(tip[0].Data)
+	loc := decodePtr(tip[1].Data)
 	newTip := sid + 1
 
 	oldRoot, _, err := bt.loadNode(t, loc, loadRead)

@@ -66,25 +66,26 @@ func (bt *BTree) loadNode(t *dyntx.Txn, p Ptr, how loadMode) (*nodeView, uint64,
 				return e.view, e.version, nil
 			}
 		}
+		var objs []dyntx.Obj
 		var err error
 		switch {
 		case how == loadRead:
-			obj, err = t.Read(ref)
+			objs, err = t.Read(ref)
 		case interior && !bt.cfg.DirtyTraversals:
 			// Read the seq entry at the node's owner, which also holds a
 			// replica; this keeps the fetch a single-memnode, single-round-
 			// trip operation.
 			seqAtOwner := dyntx.Ref{Ptr: Ptr{Node: p.Node, Addr: bt.refSeq(p).Ptr.Addr}, Replicated: true}
-			var objs []dyntx.Obj
-			if objs, err = t.DirtyReadMany([]dyntx.Ref{ref, seqAtOwner}); err == nil {
-				obj, seqVer = objs[0], objs[1].Version
+			if objs, err = t.DirtyRead(ref, seqAtOwner); err == nil {
+				seqVer = objs[1].Version
 			}
 		default:
-			obj, err = t.DirtyRead(ref)
+			objs, err = t.DirtyRead(ref)
 		}
 		if err != nil {
 			return nil, 0, err
 		}
+		obj = objs[0]
 	}
 	if !obj.Exists {
 		return nil, 0, dyntx.ErrRetry

@@ -15,8 +15,9 @@ import (
 	"minuet/internal/wire"
 )
 
-// Config tunes a B-tree instance. The zero value plus FillDefaults gives the
-// paper's configuration: 4 KiB nodes, dirty traversals on, linear snapshots.
+// Config tunes a B-tree instance. The zero value plus FillDefaults gives
+// 4 KiB nodes, linear snapshots and the legacy traversal mode; the paper's
+// configuration also sets DirtyTraversals, as the public API does.
 type Config struct {
 	// NodeSize is the target encoded node size in bytes (paper: 4 KiB).
 	// It determines the allocator block size and, if the fanout fields are
@@ -179,8 +180,7 @@ func Create(c *sinfonia.Client, al *alloc.Allocator, treeIdx int, local sinfonia
 	// double-creation by requiring version 0 of the tip id everywhere.
 	for _, n := range c.Nodes() {
 		m.Compares = append(m.Compares, sinfonia.CompareItem{
-			Node: n, Addr: space.TreeCtlAddr(treeIdx) + space.CtlTipSnapID,
-			Kind: sinfonia.CompareVersion, Version: 0,
+			Node: n, Addr: space.TreeCtlAddr(treeIdx) + space.CtlTipSnapID, Version: 0,
 		})
 		m.Writes = append(m.Writes,
 			sinfonia.WriteItem{Node: n, Addr: space.TreeCtlAddr(treeIdx) + space.CtlTipSnapID, Data: encodeU64(initialSnapID)},

@@ -14,6 +14,12 @@
 // the read set to (usually) a single leaf, at the cost of extra safety
 // checks in the traversal itself (fence keys; see internal/core).
 //
+// An attempt reads in those two ways only, Txn.Read and Txn.DirtyRead. Both
+// take any number of refs and share one fetch: what the attempt holds
+// comes from Txn.Held, the rest go out as one minitransaction per memnode,
+// and a Read that addresses one memnode validates the read set on the way
+// (piggy-backed validation, §2.2).
+//
 // Replicated objects — the tip snapshot id, root location, and (in legacy
 // mode) the interior sequence-number table — are mirrored at the same
 // address on every memnode and updated atomically on all of them, so a read
@@ -206,193 +212,116 @@ func (t *Txn) Held(ref Ref) (Obj, bool) {
 	return Obj{}, false
 }
 
-// Read performs a transactional read: the object is added to the read set
-// and will be validated at commit. A held ref is served by Held; otherwise a
-// minitransaction fetches the object and piggy-backs validation of any
-// read-set entries that can be compared on the same memnode (replicated
-// entries always can).
-func (t *Txn) Read(ref Ref) (Obj, error) {
-	if t.aborted {
-		return Obj{}, ErrAborted
-	}
-	if obj, ok := t.Held(ref); ok {
-		return obj, nil
-	}
-	obj, err := t.fetch(ref, true)
-	if err != nil {
-		return Obj{}, err
-	}
-	t.reads.add(entry{ref: ref, node: ref.Ptr.Node, version: obj.Version, data: obj.Data, exists: obj.Exists})
-	return obj, nil
+// Read reads refs transactionally and returns their images, parallel to
+// refs: each object joins the read set and is validated at commit. A fetch
+// that addresses one memnode piggy-backs validation of every read-set entry
+// comparable there (replicated entries always are), so an up-to-date read
+// set is known consistent with no further round trip.
+func (t *Txn) Read(refs ...Ref) ([]Obj, error) { return t.fetch(refs, true) }
+
+// DirtyRead fetches refs without adding them to the read set (§3).
+func (t *Txn) DirtyRead(refs ...Ref) ([]Obj, error) { return t.fetch(refs, false) }
+
+// fetchGroup is one memnode's minitransaction within a fetch.
+type fetchGroup struct {
+	m    *sinfonia.Minitx
+	res  *sinfonia.Result
+	next int // next of res.Reads to hand out, in ref order
 }
 
-// fetch reads the object via a minitransaction. With validate set (the
-// object is about to join the read set) validation of the existing read set
-// is piggy-backed where possible.
-func (t *Txn) fetch(ref Ref, validate bool) (Obj, error) {
-	node := ref.Ptr.Node
-	m := &sinfonia.Minitx{
-		Reads: []sinfonia.ReadItem{{Node: node, Addr: ref.Ptr.Addr}},
-	}
-	allCovered := true
-	if validate && len(t.reads.order) > 0 {
-		m.Compares = make([]sinfonia.CompareItem, 0, len(t.reads.order))
-		for i := range t.reads.order {
-			re := &t.reads.order[i]
-			if !re.comparableAt(node) {
-				allCovered = false
-				continue // would force a 2-phase commit; let Commit validate it
-			}
-			m.Compares = append(m.Compares, sinfonia.CompareItem{
-				Node: node, Addr: re.ref.Ptr.Addr,
-				Kind: sinfonia.CompareVersion, Version: re.version,
-			})
-		}
-	}
-
-	res, err := t.c.Exec(m)
-	t.Roundtrips++
-	if err != nil {
-		var cf *sinfonia.CompareFailedError
-		if errors.As(err, &cf) {
-			t.aborted = true
-			// Compare i belongs to the i-th read entry comparable at node.
-			var compared []Ref
-			for i := range t.reads.order {
-				if re := &t.reads.order[i]; re.comparableAt(node) {
-					compared = append(compared, re.ref)
-				}
-			}
-			se := &StaleError{}
-			for _, i := range cf.Failed {
-				se.Refs = append(se.Refs, compared[i])
-			}
-			return Obj{}, se
-		}
-		return Obj{}, err
-	}
-	if validate {
-		// The read set was consistent at this instant iff every prior
-		// entry was compared in the same minitransaction.
-		t.validated = allCovered
-	}
-	r := res.Reads[0]
-	return Obj{Data: r.Data, Version: r.Version, Exists: r.Exists}, nil
-}
-
-// DirtyRead fetches an object without adding it to the read set (§3). A held
-// ref is served by Held at no cost.
-func (t *Txn) DirtyRead(ref Ref) (Obj, error) {
-	if t.aborted {
-		return Obj{}, ErrAborted
-	}
-	if obj, ok := t.Held(ref); ok {
-		return obj, nil
-	}
-	return t.fetch(ref, false)
-}
-
-// DirtyReadMany fetches several objects on the same memnode in a single
-// minitransaction, without touching the read set. Used by the legacy
-// traversal mode to fetch a node image together with its replicated
-// sequence-number entry in one round trip. Like DirtyRead, held refs are
-// served by Held.
-func (t *Txn) DirtyReadMany(refs []Ref) ([]Obj, error) {
+// fetch is the one way an attempt reads. A ref the attempt holds is served
+// by Held, and a ref named twice keeps its first observation. The rest go
+// out as one minitransaction per memnode, run side by side when there are
+// several (Client.ExecIndependent); each is its own linearization point,
+// and commit-time validation of every observed version is what makes a
+// read set gathered across memnodes atomic. With join set the fetched
+// objects join the read set, and a fetch that addresses one memnode
+// piggy-backs the compares of the read-set entries comparable there (§2.2);
+// when those are all of them, the read set is validated as of that instant.
+func (t *Txn) fetch(refs []Ref, join bool) ([]Obj, error) {
 	if t.aborted {
 		return nil, ErrAborted
 	}
 	out := make([]Obj, len(refs))
-	m := &sinfonia.Minitx{}
-	fetchIdx := make([]int, 0, len(refs))
-	for i, r := range refs {
-		if obj, ok := t.Held(r); ok {
+	// first[i] is -1 when the attempt holds refs[i], else the position of
+	// the first fetched ref naming the same object (i itself when new).
+	var firstBuf [4]int
+	first := firstBuf[:0]
+	var seen map[sinfonia.Ptr]int // first occurrences, once refs outgrow smallSet
+	if len(refs) > smallSet {
+		seen = make(map[sinfonia.Ptr]int, len(refs))
+	}
+	var groupBuf [2]fetchGroup
+	groups := groupBuf[:0]
+	for i, ref := range refs {
+		if obj, ok := t.Held(ref); ok {
 			out[i] = obj
+			first = append(first, -1)
 			continue
 		}
-		fetchIdx = append(fetchIdx, i)
-		m.Reads = append(m.Reads, sinfonia.ReadItem{Node: r.Ptr.Node, Addr: r.Ptr.Addr})
+		j := firstFetch(refs, first, seen, i)
+		first = append(first, j)
+		if j != i {
+			continue
+		}
+		g := groupOf(groups, ref.Ptr.Node)
+		if g == nil {
+			m := &sinfonia.Minitx{Reads: make([]sinfonia.ReadItem, 0, len(refs)-i)}
+			groups = append(groups, fetchGroup{m: m})
+			g = &groups[len(groups)-1]
+		}
+		g.m.Reads = append(g.m.Reads, sinfonia.ReadItem{Node: ref.Ptr.Node, Addr: ref.Ptr.Addr})
 	}
-	if len(m.Reads) == 0 {
+	if len(groups) == 0 {
 		return out, nil
 	}
-	res, err := t.c.Exec(m)
-	t.Roundtrips++
-	if err != nil {
-		return nil, err
-	}
-	for j, r := range res.Reads {
-		out[fetchIdx[j]] = Obj{Data: r.Data, Version: r.Version, Exists: r.Exists}
-	}
-	return out, nil
-}
 
-// ReadBatch performs transactional reads of many objects at once: refs are
-// grouped by memnode, fetched with one minitransaction per memnode executed
-// concurrently (Client.ExecIndependent), and every fetched object joins the
-// read set for commit-time validation. The per-node minitransactions are
-// separate linearization points — the commit's validation of every observed
-// version is what makes the whole set atomic, exactly as for single reads.
-//
-// Held refs are served by Held (and not refetched), so ReadBatch is also safe
-// to use as a prefetch. Results are parallel to refs.
-func (t *Txn) ReadBatch(refs []Ref) ([]Obj, error) {
-	if t.aborted {
-		return nil, ErrAborted
-	}
-	out := make([]Obj, len(refs))
-	byNode := make(map[sinfonia.NodeID]*sinfonia.Minitx)
-	var nodeOrder []sinfonia.NodeID
-	type fetchPos struct {
-		node sinfonia.NodeID
-		idx  int // position within the node's Reads
-	}
-	fetches := make(map[int]fetchPos) // refs index -> where its read went
-	for i, ref := range refs {
-		if obj, ok := t.Held(ref); ok {
-			out[i] = obj
-			continue
+	var err error
+	covered := false // the compares cover the whole read set
+	if len(groups) == 1 {
+		g := &groups[0]
+		node := g.m.Reads[0].Node
+		if join {
+			covered = t.addCompares(g.m, node)
 		}
-		node := ref.Ptr.Node
-		m := byNode[node]
-		if m == nil {
-			m = &sinfonia.Minitx{}
-			byNode[node] = m
-			nodeOrder = append(nodeOrder, node)
+		if g.res, err = t.c.Exec(g.m); err != nil {
+			err = t.asStale(err, func(e *entry) bool { return e.comparableAt(node) })
 		}
-		fetches[i] = fetchPos{node: node, idx: len(m.Reads)}
-		m.Reads = append(m.Reads, sinfonia.ReadItem{Node: node, Addr: ref.Ptr.Addr})
+	} else {
+		ms := make([]*sinfonia.Minitx, len(groups))
+		for k := range groups {
+			ms[k] = groups[k].m
+		}
+		var res []*sinfonia.Result
+		if res, err = t.c.ExecIndependent(ms); err == nil {
+			for k := range groups {
+				groups[k].res = res[k]
+			}
+		}
 	}
-	if len(nodeOrder) == 0 {
-		return out, nil
-	}
-	ms := make([]*sinfonia.Minitx, len(nodeOrder))
-	for i, n := range nodeOrder {
-		ms[i] = byNode[n]
-	}
-	results, err := t.c.ExecIndependent(ms)
-	t.Roundtrips += len(ms)
+	t.Roundtrips += len(groups)
 	if err != nil {
 		return nil, err
 	}
-	byNodeRes := make(map[sinfonia.NodeID]*sinfonia.Result, len(nodeOrder))
-	for i, n := range nodeOrder {
-		byNodeRes[n] = results[i]
-	}
+
 	for i, ref := range refs {
-		pos, ok := fetches[i]
-		if !ok {
-			continue
+		switch j := first[i]; {
+		case j < 0:
+		case j < i:
+			out[i] = out[j]
+		default:
+			g := groupOf(groups, ref.Ptr.Node)
+			r := g.res.Reads[g.next]
+			g.next++
+			out[i] = Obj{Data: r.Data, Version: r.Version, Exists: r.Exists}
+			if join {
+				t.reads.add(entry{ref: ref, node: ref.Ptr.Node, version: r.Version, data: r.Data, exists: r.Exists})
+			}
 		}
-		r := byNodeRes[pos.node].Reads[pos.idx]
-		if obj, ok := t.Held(ref); ok {
-			// Duplicate ref within the batch: keep the first observation.
-			out[i] = obj
-			continue
-		}
-		t.reads.add(entry{ref: ref, node: ref.Ptr.Node, version: r.Version, data: r.Data, exists: r.Exists})
-		out[i] = Obj{Data: r.Data, Version: r.Version, Exists: r.Exists}
 	}
-	t.validated = false
+	if join {
+		t.validated = covered
+	}
 	return out, nil
 }
 
@@ -472,10 +401,7 @@ func (t *Txn) Commit() error {
 		if re.ref.Replicated {
 			node = anchor
 		}
-		m.Compares = append(m.Compares, sinfonia.CompareItem{
-			Node: node, Addr: re.ref.Ptr.Addr,
-			Kind: sinfonia.CompareVersion, Version: re.version,
-		})
+		m.Compares = append(m.Compares, sinfonia.CompareItem{Node: node, Addr: re.ref.Ptr.Addr, Version: re.version})
 	}
 	m.Writes = make([]sinfonia.WriteItem, 0, len(t.writes.order))
 	for i := range t.writes.order {
@@ -493,17 +419,79 @@ func (t *Txn) Commit() error {
 	_, err := t.c.Exec(m)
 	t.Roundtrips++
 	if err != nil {
-		var cf *sinfonia.CompareFailedError
-		if errors.As(err, &cf) {
-			se := &StaleError{}
-			for _, i := range cf.Failed {
-				if i < len(t.reads.order) {
-					se.Refs = append(se.Refs, t.reads.order[i].ref)
-				}
-			}
-			return se
+		return t.asStale(err, func(*entry) bool { return true })
+	}
+	return nil
+}
+
+// addCompares adds to m, which runs at node alone, a version compare for
+// every read-set entry comparable there, in read-set order. It reports
+// whether that is the whole read set; an entry left out is validated by
+// Commit, since comparing it here would make the fetch two-phase.
+func (t *Txn) addCompares(m *sinfonia.Minitx, node sinfonia.NodeID) bool {
+	if len(t.reads.order) == 0 {
+		return true
+	}
+	m.Compares = make([]sinfonia.CompareItem, 0, len(t.reads.order))
+	for i := range t.reads.order {
+		if re := &t.reads.order[i]; re.comparableAt(node) {
+			m.Compares = append(m.Compares, sinfonia.CompareItem{Node: node, Addr: re.ref.Ptr.Addr, Version: re.version})
 		}
+	}
+	return len(m.Compares) == len(t.reads.order)
+}
+
+// asStale turns a failed compare into a *StaleError that names the stale
+// read-set entries and aborts the attempt; the minitransaction compared, in
+// read-set order, the entries for which compared holds. Other errors pass
+// through.
+func (t *Txn) asStale(err error, compared func(*entry) bool) error {
+	var cf *sinfonia.CompareFailedError
+	if !errors.As(err, &cf) {
 		return err
+	}
+	t.aborted = true
+	var refs []Ref
+	for i := range t.reads.order {
+		if re := &t.reads.order[i]; compared(re) {
+			refs = append(refs, re.ref)
+		}
+	}
+	se := &StaleError{}
+	for _, i := range cf.Failed {
+		if i < len(refs) {
+			se.Refs = append(se.Refs, refs[i])
+		}
+	}
+	return se
+}
+
+// firstFetch returns the position of the first ref among refs[:i] that is
+// fetched and names the same object as refs[i], or i if there is none.
+// first holds the answers for refs[:i]; seen, when set, indexes them.
+func firstFetch(refs []Ref, first []int, seen map[sinfonia.Ptr]int, i int) int {
+	k := refs[i].key()
+	if seen != nil {
+		if j, ok := seen[k]; ok {
+			return j
+		}
+		seen[k] = i
+		return i
+	}
+	for j := 0; j < i; j++ {
+		if first[j] == j && refs[j].key() == k {
+			return j
+		}
+	}
+	return i
+}
+
+// groupOf returns the fetch group for node, or nil.
+func groupOf(groups []fetchGroup, node sinfonia.NodeID) *fetchGroup {
+	for k := range groups {
+		if groups[k].m.Reads[0].Node == node {
+			return &groups[k]
+		}
 	}
 	return nil
 }
@@ -562,14 +550,23 @@ func (e *GiveUpError) Unwrap() error { return e.Last }
 // Run executes fn inside a dynamic transaction, New → fn → Commit, and is
 // the one optimistic retry loop: an attempt that fails with a *StaleError,
 // ErrRetry or ErrAborted is discarded and re-run after a wait on c's Backoff,
-// and *GiveUpError reports the backoff's budget spent. Any other error
-// discards the attempt and is returned as is. fn must be idempotent.
+// and *GiveUpError reports the backoff's budget spent. Any other error is
+// returned as is. fn must be idempotent.
+//
+// An attempt is discarded, which returns what it reserved, only when it
+// provably did not apply: its body failed, or Commit reported a validation
+// failure, ErrAborted or sinfonia.ErrTooBusy. Any other Commit error leaves
+// the outcome in doubt — the minitransaction may have applied, and the
+// committed tree may point at the blocks the attempt reserved — so Run
+// returns it and keeps the reservations, leaking them rather than risk
+// handing out a live block.
 func Run(c *sinfonia.Client, opts RunOptions, fn func(t *Txn) error) error {
 	b := c.Backoff()
 	var stale, retry, aborted int
 	for attempt := 0; ; attempt++ {
 		t := New(c)
-		err := fn(t)
+		bodyErr := fn(t)
+		err := bodyErr
 		if err == nil {
 			err = t.Commit()
 		}
@@ -579,7 +576,9 @@ func Run(c *sinfonia.Client, opts RunOptions, fn func(t *Txn) error) error {
 		if err == nil {
 			return nil
 		}
-		// The attempt did not commit: return whatever it reserved.
+		if bodyErr == nil && !IsStale(err) && !errors.Is(err, ErrAborted) && !errors.Is(err, sinfonia.ErrTooBusy) {
+			return err // in doubt: keep what the attempt reserved
+		}
 		t.Discard()
 		switch {
 		case IsStale(err):

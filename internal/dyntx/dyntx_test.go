@@ -2,6 +2,7 @@ package dyntx
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -28,10 +29,18 @@ func repRef(node sinfonia.NodeID, addr sinfonia.Addr) Ref {
 	return Ref{Ptr: sinfonia.Ptr{Node: node, Addr: addr}, Replicated: true}
 }
 
+// one is a one-ref read's object, for tests that read a single ref.
+func one(objs []Obj, err error) (Obj, error) {
+	if err != nil {
+		return Obj{}, err
+	}
+	return objs[0], nil
+}
+
 func TestReadWriteCommit(t *testing.T) {
 	_, c := newCluster(1)
 	tx := New(c)
-	obj, err := tx.Read(ref(0, 100))
+	obj, err := one(tx.Read(ref(0, 100)))
 	if err != nil || obj.Exists {
 		t.Fatalf("fresh read: %+v %v", obj, err)
 	}
@@ -41,7 +50,7 @@ func TestReadWriteCommit(t *testing.T) {
 	}
 	// A second transaction observes the write.
 	tx2 := New(c)
-	obj, err = tx2.Read(ref(0, 100))
+	obj, err = one(tx2.Read(ref(0, 100)))
 	if err != nil || !obj.Exists || string(obj.Data) != "v1" {
 		t.Fatalf("after commit: %+v %v", obj, err)
 	}
@@ -105,7 +114,7 @@ func TestWriteValidatedPromotesToReadSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx := New(c)
-	obj, err := tx.DirtyRead(ref(0, 50))
+	obj, err := one(tx.DirtyRead(ref(0, 50)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +132,11 @@ func TestReadYourOwnWrites(t *testing.T) {
 	_, c := newCluster(1)
 	tx := New(c)
 	tx.Write(ref(0, 10), []byte("pending"))
-	obj, err := tx.Read(ref(0, 10))
+	obj, err := one(tx.Read(ref(0, 10)))
 	if err != nil || string(obj.Data) != "pending" {
 		t.Fatalf("read-own-write: %+v %v", obj, err)
 	}
-	obj, err = tx.DirtyRead(ref(0, 10))
+	obj, err = one(tx.DirtyRead(ref(0, 10)))
 	if err != nil || string(obj.Data) != "pending" {
 		t.Fatalf("dirty read-own-write: %+v %v", obj, err)
 	}
@@ -144,7 +153,7 @@ func TestWriteValidatedOfOwnWriteCommits(t *testing.T) {
 	}
 	tx := New(c)
 	tx.Write(ref(0, 10), []byte("copy"))
-	obj, err := tx.DirtyRead(ref(0, 10))
+	obj, err := one(tx.DirtyRead(ref(0, 10)))
 	if err != nil || string(obj.Data) != "copy" {
 		t.Fatalf("dirty read-own-write: %+v %v", obj, err)
 	}
@@ -168,7 +177,7 @@ func TestDirtyReadServesReadSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx := New(c)
-	first, err := tx.Read(ref(0, 10))
+	first, err := one(tx.Read(ref(0, 10)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +185,7 @@ func TestDirtyReadServesReadSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	rts := tx.Roundtrips
-	obj, err := tx.DirtyRead(ref(0, 10))
+	obj, err := one(tx.DirtyRead(ref(0, 10)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +335,7 @@ func TestRunRetriesUntilSuccess(t *testing.T) {
 		if attempts < 3 {
 			return ErrRetry
 		}
-		obj, err := tx.Read(ref(0, 10))
+		obj, err := one(tx.Read(ref(0, 10)))
 		if err != nil {
 			return err
 		}
@@ -431,7 +440,7 @@ func TestConcurrentCountersConverge(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				err := Run(c, RunOptions{}, func(tx *Txn) error {
-					obj, err := tx.Read(ref(1, 11))
+					obj, err := one(tx.Read(ref(1, 11)))
 					if err != nil {
 						return err
 					}
@@ -461,5 +470,96 @@ func TestAbortedTxnRefusesWork(t *testing.T) {
 	}
 	if err := tx.Commit(); !errors.Is(err, ErrAborted) {
 		t.Fatal("commit after abort")
+	}
+}
+
+// TestFetch drives the one fetch under Read and DirtyRead: refs on two
+// memnodes, one held by a pending write and one named twice, each with and
+// without join. Held refs cost nothing, a repeated ref keeps its first
+// observation, every memnode costs one round trip, fetched objects join the
+// read set only with join, and only a join fetch that addresses one memnode
+// leaves the read set validated.
+func TestFetch(t *testing.T) {
+	a, b, w := ref(0, 10), ref(1, 20), ref(0, 30)
+	cases := []struct {
+		name  string
+		refs  []Ref
+		want  []string
+		nodes int // memnodes the fetch addresses
+	}{
+		{"one memnode", []Ref{a, w, a}, []string{"a", "pending", "a"}, 1},
+		{"two memnodes", []Ref{b, a, w, b}, []string{"b", "a", "pending", "b"}, 2},
+		{"all held", []Ref{w, w}, []string{"pending", "pending"}, 0},
+		{"more than smallSet", []Ref{a, b, a, b, a, b, a, b, a, b, w}, []string{"a", "b", "a", "b", "a", "b", "a", "b", "a", "b", "pending"}, 2},
+	}
+	for _, tc := range cases {
+		for _, join := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/join=%v", tc.name, join), func(t *testing.T) {
+				tr, c := newCluster(2)
+				for _, r := range []Ref{a, b} {
+					if err := c.Write(r.Ptr, []byte(string(rune('a'+r.Ptr.Node)))); err != nil {
+						t.Fatal(err)
+					}
+				}
+				tx := New(c)
+				tx.Write(w, []byte("pending")) // a write leaves the read set unvalidated
+				calls := tr.Stats().Calls
+				read := tx.DirtyRead
+				if join {
+					read = tx.Read
+				}
+				objs, err := read(tc.refs...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, o := range objs {
+					if string(o.Data) != tc.want[i] || !o.Exists {
+						t.Fatalf("ref %d: %q (exists %v), want %q", i, o.Data, o.Exists, tc.want[i])
+					}
+					if tc.refs[i] != w && o.Version != 1 {
+						t.Fatalf("ref %d: version %d, want 1", i, o.Version)
+					}
+				}
+				if tx.Roundtrips != tc.nodes || tr.Stats().Calls-calls != int64(tc.nodes) {
+					t.Fatalf("%d round trips (%d calls), want %d", tx.Roundtrips, tr.Stats().Calls-calls, tc.nodes)
+				}
+				wantReads := 0
+				if join {
+					wantReads = tc.nodes // one distinct fetched object per memnode here
+				}
+				if n := tx.ReadSetSize(); n != wantReads {
+					t.Fatalf("read set holds %d objects, want %d", n, wantReads)
+				}
+				if want := join && tc.nodes == 1; tx.validated != want {
+					t.Fatalf("validated = %v, want %v", tx.validated, want)
+				}
+			})
+		}
+	}
+}
+
+// TestFetchPiggybacksOnlyOnOneMemnode: a join fetch that addresses one
+// memnode validates the read set on the way and reports a stale entry at
+// once; a fetch across memnodes carries no compares and leaves that to
+// Commit.
+func TestFetchPiggybacksOnlyOnOneMemnode(t *testing.T) {
+	for _, refs := range [][]Ref{{ref(0, 20)}, {ref(0, 20), ref(1, 30)}} {
+		_, c := newCluster(2)
+		tx := New(c)
+		if _, err := tx.Read(ref(0, 10)); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Write(sinfonia.Ptr{Node: 0, Addr: 10}, []byte("moved")); err != nil {
+			t.Fatal(err)
+		}
+		_, err := tx.Read(refs...)
+		if piggy := len(refs) == 1; IsStale(err) != piggy || tx.Aborted() != piggy {
+			t.Fatalf("%d refs: err %v, aborted %v", len(refs), err, tx.Aborted())
+		}
+		if len(refs) > 1 {
+			if err := tx.Commit(); !IsStale(err) {
+				t.Fatalf("commit after a fetch across memnodes: %v, want a validation failure", err)
+			}
+		}
 	}
 }

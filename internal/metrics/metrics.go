@@ -165,6 +165,3 @@ func (ts *TimeSeries) Buckets() []int64 {
 	}
 	return out
 }
-
-// Width returns the bucket width.
-func (ts *TimeSeries) Width() time.Duration { return ts.width }

@@ -11,7 +11,7 @@ import (
 // deadline and age in sinfonia, dyntx, alloc and core, so a test can swap
 // in a Virtual clock and make an entire run — latency injection and retry
 // budgets included — deterministic and instantaneous. The detcheck analyzer enforces this:
-// direct time.Now/time.Sleep calls in netsim are findings, and the two
+// direct time.Now/time.Sleep calls in netsim are findings, and the
 // wall-clock calls below carry the only justified suppressions.
 type Clock interface {
 	// Now returns the current time. Successive calls are monotonic.
@@ -41,12 +41,10 @@ func SetClock(c Clock) (prev Clock) {
 // CurrentClock returns the active package clock.
 func CurrentClock() Clock { return activeClock.Load().c }
 
-// Wall is the real-time Clock. Its Sleep has microsecond-level accuracy:
-// plain time.Sleep rounds short sleeps up to OS timer resolution when the
-// runtime is otherwise idle (~1 ms), which would make lightly-loaded
-// configurations look *slower* than loaded ones and distort every latency
-// comparison the benchmarks make. Sleep therefore sleeps for the bulk of d
-// and spins (yielding) for the tail.
+// Wall is the real-time Clock. Its Sleep is a plain time.Sleep, which a
+// lightly loaded runtime may round up to the OS timer resolution: right
+// for backoff waits and polls, which have no accuracy need. Modelled
+// latency goes through Delay, which is accurate to the microsecond.
 type Wall struct{}
 
 // Now returns time.Now.
@@ -55,26 +53,16 @@ func (Wall) Now() time.Time {
 	return time.Now()
 }
 
-// Sleep blocks for d with microsecond-level accuracy.
-func (w Wall) Sleep(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	t0 := w.Now()
-	if d > 100*time.Microsecond {
-		//lint:ignore detcheck Wall is the real-time Clock implementation; every other netsim sleep routes through it
-		time.Sleep(d - 50*time.Microsecond)
-	}
-	for w.Now().Sub(t0) < d {
-		runtime.Gosched()
-	}
+// Sleep blocks for at least d.
+func (Wall) Sleep(d time.Duration) {
+	//lint:ignore detcheck Wall is the real-time Clock implementation; every other netsim sleep routes through it
+	time.Sleep(d)
 }
 
 // SleepOrDone is c.Sleep(d) for a loop that polls done between sleeps: on
 // the Wall clock the sleep also ends as soon as done closes, so the loop
 // stops without waiting out its slice (a Virtual sleep returns at once
-// anyway). It has none of Wall.Sleep's accuracy; it is for polling, not
-// for modelled latency.
+// anyway). It is for polling, not for modelled latency (Delay).
 func SleepOrDone(c Clock, d time.Duration, done <-chan struct{}) {
 	if _, wall := c.(Wall); !wall || d <= 0 {
 		c.Sleep(d)

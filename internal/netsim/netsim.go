@@ -15,6 +15,7 @@ package netsim
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,7 +56,7 @@ type Stats struct {
 // Local is an in-process Transport with injected latency and fault
 // injection. The zero value is not usable; construct with NewLocal.
 type Local struct {
-	oneWay atomic.Int64 // nanoseconds of one-way latency
+	oneWay time.Duration // injected one-way latency
 
 	mu       sync.RWMutex
 	handlers map[NodeID]Handler // guarded by mu
@@ -87,12 +88,11 @@ func (l *Local) livenessOf(id NodeID) *nodeLiveness {
 // NewLocal returns a Local transport with the given one-way latency.
 // A latency of zero disables sleeping entirely (useful in unit tests).
 func NewLocal(oneWayLatency time.Duration) *Local {
-	l := &Local{
+	return &Local{
+		oneWay:   oneWayLatency,
 		handlers: make(map[NodeID]Handler),
 		down:     make(map[NodeID]bool),
 	}
-	l.oneWay.Store(int64(oneWayLatency))
-	return l
 }
 
 // Bind registers (or replaces) the handler for a node. Rebinding is how a
@@ -115,12 +115,6 @@ func (l *Local) SetDown(id NodeID, down bool) {
 	l.down[id] = down
 	l.mu.Unlock()
 }
-
-// SetLatency changes the injected one-way latency.
-func (l *Local) SetLatency(oneWay time.Duration) { l.oneWay.Store(int64(oneWay)) }
-
-// Latency returns the current one-way latency.
-func (l *Local) Latency() time.Duration { return time.Duration(l.oneWay.Load()) }
 
 // Call implements Transport. The one-way latency is charged before the
 // handler runs (request propagation) and again after it returns (response
@@ -158,9 +152,9 @@ func (l *Local) Call(to NodeID, req any) (any, error) {
 		return nil, fmt.Errorf("%w: node %d", ErrUnreachable, to)
 	}
 
-	Delay(time.Duration(l.oneWay.Load()))
+	Delay(l.oneWay)
 	resp, err := h.HandleRPC(req)
-	Delay(time.Duration(l.oneWay.Load()))
+	Delay(l.oneWay)
 
 	lv.inflight.Add(-1)
 	if lv.crashes.Load() != epoch {
@@ -185,15 +179,31 @@ func (l *Local) Quiesce(id NodeID) {
 	}
 }
 
-// Delay blocks for d on the active Clock. Under the default Wall clock the
-// sleep has microsecond-level accuracy (see Wall.Sleep); under a Virtual
-// clock it advances simulated time and returns immediately, which is what
-// makes netsim runs fully deterministic.
+// Delay blocks for d on the active Clock; it is how latency is modelled.
+// Under the Wall clock it has microsecond-level accuracy: a plain
+// time.Sleep rounds short sleeps up to the OS timer resolution when the
+// runtime is otherwise idle (~1 ms), which would make lightly loaded
+// configurations look *slower* than loaded ones and distort every latency
+// comparison the benchmarks make, so Delay sleeps for the bulk of d and
+// spins (yielding) for the tail. Under a Virtual clock it advances
+// simulated time and returns immediately, which is what makes netsim runs
+// fully deterministic.
 func Delay(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	CurrentClock().Sleep(d)
+	c := CurrentClock()
+	if _, wall := c.(Wall); !wall {
+		c.Sleep(d)
+		return
+	}
+	t0 := c.Now()
+	if d > 100*time.Microsecond {
+		c.Sleep(d - 50*time.Microsecond)
+	}
+	for c.Now().Sub(t0) < d {
+		runtime.Gosched()
+	}
 }
 
 // Stats returns a snapshot of the transport counters.

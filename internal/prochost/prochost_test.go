@@ -43,7 +43,7 @@ func TestThreeNodeBootAndMinitransactions(t *testing.T) {
 	}
 	// Distributed minitransaction spanning all three processes.
 	if _, err := sc.Exec(&sinfonia.Minitx{
-		Compares: []sinfonia.CompareItem{{Node: 0, Addr: 4096, Kind: sinfonia.CompareVersion, Version: 1}},
+		Compares: []sinfonia.CompareItem{{Node: 0, Addr: 4096, Version: 1}},
 		Writes: []sinfonia.WriteItem{
 			{Node: 1, Addr: 8192, Data: []byte("x")},
 			{Node: 2, Addr: 8192, Data: []byte("y")},

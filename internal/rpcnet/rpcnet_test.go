@@ -55,7 +55,7 @@ func TestMinitransactionOverTCP(t *testing.T) {
 
 	// Distributed minitransaction (2PC over sockets).
 	_, err = c.Exec(&sinfonia.Minitx{
-		Compares: []sinfonia.CompareItem{{Node: 0, Addr: 4096, Kind: sinfonia.CompareVersion, Version: 1}},
+		Compares: []sinfonia.CompareItem{{Node: 0, Addr: 4096, Version: 1}},
 		Writes: []sinfonia.WriteItem{
 			{Node: 0, Addr: 5000, Data: []byte("a")},
 			{Node: 1, Addr: 5000, Data: []byte("b")},
@@ -71,7 +71,7 @@ func TestMinitransactionOverTCP(t *testing.T) {
 
 	// Comparison failure propagates.
 	_, err = c.Exec(&sinfonia.Minitx{
-		Compares: []sinfonia.CompareItem{{Node: 1, Addr: 5000, Kind: sinfonia.CompareVersion, Version: 42}},
+		Compares: []sinfonia.CompareItem{{Node: 1, Addr: 5000, Version: 42}},
 	})
 	if !sinfonia.IsCompareFailed(err) {
 		t.Fatalf("want compare failure over TCP, got %v", err)

@@ -251,10 +251,11 @@ func (c *Client) execOnce(m *Minitx, groups []*perNode) (res *Result, busy bool,
 		return c.finish(m, groups, resps)
 	}
 
-	// Phase two: commit everywhere.
-	if err := c.finishPhase(groups, txid, true); err != nil {
-		return nil, false, err
-	}
+	// Phase two: commit everywhere. Every participant voted yes, so the
+	// outcome is commit whatever the sends below meet: each participant
+	// published its stage before it voted, and the recovery coordinator
+	// commits any that a send missed.
+	c.finishPhase(groups, txid, true)
 	return c.finish(m, groups, resps)
 }
 
@@ -266,17 +267,18 @@ func (c *Client) callPrepare(g *perNode, txid uint64, blocking bool, participant
 }
 
 // finishPhase sends commit (ok=true) or abort to all prepared participants
-// in parallel. Commit failures are retried a few times: a memnode that
-// crashed between phases is expected to be re-bound to its promoted backup.
-func (c *Client) finishPhase(groups []*perNode, txid uint64, ok bool) error {
+// in parallel. A failed send is retried a few times: a memnode that crashed
+// between phases is expected to be re-bound to its promoted backup. A
+// participant every send missed keeps its stage until the recovery
+// coordinator resolves it.
+func (c *Client) finishPhase(groups []*perNode, txid uint64, ok bool) {
 	var wg sync.WaitGroup
-	errs := make([]error, len(groups))
-	for i, g := range groups {
+	for _, g := range groups {
 		if !g.prepped {
 			continue
 		}
 		wg.Add(1)
-		go func(i int, g *perNode) {
+		go func(g *perNode) {
 			defer wg.Done()
 			var req any
 			if ok {
@@ -284,25 +286,15 @@ func (c *Client) finishPhase(groups []*perNode, txid uint64, ok bool) error {
 			} else {
 				req = &AbortReq{Txid: txid}
 			}
-			var err error
 			for try := 0; try < 3; try++ {
-				if _, err = c.t.Call(g.node, req); err == nil {
+				if _, err := c.t.Call(g.node, req); err == nil {
 					return
 				}
-				netsim.Delay(time.Duration(try+1) * time.Millisecond)
+				netsim.CurrentClock().Sleep(time.Duration(try+1) * time.Millisecond)
 			}
-			errs[i] = err
-		}(i, g)
+		}(g)
 	}
 	wg.Wait()
-	if ok {
-		for _, err := range errs {
-			if err != nil {
-				return fmt.Errorf("sinfonia: commit phase failed: %w", err)
-			}
-		}
-	}
-	return nil
 }
 
 // finish converts per-node responses into the caller's Result, mapping
@@ -368,16 +360,6 @@ func (c *Client) call(node NodeID, req any) (*ExecResp, error) {
 // fetches across the cluster: a batched read that would otherwise be N
 // sequential round trips completes in roughly one.
 func (c *Client) ExecIndependent(ms []*Minitx) ([]*Result, error) {
-	if len(ms) == 0 {
-		return nil, nil
-	}
-	if len(ms) == 1 {
-		res, err := c.Exec(ms[0])
-		if err != nil {
-			return nil, err
-		}
-		return []*Result{res}, nil
-	}
 	results := make([]*Result, len(ms))
 	errs := make([]error, len(ms))
 	var wg sync.WaitGroup

@@ -106,7 +106,7 @@ func TestDurablePreparedSurvivesRestart(t *testing.T) {
 	txid := nextTxid()
 	resp, err := m.HandleRPC(&PrepareReq{
 		Txid:         txid,
-		Compares:     []CompareItem{{Node: 0, Addr: 7, Kind: CompareVersion, Version: 1}},
+		Compares:     []CompareItem{{Node: 0, Addr: 7, Version: 1}},
 		Writes:       []WriteItem{{Node: 0, Addr: 7, Data: []byte("new")}},
 		Participants: []NodeID{0, 1},
 	})

@@ -1,7 +1,6 @@
 package sinfonia
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -252,29 +251,17 @@ func (m *Memnode) anyLocked(addrs []Addr, txid uint64) bool {
 	return false
 }
 
-// evalComparesLocked returns the indices of failed comparisons. Caller holds m.mu.
+// evalComparesLocked returns the indices of failed comparisons: those whose
+// item's version (0 for a missing item) is not the expected one. Caller
+// holds m.mu.
 func (m *Memnode) evalComparesLocked(cmp []CompareItem) []int {
 	var failed []int
 	for i := range cmp {
-		it := m.items[cmp[i].Addr]
-		switch cmp[i].Kind {
-		case CompareVersion:
-			var v uint64
-			if it != nil {
-				v = it.version
-			}
-			if v != cmp[i].Version {
-				failed = append(failed, i)
-			}
-		case CompareBytes:
-			var data []byte
-			if it != nil {
-				data = it.data
-			}
-			if !bytes.Equal(data, cmp[i].Data) {
-				failed = append(failed, i)
-			}
-		default:
+		var v uint64
+		if it := m.items[cmp[i].Addr]; it != nil {
+			v = it.version
+		}
+		if v != cmp[i].Version {
 			failed = append(failed, i)
 		}
 	}

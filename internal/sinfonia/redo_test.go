@@ -50,7 +50,7 @@ func TestPromotionRestoresFullLockSet(t *testing.T) {
 	execWrite(t, mns[0], 50, "guard")
 	resp, err := mns[0].HandleRPC(&PrepareReq{
 		Txid:         77,
-		Compares:     []CompareItem{{Node: 0, Addr: 50, Kind: CompareVersion, Version: 1}},
+		Compares:     []CompareItem{{Node: 0, Addr: 50, Version: 1}},
 		Writes:       []WriteItem{{Node: 0, Addr: 51, Data: []byte("w")}},
 		Participants: []NodeID{0, 1},
 	})
@@ -182,7 +182,7 @@ func TestLogAndMirrorConverge(t *testing.T) {
 					req := &PrepareReq{
 						Txid:         txid,
 						Reads:        []ReadItem{{Addr: addr()}},
-						Compares:     []CompareItem{{Addr: addr(), Kind: CompareBytes, Data: nil}},
+						Compares:     []CompareItem{{Addr: addr(), Version: 0}},
 						Participants: []NodeID{0, 1},
 					}
 					if r != 8 { // r == 8: an empty commit, nothing to write here

@@ -73,7 +73,7 @@ func TestCompareVersionGatesWrite(t *testing.T) {
 	}
 	// Correct version: write applies.
 	_, err := c.Exec(&Minitx{
-		Compares: []CompareItem{{Node: 0, Addr: 64, Kind: CompareVersion, Version: 1}},
+		Compares: []CompareItem{{Node: 0, Addr: 64, Version: 1}},
 		Writes:   []WriteItem{{Node: 0, Addr: 64, Data: []byte("v2")}},
 	})
 	if err != nil {
@@ -81,7 +81,7 @@ func TestCompareVersionGatesWrite(t *testing.T) {
 	}
 	// Stale version: comparison fails, write must not apply.
 	_, err = c.Exec(&Minitx{
-		Compares: []CompareItem{{Node: 0, Addr: 64, Kind: CompareVersion, Version: 1}},
+		Compares: []CompareItem{{Node: 0, Addr: 64, Version: 1}},
 		Writes:   []WriteItem{{Node: 0, Addr: 64, Data: []byte("v3")}},
 	})
 	var cf *CompareFailedError
@@ -94,31 +94,10 @@ func TestCompareVersionGatesWrite(t *testing.T) {
 	}
 }
 
-func TestCompareBytes(t *testing.T) {
-	_, c, _ := newCluster(1)
-	p := Ptr{Node: 0, Addr: 64}
-	if err := c.Write(p, []byte("abc")); err != nil {
-		t.Fatal(err)
-	}
-	_, err := c.Exec(&Minitx{
-		Compares: []CompareItem{{Node: 0, Addr: 64, Kind: CompareBytes, Data: []byte("abc")}},
-		Writes:   []WriteItem{{Node: 0, Addr: 64, Data: []byte("def")}},
-	})
-	if err != nil {
-		t.Fatalf("byte compare should pass: %v", err)
-	}
-	_, err = c.Exec(&Minitx{
-		Compares: []CompareItem{{Node: 0, Addr: 64, Kind: CompareBytes, Data: []byte("abc")}},
-	})
-	if !IsCompareFailed(err) {
-		t.Fatalf("want compare failure, got %v", err)
-	}
-}
-
 func TestMissingItemComparesAsVersionZero(t *testing.T) {
 	_, c, _ := newCluster(1)
 	_, err := c.Exec(&Minitx{
-		Compares: []CompareItem{{Node: 0, Addr: 999, Kind: CompareVersion, Version: 0}},
+		Compares: []CompareItem{{Node: 0, Addr: 999, Version: 0}},
 		Writes:   []WriteItem{{Node: 0, Addr: 999, Data: []byte("x")}},
 	})
 	if err != nil {
@@ -133,7 +112,7 @@ func TestMultiNodeAtomicity(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err := c.Exec(&Minitx{
-		Compares: []CompareItem{{Node: 2, Addr: 50, Kind: CompareVersion, Version: 7}},
+		Compares: []CompareItem{{Node: 2, Addr: 50, Version: 7}},
 		Writes: []WriteItem{
 			{Node: 0, Addr: 10, Data: []byte("a")},
 			{Node: 1, Addr: 10, Data: []byte("b")},
@@ -151,7 +130,7 @@ func TestMultiNodeAtomicity(t *testing.T) {
 	}
 	// And with a passing comparison, all three apply.
 	_, err = c.Exec(&Minitx{
-		Compares: []CompareItem{{Node: 2, Addr: 50, Kind: CompareVersion, Version: 1}},
+		Compares: []CompareItem{{Node: 2, Addr: 50, Version: 1}},
 		Writes: []WriteItem{
 			{Node: 0, Addr: 10, Data: []byte("a")},
 			{Node: 1, Addr: 10, Data: []byte("b")},
@@ -393,7 +372,7 @@ func TestConcurrentCASLosesExactlyOne(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			_, err := c.Exec(&Minitx{
-				Compares: []CompareItem{{Node: 0, Addr: 13, Kind: CompareVersion, Version: 1}},
+				Compares: []CompareItem{{Node: 0, Addr: 13, Version: 1}},
 				Writes:   []WriteItem{{Node: 0, Addr: 13, Data: []byte{byte(i)}}},
 			})
 			if err == nil {

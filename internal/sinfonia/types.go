@@ -47,27 +47,15 @@ func (p Ptr) IsNil() bool { return p == NilPtr }
 
 func (p Ptr) String() string { return fmt.Sprintf("<%d,%#x>", p.Node, uint64(p.Addr)) }
 
-// CompareKind selects how a CompareItem is evaluated.
-type CompareKind uint8
-
-const (
-	// CompareVersion succeeds when the item's version equals Version.
-	// A missing item has version 0. This is the fast path the paper
-	// describes: "objects can be tagged with sequence numbers that
-	// increase monotonically on update, and comparisons are based solely
-	// on these sequence numbers".
-	CompareVersion CompareKind = iota
-	// CompareBytes succeeds when the item's data equals Data byte-wise.
-	CompareBytes
-)
-
-// CompareItem is a minitransaction comparison.
+// CompareItem is a minitransaction comparison. It succeeds when the item's
+// version equals Version; a missing item has version 0. This is the only
+// comparison Minuet needs, as the paper describes: "objects can be tagged
+// with sequence numbers that increase monotonically on update, and
+// comparisons are based solely on these sequence numbers".
 type CompareItem struct {
 	Node    NodeID
 	Addr    Addr
-	Kind    CompareKind
 	Version uint64
-	Data    []byte
 }
 
 // ReadItem requests the data and version at an address.
