@@ -12,7 +12,7 @@ import (
 // minitransaction build no maps, and a scan builds its pairs straight from
 // the leaf images. Before the node view a warm get made 237 allocations and
 // a 1000-key snapshot scan 2.3 per key; the budgets below leave a few
-// allocations of slack over today's 15 and 0.15, no more.
+// allocations of slack over today's 14 and 0.13, no more.
 func TestReadPathAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-key preload; the race job runs -short")
@@ -46,8 +46,8 @@ func TestReadPathAllocBudget(t *testing.T) {
 
 	i := 0
 	perGet := testing.AllocsPerRun(2000, func() { get(i); i += 7 })
-	if perGet > 24 {
-		t.Errorf("Tree.Get: %.1f allocs/op, budget 24", perGet)
+	if perGet > 18 {
+		t.Errorf("Tree.Get: %.1f allocs/op, budget 18", perGet)
 	}
 	const scanLen = 1000
 	perScan := testing.AllocsPerRun(50, func() {

@@ -229,6 +229,15 @@ type fetchGroup struct {
 	next int // next of res.Reads to hand out, in ref order
 }
 
+// oneRef is a one-ref fetch's result, minitransaction and read item carved
+// from one allocation: every warm get's leaf and every scan leaf is such a
+// fetch.
+type oneRef struct {
+	out  [1]Obj
+	m    sinfonia.Minitx
+	read [1]sinfonia.ReadItem
+}
+
 // fetch is the one way an attempt reads. A ref the attempt holds is served
 // by Held, and a ref named twice keeps its first observation. The rest go
 // out as one minitransaction per memnode, run side by side when there are
@@ -242,7 +251,14 @@ func (t *Txn) fetch(refs []Ref, join bool) ([]Obj, error) {
 	if t.aborted {
 		return nil, ErrAborted
 	}
-	out := make([]Obj, len(refs))
+	var one *oneRef
+	var out []Obj
+	if len(refs) == 1 {
+		one = new(oneRef)
+		out = one.out[:]
+	} else {
+		out = make([]Obj, len(refs))
+	}
 	// first[i] is -1 when the attempt holds refs[i], else the position of
 	// the first fetched ref naming the same object (i itself when new).
 	var firstBuf [4]int
@@ -266,7 +282,13 @@ func (t *Txn) fetch(refs []Ref, join bool) ([]Obj, error) {
 		}
 		g := groupOf(groups, ref.Ptr.Node)
 		if g == nil {
-			m := &sinfonia.Minitx{Reads: make([]sinfonia.ReadItem, 0, len(refs)-i)}
+			var m *sinfonia.Minitx
+			if one != nil {
+				m = &one.m
+				m.Reads = one.read[:0]
+			} else {
+				m = &sinfonia.Minitx{Reads: make([]sinfonia.ReadItem, 0, len(refs)-i)}
+			}
 			groups = append(groups, fetchGroup{m: m})
 			g = &groups[len(groups)-1]
 		}

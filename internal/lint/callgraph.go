@@ -177,7 +177,15 @@ func isTestFilename(fset *token.FileSet, pos token.Pos) bool {
 // interface call, none for builtins, conversions, function values, and
 // callees outside the loaded packages.
 func (p *Program) ResolveCall(pkg *Package, call *ast.CallExpr) []*FuncInfo {
-	switch fun := unparen(call.Fun).(type) {
+	fun := unparen(call.Fun)
+	// An explicit instantiation, F[T](...), calls the generic F.
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		fun = unparen(ix.X)
+	case *ast.IndexListExpr:
+		fun = unparen(ix.X)
+	}
+	switch fun := fun.(type) {
 	case *ast.Ident:
 		if f, ok := pkg.Info.Uses[fun].(*types.Func); ok {
 			return p.lookup(f)

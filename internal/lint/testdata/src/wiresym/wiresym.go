@@ -60,3 +60,25 @@ func readHeader(r *wire.Reader) (uint8, []byte) {
 	}
 	return version, tag
 }
+
+// counted reads a count and sizes a slice by it; a generic helper called
+// with an explicit instantiation is inlined like any other, so
+// appendPairs and parsePairs are symmetric.
+func counted[T any](r *wire.Reader, minElem int) []T {
+	return make([]T, r.Count(minElem))
+}
+
+func appendPairs(b *wire.Buffer, pairs []uint64) {
+	b.U32(uint32(len(pairs)))
+	for _, p := range pairs {
+		b.U64(p)
+	}
+}
+
+func parsePairs(r *wire.Reader) []uint64 {
+	out := counted[uint64](r, 8)
+	for i := range out {
+		out[i] = r.U64()
+	}
+	return out
+}

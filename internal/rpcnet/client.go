@@ -84,8 +84,8 @@ func (c *Client) Close() {
 
 // Call implements netsim.Transport.
 func (c *Client) Call(to netsim.NodeID, req any) (any, error) {
-	payload, err := encodeEnvelope(&envelope{Body: req})
-	if err != nil {
+	frame := newFrame()
+	if err := encodePayload(frame, req, nil); err != nil {
 		return nil, err
 	}
 	// A connection found already-dead before the request was written is
@@ -97,7 +97,7 @@ func (c *Client) Call(to netsim.NodeID, req any) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		resp, err, retry := mc.roundTrip(payload, c.queueWait())
+		resp, err, retry := mc.roundTrip(frame.Bytes(), c.queueWait())
 		if retry && attempt < 2 {
 			continue
 		}
@@ -193,8 +193,9 @@ func (p *peer) close(cause error) {
 // muxReply is what a caller receives for its request id.
 type muxReply struct {
 	flags wire.FrameFlags
-	env   *envelope
-	err   error // transport-level failure (connection died)
+	body  any
+	herr  error // the handler's error
+	err   error // transport-level failure (connection died, payload corrupt)
 }
 
 // muxConn is one multiplexed connection: a slot semaphore bounding the
@@ -252,7 +253,8 @@ func (mc *muxConn) readLoop() {
 			mc.fail(err)
 			return
 		}
-		env, derr := decodeEnvelope(payload)
+		rep := muxReply{flags: hdr.Flags}
+		rep.body, rep.herr, rep.err = decodePayload(payload)
 		mc.mu.Lock()
 		ch, ok := mc.pending[hdr.ID]
 		delete(mc.pending, hdr.ID)
@@ -260,18 +262,14 @@ func (mc *muxConn) readLoop() {
 		if !ok {
 			continue // response for an abandoned id; drop it
 		}
-		if derr != nil {
-			ch <- muxReply{err: derr}
-			continue
-		}
-		ch <- muxReply{flags: hdr.Flags, env: env}
+		ch <- rep
 	}
 }
 
-// roundTrip sends one request payload and waits for its response. retry is
-// true when the connection was dead before the request was written, so the
-// caller may safely try a fresh connection.
-func (mc *muxConn) roundTrip(payload []byte, queueWait time.Duration) (resp any, err error, retry bool) {
+// roundTrip sends one request frame (see newFrame) and waits for its
+// response. retry is true when the connection was dead before the request
+// was written, so the caller may safely try a fresh connection.
+func (mc *muxConn) roundTrip(frame []byte, queueWait time.Duration) (resp any, err error, retry bool) {
 	// Acquire an in-flight slot: this is the client half of backpressure.
 	select {
 	case mc.slots <- struct{}{}:
@@ -298,7 +296,7 @@ func (mc *muxConn) roundTrip(payload []byte, queueWait time.Duration) (resp any,
 	mc.pending[id] = ch
 	mc.mu.Unlock()
 
-	if err := writeFrameMux(mc.conn, &mc.wmu, id, 0, payload); err != nil {
+	if err := writeFrameMux(mc.conn, &mc.wmu, id, 0, frame); err != nil {
 		mc.fail(err) // delivers to our channel too
 	}
 	rep := <-ch
@@ -308,9 +306,9 @@ func (mc *muxConn) roundTrip(payload []byte, queueWait time.Duration) (resp any,
 		return nil, fmt.Errorf("%w: %v", netsim.ErrUnreachable, rep.err), false
 	case rep.flags&wire.FrameFlagThrottled != 0:
 		return nil, fmt.Errorf("%w: shed by server", ErrBackpressure), false
-	case rep.env.Err != "":
-		return nil, errors.New(rep.env.Err), false
+	case rep.herr != nil:
+		return nil, rep.herr, false
 	default:
-		return rep.env.Body, nil, false
+		return rep.body, nil, false
 	}
 }

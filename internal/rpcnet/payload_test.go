@@ -1,0 +1,140 @@
+package rpcnet
+
+import (
+	"bytes"
+	"io"
+	"net"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"minuet/internal/netsim"
+	"minuet/internal/sinfonia"
+	"minuet/internal/wire"
+)
+
+// rawConn dials srv and sends the preamble of protocol version v.
+func rawConn(t *testing.T, srv *Server, v byte) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if _, err := conn.Write([]byte{'M', 'N', 'X', v}); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+	return conn
+}
+
+// rawCall writes one request frame with the given payload and reads the
+// response frame.
+func rawCall(t *testing.T, conn net.Conn, id uint64, payload []byte) (wire.FrameHeader, any, error) {
+	t.Helper()
+	frame := newFrame()
+	frame.Write(payload) //nolint:errcheck
+	var wmu sync.Mutex
+	if err := writeFrameMux(conn, &wmu, id, 0, frame.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	hdr, p, err := readFrameMux(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hdr.ID != id {
+		t.Fatalf("response id %d, want %d", hdr.ID, id)
+	}
+	body, herr, err := decodePayload(p)
+	if err != nil {
+		t.Fatalf("response payload: %v", err)
+	}
+	return hdr, body, herr
+}
+
+// TestSinfoniaMessagesUseTheirCodec: a Sinfonia message travels in its own
+// codec, never as gob; any other type travels as gob.
+func TestSinfoniaMessagesUseTheirCodec(t *testing.T) {
+	b := wire.NewBuffer(0)
+	if err := encodePayload(b, &sinfonia.StatsReq{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	want := wire.NewBuffer(0)
+	sinfonia.EncodeMessage(want, &sinfonia.StatsReq{})
+	if !bytes.Equal(b.Bytes(), want.Bytes()) {
+		t.Fatalf("StatsReq payload %x, want %x", b.Bytes(), want.Bytes())
+	}
+	b = wire.NewBuffer(0)
+	if err := encodePayload(b, &echoReq{N: 3}, nil); err != nil || b.Bytes()[0] != tagGob {
+		t.Fatalf("echoReq payload %x, %v", b.Bytes(), err)
+	}
+}
+
+// TestCorruptRequestFailsOneCall: a request payload that does not decode
+// fails that call with an error response, and the connection goes on
+// serving the next request.
+func TestCorruptRequestFailsOneCall(t *testing.T) {
+	srv, err := Listen("127.0.0.1:0", sinfonia.NewMemnode(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn := rawConn(t, srv, wire.FrameVersion)
+
+	stats := wire.NewBuffer(0)
+	sinfonia.EncodeMessage(stats, &sinfonia.StatsReq{})
+	for i, p := range [][]byte{
+		{0x7F},                           // unknown tag
+		append(stats.Bytes(), 0),         // trailing byte
+		{tagError, 1, 0, 0, 0, 'x'},      // an error is not a request
+		{tagGob, 0xDE, 0xAD, 0xBE, 0xEF}, // not gob
+	} {
+		hdr, body, herr := rawCall(t, conn, uint64(i), p)
+		if herr == nil || !strings.Contains(herr.Error(), "bad request payload") || hdr.Flags&wire.FrameFlagError == 0 {
+			t.Fatalf("payload %x: got %v, %v, flags %v", p, body, herr, hdr.Flags)
+		}
+	}
+	_, body, herr := rawCall(t, conn, 99, stats.Bytes())
+	if _, ok := body.(*sinfonia.StatsResp); herr != nil || !ok {
+		t.Fatalf("after corrupt requests: %v, %v", body, herr)
+	}
+}
+
+// TestOldVersionPreambleIsClosed: a peer speaking version 2 (gob payloads)
+// is closed without a reply instead of having its frames misread.
+func TestOldVersionPreambleIsClosed(t *testing.T) {
+	client, srv := startEcho(t, netsim.HandlerFunc(func(req any) (any, error) {
+		return &echoResp{N: req.(*echoReq).N}, nil
+	}))
+	conn := rawConn(t, srv, 2)
+	if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("want EOF from the server, got n=%d err=%v", n, err)
+	}
+	if resp, err := client.Call(0, &echoReq{N: 4}); err != nil || resp.(*echoResp).N != 4 {
+		t.Fatalf("echo after a refused connection: %v %v", resp, err)
+	}
+}
+
+// TestCallAllocBudget pins the allocations of one get-shaped loopback Call,
+// client and server together: a one-read ExecCommitReq answered by a 4 KiB
+// image. With a gob envelope built per frame it made 593.
+func TestCallAllocBudget(t *testing.T) {
+	img := bytes.Repeat([]byte{0xC4}, 4096)
+	client, _ := startEcho(t, netsim.HandlerFunc(func(any) (any, error) {
+		return &sinfonia.ExecResp{Reads: []sinfonia.ReadResult{{Data: img, Version: 3, Exists: true}}}, nil
+	}))
+	req := &sinfonia.ExecCommitReq{Txid: 1, Reads: []sinfonia.ReadItem{{Node: 0, Addr: 4096}}}
+	call := func() {
+		resp, err := client.Call(0, req)
+		if r, ok := resp.(*sinfonia.ExecResp); err != nil || !ok || !bytes.Equal(r.Reads[0].Data, img) {
+			t.Fatalf("call: %v %v", resp, err)
+		}
+	}
+	call() // dial
+	allocs := testing.AllocsPerRun(200, call)
+	if allocs > 40 {
+		t.Errorf("a get-shaped Call makes %.0f allocations, budget 40", allocs)
+	}
+	t.Logf("a get-shaped Call makes %.0f allocations", allocs)
+}

@@ -8,10 +8,13 @@
 // asynchronously in whatever order the server finishes them. A client keeps
 // a small per-peer connection budget (ConnsPerPeer) and bounds the in-flight
 // requests per connection (Window); when every slot is taken, callers queue
-// for up to QueueWait and then fail with ErrBackpressure. Payloads are
-// gob-encoded envelopes. This is the only protocol: a connection that does
-// not open with the frame preamble is closed. See docs/WIRE.md for the wire
-// contract and internal/wire for the frame header codec.
+// for up to QueueWait and then fail with ErrBackpressure. A payload is one
+// tagged value: a Sinfonia message in its own binary codec
+// (sinfonia.EncodeMessage), a handler error, or — for a type sinfonia does
+// not define, which its application registers with gob itself — a gob value.
+// This is the only protocol: a connection that does not open with the frame
+// preamble is closed. See docs/WIRE.md for the wire contract and
+// internal/wire for the frame header codec.
 //
 // cmd/minuet-server and cmd/minuet-load use this package to run a memnode
 // cluster as separate OS processes; internal/prochost spawns and babysits
@@ -31,70 +34,78 @@ import (
 	"minuet/internal/wire"
 )
 
-func init() {
-	// Register every wire type that can cross the connection. Applications
-	// with custom RPC types register them via gob.Register themselves.
-	gob.Register(&sinfonia.ExecCommitReq{})
-	gob.Register(&sinfonia.PrepareReq{})
-	gob.Register(&sinfonia.ExecResp{})
-	gob.Register(&sinfonia.CommitReq{})
-	gob.Register(&sinfonia.AbortReq{})
-	gob.Register(&sinfonia.Ack{})
-	gob.Register(&sinfonia.ReplicaRedoReq{})
-	gob.Register(&sinfonia.ScanReq{})
-	gob.Register(&sinfonia.ScanResp{})
-	gob.Register(&sinfonia.SnapshotStateReq{})
-	gob.Register(&sinfonia.SnapshotStateResp{})
-	gob.Register(&sinfonia.StatsReq{})
-	gob.Register(&sinfonia.StatsResp{})
-	gob.Register(&sinfonia.InDoubtReq{})
-	gob.Register(&sinfonia.InDoubtResp{})
-	gob.Register(&sinfonia.TxnStatusReq{})
-	gob.Register(&sinfonia.TxnStatusResp{})
-}
-
 // ErrBackpressure is returned when a call could not acquire an in-flight
 // window slot within the client's QueueWait: every connection to the peer
 // is running at its full pipelining window. The request was never sent.
 var ErrBackpressure = errors.New("rpcnet: in-flight window full")
 
-// envelope is the gob payload of every frame: a request or a response.
-type envelope struct {
-	Body any
-	Err  string
+// Payload tags the transport adds to the Sinfonia message tags, from the
+// range sinfonia leaves free.
+const (
+	tagError = 0xFE // a handler error: its message, Bytes32
+	tagGob   = 0xFF // a value of a type sinfonia does not define, gob-encoded
+)
+
+// newFrame returns a buffer that starts with a reserved frame header, so a
+// payload is encoded straight after it and writeFrameMux fills the header in
+// place.
+func newFrame() *wire.Buffer {
+	var hdr [wire.FrameHeaderLen]byte
+	b := wire.NewBuffer(256)
+	b.Write(hdr[:]) //nolint:errcheck // a Buffer write cannot fail
+	return b
 }
 
-// encodeEnvelope gob-encodes e.
-func encodeEnvelope(e *envelope) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(e); err != nil {
-		return nil, err
+// encodePayload appends one frame payload: herr under tagError when it is
+// set, otherwise body — a Sinfonia message in its own codec, any other value
+// under tagGob.
+func encodePayload(b *wire.Buffer, body any, herr error) error {
+	switch {
+	case herr != nil:
+		b.U8(tagError)
+		b.Bytes32([]byte(herr.Error()))
+	case sinfonia.EncodeMessage(b, body):
+	default:
+		b.U8(tagGob)
+		return gob.NewEncoder(b).Encode(&body)
 	}
-	return buf.Bytes(), nil
+	return nil
 }
 
-// decodeEnvelope decodes a frame payload written by encodeEnvelope.
-func decodeEnvelope(p []byte) (*envelope, error) {
-	var e envelope
-	if err := gob.NewDecoder(bytes.NewReader(p)).Decode(&e); err != nil {
-		return nil, err
+// decodePayload reads what encodePayload wrote: the body, or the handler
+// error the payload carries. err reports a payload that could not be
+// decoded.
+func decodePayload(p []byte) (body any, herr error, err error) {
+	switch {
+	case len(p) > 0 && p[0] == tagError:
+		r := wire.NewReader(p[1:])
+		msg := r.Bytes32()
+		if r.Err() != nil || r.Remaining() != 0 {
+			return nil, nil, errors.New("rpcnet: corrupt error payload")
+		}
+		return nil, errors.New(string(msg)), nil
+	case len(p) > 0 && p[0] == tagGob:
+		err = gob.NewDecoder(bytes.NewReader(p[1:])).Decode(&body)
+		return body, nil, err
+	default:
+		body, err = sinfonia.DecodeMessage(p)
+		return body, nil, err
 	}
-	return &e, nil
 }
 
-// writeFrameMux writes one multiplexed frame (header + payload) as a single
-// conn.Write so concurrent writers never interleave bytes; wmu serializes
-// the call.
-func writeFrameMux(conn net.Conn, wmu *sync.Mutex, id uint64, flags wire.FrameFlags, payload []byte) error {
-	if len(payload) > wire.MaxFramePayload {
-		return fmt.Errorf("rpcnet: frame payload too large: %d", len(payload))
+// writeFrameMux fills in the header reserved at the front of frame (see
+// newFrame) and writes the frame as a single conn.Write, so concurrent
+// writers never interleave bytes; wmu serializes the call.
+func writeFrameMux(conn net.Conn, wmu *sync.Mutex, id uint64, flags wire.FrameFlags, frame []byte) error {
+	n := len(frame) - wire.FrameHeaderLen
+	if n > wire.MaxFramePayload {
+		return fmt.Errorf("rpcnet: frame payload too large: %d", n)
 	}
-	hdr := wire.FrameHeader{ID: id, Flags: flags, Length: uint32(len(payload))}
-	buf := hdr.AppendFrameHeader(make([]byte, 0, wire.FrameHeaderLen+len(payload)))
-	buf = append(buf, payload...)
+	hdr := wire.FrameHeader{ID: id, Flags: flags, Length: uint32(n)}
+	hdr.AppendFrameHeader(frame[:0])
 	wmu.Lock()
 	defer wmu.Unlock()
-	_, err := conn.Write(buf)
+	_, err := conn.Write(frame)
 	return err
 }
 

@@ -1,6 +1,8 @@
 package rpcnet
 
 import (
+	"errors"
+	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -117,31 +119,35 @@ func (s *Server) serveMux(conn net.Conn) {
 		go func(hdr wire.FrameHeader, payload []byte) {
 			defer s.wg.Done()
 			defer func() { <-sem }()
-			var out envelope
-			var flags wire.FrameFlags
-			env, derr := decodeEnvelope(payload)
-			if derr != nil {
-				out.Err = "rpcnet: bad request payload: " + derr.Error()
-				flags |= wire.FrameFlagError
-			} else {
-				resp, herr := s.handler.HandleRPC(env.Body)
-				if herr != nil {
-					out.Err = herr.Error()
-					flags |= wire.FrameFlagError
-				} else {
-					out.Body = resp
-				}
+			resp, herr := s.handle(payload)
+			frame := newFrame()
+			if err := encodePayload(frame, resp, herr); err != nil {
+				herr = fmt.Errorf("rpcnet: response encode: %v", err)
+				frame = newFrame()
+				encodePayload(frame, nil, herr) //nolint:errcheck // an error payload cannot fail
 			}
-			respPayload, eerr := encodeEnvelope(&out)
-			if eerr != nil {
-				respPayload, _ = encodeEnvelope(&envelope{Err: "rpcnet: response encode: " + eerr.Error()})
-				flags |= wire.FrameFlagError
+			var flags wire.FrameFlags
+			if herr != nil {
+				flags = wire.FrameFlagError
 			}
 			// A write failure means the connection died; the read loop will
 			// observe it and exit, failing the peer's in-flight calls.
-			_ = writeFrameMux(conn, &wmu, hdr.ID, flags, respPayload)
+			_ = writeFrameMux(conn, &wmu, hdr.ID, flags, frame.Bytes())
 		}(hdr, payload)
 	}
+}
+
+// handle decodes one request payload and runs the handler on it. A payload
+// that does not decode to a request fails this request alone.
+func (s *Server) handle(payload []byte) (any, error) {
+	req, herr, err := decodePayload(payload)
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("rpcnet: bad request payload: %v", err)
+	case herr != nil:
+		return nil, errors.New("rpcnet: bad request payload: an error is not a request")
+	}
+	return s.handler.HandleRPC(req)
 }
 
 // Close stops accepting, closes all connections, and waits for in-flight

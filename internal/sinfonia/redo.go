@@ -75,11 +75,7 @@ const minRedoLen = 1 + 8 + 1 + 4 + 4 + 4
 func encodeRedo(b *wire.Buffer, rec *RedoRecord) {
 	b.U8(rec.Kind)
 	b.U64(rec.Txid)
-	var flag byte
-	if rec.Flag {
-		flag = 1
-	}
-	b.U8(flag)
+	b.U8(flagByte(rec.Flag))
 	b.U32(uint32(len(rec.Writes)))
 	for i := range rec.Writes {
 		b.U64(uint64(rec.Writes[i].Addr))
@@ -90,10 +86,7 @@ func encodeRedo(b *wire.Buffer, rec *RedoRecord) {
 	for _, a := range rec.Locks {
 		b.U64(uint64(a))
 	}
-	b.U32(uint32(len(rec.Participants)))
-	for _, p := range rec.Participants {
-		b.U32(uint32(p))
-	}
+	encodeNodes(b, rec.Participants)
 }
 
 // decodeRedo reads one record. Element counts are bounded by the input that
@@ -106,20 +99,17 @@ func decodeRedo(r *wire.Reader) (RedoRecord, error) {
 	rec.Txid = r.U64()
 	flag := r.U8()
 	rec.Flag = flag == 1
-	rec.Writes = make([]RedoWrite, r.Count(20)) // addr + version + length prefix
+	rec.Writes = sliceOf[RedoWrite](r, 20) // addr + version + length prefix
 	for i := range rec.Writes {
 		rec.Writes[i].Addr = Addr(r.U64())
 		rec.Writes[i].Version = r.U64()
 		rec.Writes[i].Data = r.Bytes32()
 	}
-	rec.Locks = make([]Addr, r.Count(8))
+	rec.Locks = sliceOf[Addr](r, 8)
 	for i := range rec.Locks {
 		rec.Locks[i] = Addr(r.U64())
 	}
-	rec.Participants = make([]NodeID, r.Count(4))
-	for i := range rec.Participants {
-		rec.Participants[i] = NodeID(r.U32())
-	}
+	rec.Participants = decodeNodes(r)
 	if r.Err() != nil || rec.Kind < recApply || rec.Kind > recResolve || flag > 1 {
 		return RedoRecord{}, errBadRecord
 	}

@@ -248,7 +248,7 @@ func TestLogAndMirrorConverge(t *testing.T) {
 	}
 }
 
-var updateCorpus = flag.Bool("update", false, "rewrite testdata/fuzz/FuzzRedoRecord from the sample records")
+var updateCorpus = flag.Bool("update", false, "rewrite the seed corpora under testdata/fuzz from the sample records and messages")
 
 // redoSamples are the record shapes the seed corpus covers, by corpus file
 // name.

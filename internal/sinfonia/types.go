@@ -133,8 +133,9 @@ const (
 	voteCompareFail
 )
 
-// Wire messages. These are shared by the in-process transport and the TCP
-// transport (encoding/gob), so all fields are exported.
+// Wire messages. The in-process transport passes them as values; the TCP
+// transport carries each in its own binary encoding (msg.go,
+// docs/WIRE.md "Payload").
 
 // ExecCommitReq executes a single-memnode minitransaction in one phase.
 type ExecCommitReq struct {

@@ -15,7 +15,9 @@ import "fmt"
 // package. See docs/WIRE.md for the full wire contract.
 
 // FrameVersion is the current multiplexed transport protocol version.
-const FrameVersion = 2
+// Version 3 carries payloads in the explicit message codec; version 2
+// carried gob envelopes.
+const FrameVersion = 3
 
 // FramePreambleLen is the length of the connection preamble.
 const FramePreambleLen = 4

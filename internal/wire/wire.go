@@ -111,6 +111,13 @@ func (w *Buffer) Bytes() []byte { return w.b }
 // Len returns the number of encoded bytes.
 func (w *Buffer) Len() int { return len(w.b) }
 
+// Write appends p unframed, which makes a Buffer an io.Writer. It never
+// fails.
+func (w *Buffer) Write(p []byte) (int, error) {
+	w.b = append(w.b, p...)
+	return len(p), nil
+}
+
 // U8 appends a single byte.
 func (w *Buffer) U8(v byte) { w.b = append(w.b, v) }
 
