@@ -137,13 +137,6 @@ func (cat *Catalog) Refresh(sid uint64) (Entry, error) {
 	return e, nil
 }
 
-// Store caches an entry the caller just created or validated.
-func (cat *Catalog) Store(e Entry) {
-	cat.mu.Lock()
-	cat.entries[e.Sid] = e
-	cat.mu.Unlock()
-}
-
 // Invalidate drops sid from the cache.
 func (cat *Catalog) Invalidate(sid uint64) {
 	cat.mu.Lock()

@@ -166,13 +166,15 @@ func TestReplicatedRing(t *testing.T) {
 		t.Fatalf("unexpected response %T", resp)
 	}
 	found := false
-	for i, d := range st.MirrorData {
-		if st.MirrorFor[i] == 0 && string(d) == "mirrored" {
-			found = true
+	for _, mr := range st.Mirrors {
+		for _, w := range mr.Rec.Writes {
+			if mr.From == 0 && string(w.Data) == "mirrored" {
+				found = true
+			}
 		}
 	}
 	if !found {
-		t.Fatalf("write not mirrored to backup process (%d mirrored items)", len(st.MirrorData))
+		t.Fatalf("write not mirrored to backup process (%d mirror records)", len(st.Mirrors))
 	}
 }
 

@@ -304,8 +304,6 @@ func (mc *muxConn) roundTrip(frame []byte, queueWait time.Duration) (resp any, e
 	switch {
 	case rep.err != nil:
 		return nil, fmt.Errorf("%w: %v", netsim.ErrUnreachable, rep.err), false
-	case rep.flags&wire.FrameFlagThrottled != 0:
-		return nil, fmt.Errorf("%w: shed by server", ErrBackpressure), false
 	case rep.herr != nil:
 		return nil, rep.herr, false
 	default:

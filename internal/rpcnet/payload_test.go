@@ -102,17 +102,20 @@ func TestCorruptRequestFailsOneCall(t *testing.T) {
 }
 
 // TestOldVersionPreambleIsClosed: a peer speaking version 2 (gob payloads)
-// is closed without a reply instead of having its frames misread.
+// or version 3 (mirrors as parallel lists in a state snapshot) is closed
+// without a reply instead of having its frames misread.
 func TestOldVersionPreambleIsClosed(t *testing.T) {
 	client, srv := startEcho(t, netsim.HandlerFunc(func(req any) (any, error) {
 		return &echoResp{N: req.(*echoReq).N}, nil
 	}))
-	conn := rawConn(t, srv, 2)
-	if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
-		t.Fatalf("want EOF from the server, got n=%d err=%v", n, err)
-	}
-	if resp, err := client.Call(0, &echoReq{N: 4}); err != nil || resp.(*echoResp).N != 4 {
-		t.Fatalf("echo after a refused connection: %v %v", resp, err)
+	for _, v := range []byte{2, 3} {
+		conn := rawConn(t, srv, v)
+		if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+			t.Fatalf("version %d: want EOF from the server, got n=%d err=%v", v, n, err)
+		}
+		if resp, err := client.Call(0, &echoReq{N: 4}); err != nil || resp.(*echoResp).N != 4 {
+			t.Fatalf("echo after refusing version %d: %v %v", v, resp, err)
+		}
 	}
 }
 

@@ -65,11 +65,12 @@ type item struct {
 	version uint64
 }
 
+// staged is a prepared, unresolved transaction: the stage record that the
+// log and the backup hold for it too (its writes, its full lock set, its
+// participants), and when this node prepared or redid it.
 type staged struct {
-	writes       []WriteItem
-	addrs        []Addr // all addresses locked by this txn on this node
-	participants []NodeID
-	preparedAt   time.Time
+	rec        RedoRecord
+	preparedAt time.Time
 }
 
 // outcomeLog remembers recently resolved distributed transactions so a
@@ -316,7 +317,7 @@ func (m *Memnode) applyWritesLocked(txid uint64, staged bool, wr []WriteItem) *R
 	if m.emits() {
 		// The record carries the exact versions assigned here, so redoing it
 		// is idempotent.
-		rec = &RedoRecord{Kind: recApply, Txid: txid, Flag: staged, Writes: make([]RedoWrite, 0, len(wr))}
+		rec = &RedoRecord{Kind: recApply, Txid: txid, Flag: staged, Writes: make([]WriteItem, 0, len(wr))}
 	}
 	for i := range wr {
 		cur := m.items[wr[i].Addr]
@@ -328,7 +329,7 @@ func (m *Memnode) applyWritesLocked(txid uint64, staged bool, wr []WriteItem) *R
 		copy(data, wr[i].Data)
 		m.putLocked(cur, wr[i].Addr, version, data)
 		if rec != nil {
-			rec.Writes = append(rec.Writes, RedoWrite{Addr: wr[i].Addr, Version: version, Data: data})
+			rec.Writes = append(rec.Writes, WriteItem{Addr: wr[i].Addr, Version: version, Data: data})
 		}
 	}
 	m.commits++
@@ -419,16 +420,13 @@ func (m *Memnode) prepare(r *PrepareReq) (*ExecResp, error) {
 		m.locked[a] = r.Txid
 	}
 	st := &staged{
-		writes:       r.Writes,
-		addrs:        addrs,
-		participants: r.Participants,
-		preparedAt:   netsim.CurrentClock().Now(),
+		rec:        RedoRecord{Kind: recStage, Txid: r.Txid, Writes: r.Writes, Locks: addrs, Participants: r.Participants},
+		preparedAt: netsim.CurrentClock().Now(),
 	}
 	m.staged[r.Txid] = st
 	var rec *RedoRecord
 	if m.emits() {
-		sr := stageRedo(r.Txid, st)
-		rec = &sr
+		rec = &st.rec
 	}
 	if err := m.publishUnlock(rec); err != nil {
 		return nil, err
@@ -446,8 +444,8 @@ func (m *Memnode) commit(txid uint64) error {
 	}
 	var rec *RedoRecord
 	if st, ok := m.staged[txid]; ok {
-		rec = m.applyWritesLocked(txid, true, st.writes)
-		if len(st.writes) == 0 && m.emits() {
+		rec = m.applyWritesLocked(txid, true, st.rec.Writes)
+		if len(st.rec.Writes) == 0 && m.emits() {
 			// No writes, but the outcome still has to reach the log and the
 			// mirror: the resolve clears the stage and fences a late abort.
 			rec = &RedoRecord{Kind: recResolve, Txid: txid}
@@ -497,7 +495,7 @@ func (m *Memnode) inDoubt(r *InDoubtReq) *InDoubtResp {
 		}
 		resp.Txns = append(resp.Txns, InDoubtInfo{
 			Txid:         txid,
-			Participants: append([]NodeID(nil), st.participants...),
+			Participants: append([]NodeID(nil), st.rec.Participants...),
 			AgeNanos:     int64(age),
 		})
 	}
@@ -519,7 +517,7 @@ func (m *Memnode) txnStatus(r *TxnStatusReq) *TxnStatusResp {
 
 // releaseLocked drops txid's locks and staging entry. Caller holds m.mu.
 func (m *Memnode) releaseLocked(txid uint64, st *staged) {
-	for _, a := range st.addrs {
+	for _, a := range st.rec.Locks {
 		if m.locked[a] == txid {
 			delete(m.locked, a)
 		}
@@ -546,7 +544,7 @@ func (m *Memnode) replicaLocked(from NodeID) *state {
 // m.mu.
 func (m *Memnode) relockStagedLocked() {
 	for txid, st := range m.staged {
-		for _, a := range st.addrs {
+		for _, a := range st.rec.Locks {
 			m.locked[a] = txid
 		}
 	}
@@ -606,8 +604,8 @@ func (m *Memnode) SeedReplica(primary NodeID, st *SnapshotStateResp) {
 func (m *Memnode) RemirrorStaged() {
 	m.mu.Lock()
 	recs := make([]RedoRecord, 0, len(m.staged))
-	for txid, st := range m.staged {
-		recs = append(recs, stageRedo(txid, st))
+	for _, st := range m.staged {
+		recs = append(recs, st.rec)
 	}
 	m.mu.Unlock()
 	for i := range recs {
@@ -637,11 +635,8 @@ func (m *Memnode) snapshotState() *SnapshotStateResp {
 	defer m.mu.Unlock()
 	resp := &SnapshotStateResp{Records: m.snapshotLocked(false)}
 	for from, rs := range m.replicas {
-		for a, it := range rs.items {
-			resp.MirrorFor = append(resp.MirrorFor, from)
-			resp.MirrorAddrs = append(resp.MirrorAddrs, a)
-			resp.MirrorData = append(resp.MirrorData, it.data)
-			resp.MirrorVersions = append(resp.MirrorVersions, it.version)
+		for _, rec := range rs.snapshotLocked(false) {
+			resp.Mirrors = append(resp.Mirrors, ReplicaRedoReq{From: from, Rec: rec})
 		}
 	}
 	return resp

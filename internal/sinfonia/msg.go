@@ -373,18 +373,9 @@ func encodeSnapshotStateResp(b *wire.Buffer, m *SnapshotStateResp) {
 	for i := range m.Records {
 		encodeRedo(b, &m.Records[i])
 	}
-	encodeNodes(b, m.MirrorFor)
-	b.U32(uint32(len(m.MirrorAddrs)))
-	for _, a := range m.MirrorAddrs {
-		b.U64(uint64(a))
-	}
-	b.U32(uint32(len(m.MirrorData)))
-	for _, p := range m.MirrorData {
-		b.Bytes32(p)
-	}
-	b.U32(uint32(len(m.MirrorVersions)))
-	for _, v := range m.MirrorVersions {
-		b.U64(v)
+	b.U32(uint32(len(m.Mirrors)))
+	for i := range m.Mirrors {
+		encodeReplicaRedoReq(b, &m.Mirrors[i])
 	}
 }
 
@@ -396,18 +387,11 @@ func decodeSnapshotStateResp(r *wire.Reader) (*SnapshotStateResp, bool) {
 		m.Records[i] = rec
 		bad = bad || err != nil
 	}
-	m.MirrorFor = decodeNodes(r)
-	m.MirrorAddrs = sliceOf[Addr](r, 8)
-	for i := range m.MirrorAddrs {
-		m.MirrorAddrs[i] = Addr(r.U64())
-	}
-	m.MirrorData = sliceOf[[]byte](r, 4)
-	for i := range m.MirrorData {
-		m.MirrorData[i] = image(r)
-	}
-	m.MirrorVersions = sliceOf[uint64](r, 8)
-	for i := range m.MirrorVersions {
-		m.MirrorVersions[i] = r.U64()
+	m.Mirrors = sliceOf[ReplicaRedoReq](r, 4+minRedoLen) // from + record
+	for i := range m.Mirrors {
+		mr, badMirror := decodeReplicaRedoReq(r)
+		m.Mirrors[i] = *mr
+		bad = bad || badMirror
 	}
 	return m, bad
 }

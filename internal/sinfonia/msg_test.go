@@ -55,13 +55,13 @@ func messageSamples() map[string]any {
 		"Ack":                     &Ack{},
 		"ReplicaRedoReq": &ReplicaRedoReq{From: 2, Rec: RedoRecord{
 			Kind: recStage, Txid: 9,
-			Writes:       []RedoWrite{{Addr: 4096, Data: []byte("promised")}},
+			Writes:       []WriteItem{{Addr: 4096, Data: []byte("promised")}},
 			Locks:        []Addr{512, 4096},
 			Participants: []NodeID{0, 2},
 		}},
 		"ReplicaRedoReq-apply": &ReplicaRedoReq{From: 0, Rec: RedoRecord{
 			Kind: recApply, Txid: 5, Flag: true,
-			Writes: []RedoWrite{{Addr: 4096, Version: 4, Data: []byte("image")}},
+			Writes: []WriteItem{{Addr: 4096, Version: 4, Data: []byte("image")}},
 		}},
 		"ScanReq":  &ScanReq{MinAddr: 4096, MaxAddr: 1 << 40, PrefixLen: 64},
 		"ScanResp": &ScanResp{Items: []ItemInfo{{Addr: 4096, Version: 2, Prefix: []byte("hdr")}, {Addr: 8192, Version: 1}}},
@@ -72,14 +72,15 @@ func messageSamples() map[string]any {
 		"SnapshotStateReq": &SnapshotStateReq{},
 		"SnapshotStateResp": &SnapshotStateResp{
 			Records: []RedoRecord{
-				{Kind: recApply, Writes: []RedoWrite{{Addr: 4096, Version: 3, Data: []byte("a")}, {Addr: 8192, Version: 1, Data: img}}},
-				{Kind: recStage, Txid: 9, Writes: []RedoWrite{{Addr: 12288, Data: []byte("b")}}, Locks: []Addr{12288}, Participants: []NodeID{0, 1}},
+				{Kind: recApply, Writes: []WriteItem{{Addr: 4096, Version: 3, Data: []byte("a")}, {Addr: 8192, Version: 1, Data: img}}},
+				{Kind: recStage, Txid: 9, Writes: []WriteItem{{Addr: 12288, Data: []byte("b")}}, Locks: []Addr{12288}, Participants: []NodeID{0, 1}},
 				{Kind: recStage, Txid: 10, Locks: []Addr{512}},
 			},
-			MirrorFor:      []NodeID{1, 1},
-			MirrorAddrs:    []Addr{4096, 8192},
-			MirrorData:     [][]byte{[]byte("m"), nil},
-			MirrorVersions: []uint64{5, 6},
+			Mirrors: []ReplicaRedoReq{
+				{From: 1, Rec: RedoRecord{Kind: recApply, Writes: []WriteItem{{Addr: 4096, Version: 5, Data: []byte("m")}, {Addr: 8192, Version: 6, Data: []byte{}}}}},
+				{From: 1, Rec: RedoRecord{Kind: recStage, Txid: 11, Writes: []WriteItem{{Addr: 16384, Data: []byte("c")}}, Locks: []Addr{16384}, Participants: []NodeID{1, 2}}},
+				{From: 2, Rec: RedoRecord{Kind: recApply}},
+			},
 		},
 		"SnapshotStateResp-empty": &SnapshotStateResp{Records: []RedoRecord{{Kind: recApply}}},
 		"InDoubtReq":              &InDoubtReq{MinAgeNanos: 5e9},

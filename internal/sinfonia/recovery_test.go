@@ -265,7 +265,7 @@ func TestStaleStagedMirrorNotResurrected(t *testing.T) {
 	stage := func(txid uint64) RedoRecord {
 		return RedoRecord{
 			Kind: recStage, Txid: txid,
-			Writes: []RedoWrite{{Addr: 900, Data: []byte("stale")}},
+			Writes: []WriteItem{{Addr: 900, Data: []byte("stale")}},
 			Locks:  []Addr{900}, Participants: parts,
 		}
 	}
@@ -302,7 +302,7 @@ func TestStaleStagedMirrorNotResurrected(t *testing.T) {
 	// Committed resolutions are remembered the same way: a staged apply
 	// fences later stage messages for its transaction.
 	mustAck(stage(303))
-	mustAck(RedoRecord{Kind: recApply, Txid: 303, Flag: true, Writes: []RedoWrite{{Addr: 900, Version: 1, Data: []byte("v")}}})
+	mustAck(RedoRecord{Kind: recApply, Txid: 303, Flag: true, Writes: []WriteItem{{Addr: 900, Version: 1, Data: []byte("v")}}})
 	mustAck(stage(303))
 	nm2 := b.PromoteReplica(0)
 	resp, _ = nm2.HandleRPC(&TxnStatusReq{Txid: 303})

@@ -23,18 +23,10 @@ const (
 	recResolve = 3 // phase-two outcome without writes (abort, empty commit)
 )
 
-// RedoWrite is one image in a RedoRecord.
-type RedoWrite struct {
-	Addr Addr
-	// Version is the version the primary assigned to the image. A stage
-	// carries 0: its writes get their versions when phase two applies them.
-	Version uint64
-	// Data is the image. It is install-once like item.data: whoever hands a
-	// record to redoLocked gives the slice up and never writes it again.
-	Data []byte
-}
-
-// RedoRecord is one change to a memnode's replicated state.
+// RedoRecord is one change to a memnode's replicated state. Its slices are
+// install-once like item.data: whoever hands a record to redoLocked gives
+// them up and never writes them again, since a stage is kept as the record
+// itself.
 type RedoRecord struct {
 	Kind uint8 // recApply, recStage or recResolve
 	Txid uint64
@@ -43,8 +35,9 @@ type RedoRecord struct {
 	// Resolve: the transaction aborted (otherwise it committed with nothing
 	// to write). Stage: unused.
 	Flag bool
-	// Writes are the images installed (apply) or promised (stage).
-	Writes []RedoWrite
+	// Writes are the images installed (apply) or promised (stage); their
+	// Node is ignored.
+	Writes []WriteItem
 	// Locks is a stage's full lock set: compare- and read-only addresses
 	// lock too, so the writes alone would under-lock after a restart or a
 	// promotion. Participants is the list coordinator recovery needs. Both
@@ -99,7 +92,7 @@ func decodeRedo(r *wire.Reader) (RedoRecord, error) {
 	rec.Txid = r.U64()
 	flag := r.U8()
 	rec.Flag = flag == 1
-	rec.Writes = sliceOf[RedoWrite](r, 20) // addr + version + length prefix
+	rec.Writes = sliceOf[WriteItem](r, 20) // addr + version + length prefix
 	for i := range rec.Writes {
 		rec.Writes[i].Addr = Addr(r.U64())
 		rec.Writes[i].Version = r.U64()
@@ -178,19 +171,10 @@ func (s *state) redoLocked(rec *RedoRecord) {
 		if _, resolved := s.outcomes.get(rec.Txid); resolved {
 			return
 		}
-		writes := make([]WriteItem, len(rec.Writes))
-		for i := range rec.Writes {
-			writes[i] = WriteItem{Addr: rec.Writes[i].Addr, Data: rec.Writes[i].Data}
-		}
 		// The clock starts over for a redone prepare: the recovery
 		// coordinator leaves it alone for a full MinAge, so a coordinator
 		// that is still alive gets first shot at phase two.
-		s.staged[rec.Txid] = &staged{
-			writes:       writes,
-			addrs:        rec.Locks,
-			participants: rec.Participants,
-			preparedAt:   netsim.CurrentClock().Now(),
-		}
+		s.staged[rec.Txid] = &staged{rec: *rec, preparedAt: netsim.CurrentClock().Now()}
 	case recResolve:
 		delete(s.staged, rec.Txid)
 		status := TxnCommitted
@@ -199,21 +183,6 @@ func (s *state) redoLocked(rec *RedoRecord) {
 		}
 		s.outcomes.record(rec.Txid, status)
 	}
-}
-
-// stageRedo is the record that re-creates st.
-func stageRedo(txid uint64, st *staged) RedoRecord {
-	rec := RedoRecord{
-		Kind:         recStage,
-		Txid:         txid,
-		Writes:       make([]RedoWrite, len(st.writes)),
-		Locks:        st.addrs,
-		Participants: st.participants,
-	}
-	for i := range st.writes {
-		rec.Writes[i] = RedoWrite{Addr: st.writes[i].Addr, Data: st.writes[i].Data}
-	}
-	return rec
 }
 
 // snapshotLocked returns s as the shortest record stream that rebuilds it:
@@ -227,13 +196,13 @@ func (s *state) snapshotLocked(outcomes bool) []RedoRecord {
 			recs = append(recs, RedoRecord{Kind: recResolve, Txid: txid, Flag: s.outcomes.m[txid] == TxnAborted})
 		}
 	}
-	all := RedoRecord{Kind: recApply, Writes: make([]RedoWrite, 0, len(s.items))}
+	all := RedoRecord{Kind: recApply, Writes: make([]WriteItem, 0, len(s.items))}
 	for a, it := range s.items {
-		all.Writes = append(all.Writes, RedoWrite{Addr: a, Version: it.version, Data: it.data})
+		all.Writes = append(all.Writes, WriteItem{Addr: a, Version: it.version, Data: it.data})
 	}
 	recs = append(recs, all)
-	for txid, st := range s.staged {
-		recs = append(recs, stageRedo(txid, st))
+	for _, st := range s.staged {
+		recs = append(recs, st.rec)
 	}
 	return recs
 }

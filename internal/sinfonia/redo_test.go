@@ -90,8 +90,9 @@ func TestPromotionRestoresFullLockSet(t *testing.T) {
 }
 
 // sameState fails unless a and b hold the same replicated state — item for
-// item, stage for stage, outcome for outcome — and the same locks.
-func sameState(t *testing.T, aName string, a *Memnode, bName string, b *Memnode) {
+// item, stage for stage and, when outcomes is set, outcome for outcome — and
+// the same locks.
+func sameState(t *testing.T, aName string, a *Memnode, bName string, b *Memnode, outcomes bool) {
 	t.Helper()
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -106,6 +107,20 @@ func sameState(t *testing.T, aName string, a *Memnode, bName string, b *Memnode)
 			t.Fatalf("item %d: %s has %+v, %s has %+v", addr, aName, ia, bName, ib)
 		}
 	}
+	sameStagesLocked(t, aName, &a.state, bName, &b.state)
+	if outcomes && (!reflect.DeepEqual(a.outcomes.order, b.outcomes.order) || !reflect.DeepEqual(a.outcomes.m, b.outcomes.m)) {
+		t.Fatalf("outcome logs differ:\n%s %v %v\n%s %v %v", aName, a.outcomes.order, a.outcomes.m, bName, b.outcomes.order, b.outcomes.m)
+	}
+	if !reflect.DeepEqual(a.locked, b.locked) {
+		t.Fatalf("locks differ: %s %v, %s %v", aName, a.locked, bName, b.locked)
+	}
+}
+
+// sameStagesLocked fails unless a and b hold the same stage records, byte
+// for byte in their redo encoding (which leaves out the Node of a request's
+// write). The caller holds both states' mutexes.
+func sameStagesLocked(t *testing.T, aName string, a *state, bName string, b *state) {
+	t.Helper()
 	if len(a.staged) != len(b.staged) {
 		t.Fatalf("%s holds %d stages, %s %d", aName, len(a.staged), bName, len(b.staged))
 	}
@@ -114,26 +129,12 @@ func sameState(t *testing.T, aName string, a *Memnode, bName string, b *Memnode)
 		if sb == nil {
 			t.Fatalf("txn %d staged on %s only", txid, aName)
 		}
-		if len(sa.writes) != len(sb.writes) {
-			t.Fatalf("txn %d: %d staged writes on %s, %d on %s", txid, len(sa.writes), aName, len(sb.writes), bName)
+		ea, eb := wire.NewBuffer(0), wire.NewBuffer(0)
+		encodeRedo(ea, &sa.rec)
+		encodeRedo(eb, &sb.rec)
+		if !bytes.Equal(ea.Bytes(), eb.Bytes()) {
+			t.Fatalf("txn %d stage record differs:\n%s %+v\n%s %+v", txid, aName, sa.rec, bName, sb.rec)
 		}
-		for i := range sa.writes {
-			if sa.writes[i].Addr != sb.writes[i].Addr || !bytes.Equal(sa.writes[i].Data, sb.writes[i].Data) {
-				t.Fatalf("txn %d staged write %d differs: %+v vs %+v", txid, i, sa.writes[i], sb.writes[i])
-			}
-		}
-		if fmt.Sprint(sa.addrs) != fmt.Sprint(sb.addrs) {
-			t.Fatalf("txn %d lock set: %v on %s, %v on %s", txid, sa.addrs, aName, sb.addrs, bName)
-		}
-		if fmt.Sprint(sa.participants) != fmt.Sprint(sb.participants) {
-			t.Fatalf("txn %d participants: %v on %s, %v on %s", txid, sa.participants, aName, sb.participants, bName)
-		}
-	}
-	if !reflect.DeepEqual(a.outcomes.order, b.outcomes.order) || !reflect.DeepEqual(a.outcomes.m, b.outcomes.m) {
-		t.Fatalf("outcome logs differ:\n%s %v %v\n%s %v %v", aName, a.outcomes.order, a.outcomes.m, bName, b.outcomes.order, b.outcomes.m)
-	}
-	if !reflect.DeepEqual(a.locked, b.locked) {
-		t.Fatalf("locks differ: %s %v, %s %v", aName, a.locked, bName, b.locked)
 	}
 }
 
@@ -142,7 +143,10 @@ func sameState(t *testing.T, aName string, a *Memnode, bName string, b *Memnode)
 // runs against a durable primary with a backup, with checkpoints cut in
 // between and some prepares left in flight; the state the log recovers after
 // a machine crash and the state the backup promotes must then be the same,
-// and both must be what the primary itself held.
+// and both must be what the primary itself held. The two other ways a state
+// is copied must agree too: a node seeded from the primary's state snapshot
+// and then promoted holds the primary's items, stages and locks, and a fresh
+// backup of that node, fed only by RemirrorStaged, holds its stages.
 func TestLogAndMirrorConverge(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -236,11 +240,28 @@ func TestLogAndMirrorConverge(t *testing.T) {
 				m.outcomes = kept
 				m.mu.Unlock()
 			}
-			sameState(t, "recovered", recovered, "promoted", promoted)
-			sameState(t, "primary", primary, "recovered", recovered)
+			sameState(t, "recovered", recovered, "promoted", promoted, true)
+			sameState(t, "primary", primary, "recovered", recovered, true)
 			if rb, pb := walkBytes(t, recovered), walkBytes(t, promoted); rb != pb || rb != walkBytes(t, primary) {
 				t.Fatalf("byte counts: recovered %d, promoted %d", rb, pb)
 			}
+
+			// A state snapshot carries no outcomes, so the seeded copy is
+			// compared without them.
+			seeder := NewMemnode(2)
+			seeder.SeedReplica(0, primary.snapshotState())
+			reseeded := seeder.PromoteReplica(0)
+			sameState(t, "primary", primary, "reseeded", reseeded, false)
+
+			remirrored := NewMemnode(3)
+			tr.Bind(3, remirrored)
+			reseeded.SetBackup(tr, 3)
+			reseeded.RemirrorStaged()
+			reseeded.mu.Lock()
+			remirrored.mu.Lock()
+			sameStagesLocked(t, "reseeded", &reseeded.state, "remirrored", remirrored.replicaLocked(0))
+			remirrored.mu.Unlock()
+			reseeded.mu.Unlock()
 			if err := primary.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -260,7 +281,7 @@ func redoSamples() map[string][]byte {
 	}
 	stage := enc(RedoRecord{
 		Kind: recStage, Txid: 9,
-		Writes:       []RedoWrite{{Addr: 4096, Data: []byte("promised")}, {Addr: 8192, Data: []byte{}}},
+		Writes:       []WriteItem{{Addr: 4096, Data: []byte("promised")}, {Addr: 8192, Data: []byte{}}},
 		Locks:        []Addr{512, 4096, 8192}, // 512 is compared, not written
 		Participants: []NodeID{0, 2},
 	})
@@ -270,8 +291,8 @@ func redoSamples() map[string][]byte {
 	hugeCount.U8(0)
 	hugeCount.U32(0xFFFF_FFFF)
 	return map[string][]byte{
-		"apply":          enc(RedoRecord{Kind: recApply, Txid: 5, Writes: []RedoWrite{{Addr: 4096, Version: 3, Data: []byte("image")}, {Addr: 8192, Version: 1, Data: bytes.Repeat([]byte{0xAB}, 300)}}}),
-		"apply-staged":   enc(RedoRecord{Kind: recApply, Txid: 9, Flag: true, Writes: []RedoWrite{{Addr: 4096, Version: 4, Data: []byte("promised")}}}),
+		"apply":          enc(RedoRecord{Kind: recApply, Txid: 5, Writes: []WriteItem{{Addr: 4096, Version: 3, Data: []byte("image")}, {Addr: 8192, Version: 1, Data: bytes.Repeat([]byte{0xAB}, 300)}}}),
+		"apply-staged":   enc(RedoRecord{Kind: recApply, Txid: 9, Flag: true, Writes: []WriteItem{{Addr: 4096, Version: 4, Data: []byte("promised")}}}),
 		"stage":          stage,
 		"resolve-commit": enc(RedoRecord{Kind: recResolve, Txid: 9}),
 		"resolve-abort":  enc(RedoRecord{Kind: recResolve, Txid: 9, Flag: true}),

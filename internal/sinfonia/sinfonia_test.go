@@ -432,7 +432,7 @@ func TestReplicaAppliesVersionGuard(t *testing.T) {
 	// gap filled (the batch that fills it may never have been sent).
 	apply := func(version uint64, data string) {
 		t.Helper()
-		rec := RedoRecord{Kind: recApply, Writes: []RedoWrite{{Addr: 7, Version: version, Data: []byte(data)}}}
+		rec := RedoRecord{Kind: recApply, Writes: []WriteItem{{Addr: 7, Version: version, Data: []byte(data)}}}
 		if _, err := mns[1].HandleRPC(&ReplicaRedoReq{From: 0, Rec: rec}); err != nil {
 			t.Fatal(err)
 		}

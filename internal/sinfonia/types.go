@@ -64,12 +64,20 @@ type ReadItem struct {
 	Addr Addr
 }
 
-// WriteItem is a conditional update: applied only if all comparisons in the
-// minitransaction succeed.
+// WriteItem is one write, at every stage of its life: a conditional update
+// in a minitransaction (applied only if all its comparisons succeed), a
+// write promised by a stage, and an image installed by an apply redo record.
+// It has two encodings, one per side (docs/WIRE.md): a request's is (node,
+// addr, image), a redo record's (addr, version, image).
 type WriteItem struct {
+	// Node routes a request's write to its memnode. Redo records ignore it.
 	Node NodeID
 	Addr Addr
-	Data []byte
+	// Version is the version the memnode assigned to the image
+	// (applyWritesLocked). It is 0 in a request and in a stage: a staged
+	// write gets its version when phase two applies it.
+	Version uint64
+	Data    []byte
 }
 
 // ReadResult is the outcome of one ReadItem. Over an in-process transport
@@ -211,16 +219,14 @@ type SnapshotStateReq struct{}
 type SnapshotStateResp struct {
 	Records []RedoRecord
 
-	// Backup mirrors this node holds for other primaries, parallel slices
-	// indexed by mirrored item. Purely observational (SeedReplica ignores
-	// them); they let out-of-process tooling — the multi-process harness in
+	// Mirrors describes the backup mirrors this node holds for other
+	// primaries in the same records, each tagged with the primary it
+	// mirrors. Purely observational (SeedReplica ignores them); they let
+	// out-of-process tooling — the multi-process harness in
 	// internal/prochost in particular — verify that replication wired over
 	// real TCP actually landed, which in-process tests check by calling
 	// PromoteReplica directly.
-	MirrorFor      []NodeID
-	MirrorAddrs    []Addr
-	MirrorData     [][]byte
-	MirrorVersions []uint64
+	Mirrors []ReplicaRedoReq
 }
 
 // StatsReq asks a memnode for its counters.

@@ -15,9 +15,10 @@ import "fmt"
 // package. See docs/WIRE.md for the full wire contract.
 
 // FrameVersion is the current multiplexed transport protocol version.
-// Version 3 carries payloads in the explicit message codec; version 2
-// carried gob envelopes.
-const FrameVersion = 3
+// Version 4 describes a state snapshot's backup mirrors as redo records;
+// version 3 had the same message codec with mirrors as parallel lists, and
+// version 2 carried gob envelopes.
+const FrameVersion = 4
 
 // FramePreambleLen is the length of the connection preamble.
 const FramePreambleLen = 4
@@ -40,10 +41,6 @@ const (
 	// FrameFlagError marks a response whose payload is an error rather
 	// than a result.
 	FrameFlagError FrameFlags = 1 << 0
-	// FrameFlagThrottled marks a response produced by load shedding: the
-	// receiver rejected the request before executing it. The caller may
-	// retry; the request was never started.
-	FrameFlagThrottled FrameFlags = 1 << 1
 )
 
 // FrameHeader is the fixed header preceding every frame payload.

@@ -39,7 +39,7 @@ func TestFrameHeaderRoundTrip(t *testing.T) {
 	for _, h := range []FrameHeader{
 		{},
 		{ID: 1, Flags: FrameFlagError, Length: 0},
-		{ID: 1<<64 - 1, Flags: FrameFlagError | FrameFlagThrottled, Length: MaxFramePayload},
+		{ID: 1<<64 - 1, Flags: FrameFlagError | 1<<1, Length: MaxFramePayload}, // 1<<1 has no meaning: receivers ignore it
 		{ID: 42, Length: 12345},
 	} {
 		enc := h.AppendFrameHeader(nil)
