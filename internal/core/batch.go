@@ -253,7 +253,6 @@ func (bt *BTree) prefetchLeaves(t *dyntx.Txn, tg *target, ops []BatchOp) error {
 		planned = true
 		refs = append(refs, refNode(parent.kid(i)))
 	}
-	const maxRedirectRounds = 4
 	for round := 0; len(refs) > 0 && round <= maxRedirectRounds; round++ {
 		objs, err := t.Read(refs...)
 		if err != nil {
@@ -268,7 +267,7 @@ func (bt *BTree) prefetchLeaves(t *dyntx.Txn, tg *target, ops []BatchOp) error {
 			if err != nil {
 				continue
 			}
-			p, ok, err := bt.bestRedirect(n, tg.sid)
+			p, ok, err := bt.bestRedirect(n, tg)
 			if err != nil {
 				return nil
 			}

@@ -5,8 +5,10 @@ import "minuet/internal/wire"
 // Cursor streams a snapshot's key-value pairs in key order without
 // materializing the whole range: it fetches one leaf at a time (one round
 // trip with a warm proxy cache) and steps to the next leaf using the high
-// fence. Because the underlying snapshot is immutable, a cursor can be
-// paused, resumed, or abandoned at any point with no transactional state.
+// fence. Unlike a scan it never fetches a run of leaves ahead, because how
+// far its caller will read is unknown. Because the underlying snapshot is
+// immutable, a cursor can be paused, resumed, or abandoned at any point with
+// no transactional state.
 //
 // Cursors are the streaming complement to ScanSnapshot: analytics that
 // aggregate more data than fits in memory iterate instead of collecting.
@@ -19,7 +21,7 @@ type Cursor struct {
 // NewCursor opens a cursor over a read-only snapshot, positioned at the
 // first key ≥ start (nil = the smallest key).
 func (bt *BTree) NewCursor(s Snapshot, start wire.Key) *Cursor {
-	c := &Cursor{w: leafWalk{bt: bt, tg: snapTarget(s), next: start}}
+	c := &Cursor{w: bt.newLeafWalk(nil, snapTarget(s), start)}
 	c.fill()
 	return c
 }
@@ -30,7 +32,7 @@ func (c *Cursor) fill() {
 	for !c.done && (c.w.leaf == nil || c.w.pos >= c.w.leaf.len()) {
 		if c.w.last {
 			c.done = true
-		} else if c.err = c.w.step(); c.err != nil {
+		} else if c.err = c.w.step(1, wire.PosInf); c.err != nil {
 			c.done = true
 		}
 	}

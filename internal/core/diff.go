@@ -108,7 +108,7 @@ func (w *diffWalker) load(p Ptr, tg *target) (*nodeView, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !w.bt.checkNode(n, tg.sid) {
+	if !w.bt.checkNode(n, tg) {
 		return nil, dyntx.ErrRetry
 	}
 	return n, nil

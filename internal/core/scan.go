@@ -83,37 +83,67 @@ func (bt *BTree) GetSnap(s Snapshot, k wire.Key) (val []byte, ok bool, err error
 	return val, ok, err
 }
 
-// leafWalk steps through one version's leaves in key order. Each leaf is
-// located by an independent traversal (one round trip with a warm proxy
-// cache) and the walk continues from its high fence, so no sibling pointers
-// are needed. It is the only code that steps by fence; scans, cursors and
-// diffs are loops over it.
+// leafWalk steps through one version's leaves in key order, continuing each
+// step from the previous leaf's high fence, so no sibling pointers are
+// needed. A validating walk locates every leaf by an independent traversal
+// (one round trip with a warm proxy cache). A frozen walk fetches runs: it
+// descends to a leaf's parent and reads a run of its children in one grouped
+// read, then consumes them one step at a time. It is the only code that
+// steps by fence; scans, cursors and diffs are loops over it.
 type leafWalk struct {
 	bt *BTree
-	t  *dyntx.Txn // nil: every leaf is fetched in a transaction of its own
+	t  *dyntx.Txn // nil: every fetch runs in a transaction of its own
 	tg target
 
-	next wire.Key  // where the next leaf starts
-	leaf *nodeView // current leaf; nil before the first step
-	pos  int       // first unconsumed key of leaf
-	last bool      // leaf is the rightmost one
+	next wire.Key    // where the next leaf starts
+	leaf *nodeView   // current leaf; nil before the first step
+	pos  int         // first unconsumed key of leaf
+	last bool        // leaf is the rightmost one
+	run  []*nodeView // fetched leaves that follow leaf, unchecked; nil: not a node
+}
+
+// newLeafWalk starts a walk of tg at start. On a branching tree the walk
+// memoizes which versions are ancestors of tg's, so the catalog is walked
+// once per version met rather than once per node and redirect.
+func (bt *BTree) newLeafWalk(t *dyntx.Txn, tg target, start wire.Key) leafWalk {
+	if bt.cfg.Branching {
+		tg.anc = make(map[uint64]bool)
+	}
+	return leafWalk{bt: bt, t: t, tg: tg, next: start}
 }
 
 // step loads the leaf that starts the rest of the walk and positions at its
-// first key ≥ next. Call only while !w.last.
-func (w *leafWalk) step() (err error) {
+// first key ≥ next. want is how many more keys the caller takes and hi where
+// it stops; on a frozen target they size the run fetched when none is left.
+// Call only while !w.last.
+func (w *leafWalk) step(want int, hi wire.Fence) error {
 	k := w.next
-	if w.t != nil {
-		w.leaf, err = w.bt.leafFor(w.t, &w.tg, k)
-	} else {
-		// A retry refetches this one leaf, not the walk so far.
-		err = w.bt.run(func(t *dyntx.Txn) (e error) {
-			w.leaf, e = w.bt.leafFor(t, &w.tg, k)
-			return e
-		})
-	}
-	if err != nil {
-		return err
+	if w.leaf = w.fromRun(k); w.leaf == nil {
+		n := 1
+		if !w.tg.validate { // enough leaves for want keys, were they half full
+			n = 1 + (max(want, 1)-1)/max(w.bt.cfg.MaxLeafKeys/2, 1)
+		}
+		fetch := func(t *dyntx.Txn) (err error) {
+			if n > 1 {
+				if w.run, err = w.bt.fetchRun(t, &w.tg, k, n, hi); err != nil {
+					return err
+				}
+				if w.leaf = w.fromRun(k); w.leaf != nil {
+					return nil
+				}
+			}
+			w.leaf, err = w.bt.leafFor(t, &w.tg, k)
+			return err
+		}
+		var err error
+		if w.t != nil {
+			err = fetch(w.t)
+		} else {
+			err = w.bt.run(fetch) // a retry refetches this step, not the walk so far
+		}
+		if err != nil {
+			return err
+		}
 	}
 	w.pos, _ = w.leaf.search(k)
 	if w.last = w.leaf.High.IsPosInf(); !w.last {
@@ -122,14 +152,113 @@ func (w *leafWalk) step() (err error) {
 	return nil
 }
 
+// fromRun takes the next leaf of the fetched run when it passes exactly the
+// checks a descent toward k makes at its last step: a leaf, of version
+// tg.sid's history, whose fences hold k. The first one that fails them drops
+// the rest of the run, and the caller falls back to a descent.
+func (w *leafWalk) fromRun(k wire.Key) *nodeView {
+	if len(w.run) == 0 {
+		return nil
+	}
+	n := w.run[0]
+	w.run = w.run[1:]
+	if n != nil && n.IsLeaf() && w.bt.checkNode(n, &w.tg) && n.inRange(k) {
+		return n
+	}
+	w.run = nil
+	return nil
+}
+
+// fetchRun reads up to n leaves of frozen target tg, starting with the one
+// responsible for k: it descends to that leaf's parent and reads a run of its
+// children with one DirtyRead — one minitransaction per memnode, run side by
+// side. The run stops at the parent's last child and before the first child
+// that starts at or above hi. A leaf that redirects toward tg.sid is replaced
+// by its copy in a few more grouped rounds, as prefetchLeaves does; the run
+// is cut before a leaf still redirecting after them. Each image is parsed
+// once, nil when absent or not a node, and is checked as the walk consumes
+// it.
+func (bt *BTree) fetchRun(t *dyntx.Txn, tg *target, k wire.Key, n int, hi wire.Fence) ([]*nodeView, error) {
+	var buf pathBuf
+	path, err := bt.descend(t, tg, k, 1, &buf)
+	if err != nil {
+		return nil, err
+	}
+	parent := path[len(path)-1].view
+	i := parent.childIndex(k)
+	refs := make([]dyntx.Ref, 0, min(n, parent.len()+1-i))
+	for j := i; j <= parent.len() && len(refs) < n; j++ {
+		if j > i && hi.CompareKey(parent.key(j-1)) >= 0 {
+			break // child j starts at or above hi
+		}
+		refs = append(refs, refNode(parent.kid(j)))
+	}
+	objs, err := t.DirtyRead(refs...)
+	if err != nil {
+		return nil, err
+	}
+	run := make([]*nodeView, len(objs))
+	// Swap each leaf that redirects toward tg.sid for its copy: the first
+	// pass looks at every leaf, later rounds only at the copies just read.
+	var chase []int // positions in run of leaves that redirect toward tg.sid
+	refs = refs[:0]
+	look := func(j int, obj dyntx.Obj) error {
+		if !obj.Exists {
+			run[j] = nil
+			return nil
+		}
+		run[j], _ = parseNode(obj.Data)
+		if run[j] == nil || len(run[j].Redirects) == 0 {
+			return nil
+		}
+		p, ok, err := bt.bestRedirect(run[j], tg)
+		if ok {
+			chase = append(chase, j)
+			refs = append(refs, refNode(p))
+		}
+		return err
+	}
+	// cut ends the run before j and before every leaf still redirecting.
+	cut := func(j int) []*nodeView {
+		if len(chase) > 0 {
+			j = min(j, chase[0])
+		}
+		return run[:j]
+	}
+	for j, obj := range objs {
+		if look(j, obj) != nil {
+			return cut(j), nil
+		}
+	}
+	for round := 0; len(chase) > 0; round++ {
+		if round == maxRedirectRounds {
+			return cut(len(run)), nil
+		}
+		copies, err := t.DirtyRead(refs...)
+		if err != nil {
+			return nil, err
+		}
+		// at and chase share storage: look appends at or before the
+		// position the loop has read.
+		at := chase
+		chase, refs = chase[:0], refs[:0]
+		for x, j := range at {
+			if look(j, copies[x]) != nil {
+				return cut(j), nil
+			}
+		}
+	}
+	return run, nil
+}
+
 // scan collects up to limit pairs with start ≤ key < hi from tg, in key
-// order. With t == nil each leaf is read in its own transaction.
+// order. With t == nil each step's fetch runs in its own transaction.
 func (bt *BTree) scan(t *dyntx.Txn, tg target, start wire.Key, hi wire.Fence, limit int) ([]KV, error) {
 	out := make([]KV, 0, min(limit, 1024))
 	bounded := !hi.IsPosInf()
-	w := leafWalk{bt: bt, t: t, tg: tg, next: start}
+	w := bt.newLeafWalk(t, tg, start)
 	for !w.last && len(out) < limit {
-		if err := w.step(); err != nil {
+		if err := w.step(limit-len(out), hi); err != nil {
 			return out, err
 		}
 		leaf := w.leaf
@@ -148,8 +277,8 @@ func (bt *BTree) scan(t *dyntx.Txn, tg target, start wire.Key, hi wire.Fence, li
 }
 
 // ScanSnapshot returns up to limit pairs with key ≥ start from a read-only
-// snapshot, in key order. Each leaf is located by an independent dirty
-// traversal, so the scan never validates — this is how Minuet runs long
+// snapshot, in key order. Leaves are fetched by dirty reads in runs of
+// siblings, so the scan never validates — this is how Minuet runs long
 // analytics queries without disturbing the OLTP workload (§4, §6.3).
 func (bt *BTree) ScanSnapshot(s Snapshot, start wire.Key, limit int) ([]KV, error) {
 	return bt.scan(nil, snapTarget(s), start, wire.PosInf, limit)

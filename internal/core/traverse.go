@@ -107,11 +107,12 @@ func (bt *BTree) loadNode(t *dyntx.Txn, p Ptr, how loadMode) (*nodeView, uint64,
 
 // checkNode applies the version half of the per-node safety checks that make
 // dirty traversals sound (callers add the fence check): the node must belong
-// to snapshot sid's history and — in the linear format, where the caller has
-// no redirects to follow — must not have been copied toward sid.
-func (bt *BTree) checkNode(n *nodeView, sid uint64) bool {
+// to version tg.sid's history and — in the linear format, where the caller
+// has no redirects to follow — must not have been copied toward it.
+func (bt *BTree) checkNode(n *nodeView, tg *target) bool {
+	sid := tg.sid
 	if bt.cfg.Branching {
-		ok, err := bt.cat.IsAncestorOrSelf(n.Created, sid)
+		ok, err := bt.isAncestor(tg, n.Created)
 		return err == nil && ok
 	}
 	if n.Created > sid {
@@ -122,13 +123,27 @@ func (bt *BTree) checkNode(n *nodeView, sid uint64) bool {
 	return n.Copied == NoSnap || n.Copied > sid
 }
 
+// isAncestor reports whether version a is an ancestor-or-self of tg.sid. A
+// version's ancestry never changes, so a target that carries a memo (a leaf
+// walk's) asks the catalog about each version once.
+func (bt *BTree) isAncestor(tg *target, a uint64) (bool, error) {
+	if ok, hit := tg.anc[a]; hit {
+		return ok, nil
+	}
+	ok, err := bt.cat.IsAncestorOrSelf(a, tg.sid)
+	if err == nil && tg.anc != nil {
+		tg.anc[a] = ok
+	}
+	return ok, err
+}
+
 // bestRedirect returns the deepest (most specific) redirect of n whose
-// snapshot is an ancestor-or-self of sid, if any (§5.2).
-func (bt *BTree) bestRedirect(n *nodeView, sid uint64) (Ptr, bool, error) {
+// snapshot is an ancestor-or-self of tg.sid, if any (§5.2).
+func (bt *BTree) bestRedirect(n *nodeView, tg *target) (Ptr, bool, error) {
 	best := -1
 	var bestDepth uint32
 	for i, r := range n.Redirects {
-		ok, err := bt.cat.IsAncestorOrSelf(r.Sid, sid)
+		ok, err := bt.isAncestor(tg, r.Sid)
 		if err != nil {
 			return Ptr{}, false, err
 		}
@@ -148,6 +163,11 @@ func (bt *BTree) bestRedirect(n *nodeView, sid uint64) (Ptr, bool, error) {
 	}
 	return n.Redirects[best].Ptr, true, nil
 }
+
+// maxRedirectRounds bounds the grouped reads that chase fetched leaves to
+// their copies (prefetchLeaves, fetchRun): each round follows one redirect
+// per leaf, as one hop of locate does.
+const maxRedirectRounds = 4
 
 // locate loads the node at p as version tg sees it: interior nodes with
 // loadInterior, a leaf with loadRead when tg validates and loadDirty
@@ -169,7 +189,7 @@ func (bt *BTree) locate(t *dyntx.Txn, tg *target, p Ptr, leaf bool) (Ptr, *nodeV
 		if err != nil {
 			return p, nil, 0, err
 		}
-		tp, ok, err := bt.bestRedirect(n, tg.sid)
+		tp, ok, err := bt.bestRedirect(n, tg)
 		if err != nil {
 			return p, nil, 0, err
 		}
@@ -199,7 +219,7 @@ func (bt *BTree) descend(t *dyntx.Txn, tg *target, k wire.Key, floor uint8, buf 
 	// A Minuet tree always has at least two levels, so the root is interior;
 	// a leaf here means a stale root pointer — the proxy's cached root
 	// location for tg.sid is itself stale.
-	if err == nil && (cur.IsLeaf() || !bt.checkNode(cur, tg.sid) || !cur.inRange(k)) {
+	if err == nil && (cur.IsLeaf() || !bt.checkNode(cur, tg) || !cur.inRange(k)) {
 		err = dyntx.ErrRetry
 	}
 	if err != nil {
@@ -219,7 +239,7 @@ func (bt *BTree) descend(t *dyntx.Txn, tg *target, k wire.Key, floor uint8, buf 
 		// Fatal-inconsistency checks (Fig 5 line 15 plus §4.2): height must
 		// decrease by exactly one, and the child must pass fence/version
 		// checks.
-		if err == nil && (next.Height != cur.Height-1 || !bt.checkNode(next, tg.sid) || !next.inRange(k)) {
+		if err == nil && (next.Height != cur.Height-1 || !bt.checkNode(next, tg) || !next.inRange(k)) {
 			err = dyntx.ErrRetry
 		}
 		if err != nil {

@@ -329,6 +329,8 @@ type target struct {
 	// dirty traversals alone (§4.2) and reject writes.
 	validate bool
 	ent      catalog.Entry // branching: the slot's entry, re-encoded by setRoot
+	// anc memoizes isAncestor for sid; nil: ask the catalog every time.
+	anc map[uint64]bool
 }
 
 // snapTarget addresses a frozen snapshot by its handle; no resolution (and no

@@ -141,3 +141,42 @@ func TestCallAllocBudget(t *testing.T) {
 	}
 	t.Logf("a get-shaped Call makes %.0f allocations", allocs)
 }
+
+// TestMultiImageFrameEncodesOnce pins the allocations of encoding a frame
+// that carries many node images: a 16-leaf read response, as a snapshot scan
+// fetches, and a 64-write prepare, as a large batch sends. The encoders
+// reserve their whole size up front, so the images are copied into the frame
+// once; growing the buffer as it filled made 12 and 17 allocations.
+func TestMultiImageFrameEncodesOnce(t *testing.T) {
+	img := bytes.Repeat([]byte{0xC4}, 4096)
+	resp := &sinfonia.ExecResp{}
+	for range 16 {
+		resp.Reads = append(resp.Reads, sinfonia.ReadResult{Data: img, Version: 7, Exists: true})
+	}
+	prep := &sinfonia.PrepareReq{Txid: 9, Participants: []sinfonia.NodeID{0, 1}}
+	for i := range 64 {
+		prep.Writes = append(prep.Writes, sinfonia.WriteItem{Node: 1, Addr: sinfonia.Addr(4096 * (i + 1)), Data: img})
+	}
+	for _, m := range []any{resp, prep} {
+		var frame *wire.Buffer
+		allocs := testing.AllocsPerRun(100, func() {
+			frame = newFrame()
+			if err := encodePayload(frame, m, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		payload := frame.Bytes()[wire.FrameHeaderLen:]
+		got, err := sinfonia.DecodeMessage(payload)
+		if err != nil {
+			t.Fatalf("%T: %v", m, err)
+		}
+		var again wire.Buffer
+		if !sinfonia.EncodeMessage(&again, got) || !bytes.Equal(again.Bytes(), payload) {
+			t.Fatalf("%T: the frame does not round-trip", m)
+		}
+		if allocs > 5 {
+			t.Errorf("encoding a %T frame makes %.0f allocations, budget 5", m, allocs)
+		}
+		t.Logf("encoding a %T frame makes %.0f allocations", m, allocs)
+	}
+}

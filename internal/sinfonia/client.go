@@ -358,17 +358,22 @@ func (c *Client) call(node NodeID, req any) (*ExecResp, error) {
 // minitransactions are independent — there is NO atomicity across them; each
 // commits (or fails) on its own. Callers use it to pipeline single-memnode
 // fetches across the cluster: a batched read that would otherwise be N
-// sequential round trips completes in roughly one.
+// sequential round trips completes in roughly one. The first runs on the
+// calling goroutine, so a two-memnode read hands off to one goroutine, not
+// two.
 func (c *Client) ExecIndependent(ms []*Minitx) ([]*Result, error) {
 	results := make([]*Result, len(ms))
 	errs := make([]error, len(ms))
 	var wg sync.WaitGroup
-	for i, m := range ms {
+	for i := 1; i < len(ms); i++ {
 		wg.Add(1)
-		go func(i int, m *Minitx) {
+		go func() {
 			defer wg.Done()
-			results[i], errs[i] = c.Exec(m)
-		}(i, m)
+			results[i], errs[i] = c.Exec(ms[i])
+		}()
+	}
+	if len(ms) > 0 {
+		results[0], errs[0] = c.Exec(ms[0])
 	}
 	wg.Wait()
 	for _, err := range errs {

@@ -187,7 +187,18 @@ func image(r *wire.Reader) []byte {
 	return nil
 }
 
-// encodeItems appends a minitransaction's compares, reads and writes.
+// itemsLen is the encoded size of what encodeItems appends.
+func itemsLen(cmp []CompareItem, rd []ReadItem, wr []WriteItem) int {
+	n := 12 + 20*len(cmp) + 12*len(rd) + 16*len(wr) // counts, fixed fields
+	for i := range wr {
+		n += len(wr[i].Data)
+	}
+	return n
+}
+
+// encodeItems appends a minitransaction's compares, reads and writes. The
+// caller reserves room for them (itemsLen), so a request carrying many
+// images is copied into its frame once.
 func encodeItems(b *wire.Buffer, cmp []CompareItem, rd []ReadItem, wr []WriteItem) {
 	b.U32(uint32(len(cmp)))
 	for i := range cmp {
@@ -248,6 +259,7 @@ func decodeNodes(r *wire.Reader) []NodeID {
 }
 
 func encodeExecCommitReq(b *wire.Buffer, m *ExecCommitReq) {
+	b.Grow(8 + itemsLen(m.Compares, m.Reads, m.Writes) + 1)
 	b.U64(m.Txid)
 	encodeItems(b, m.Compares, m.Reads, m.Writes)
 	b.U8(flagByte(m.Blocking))
@@ -262,6 +274,7 @@ func decodeExecCommitReq(r *wire.Reader) (*ExecCommitReq, bool) {
 }
 
 func encodePrepareReq(b *wire.Buffer, m *PrepareReq) {
+	b.Grow(8 + itemsLen(m.Compares, m.Reads, m.Writes) + 1 + 4 + 4*len(m.Participants))
 	b.U64(m.Txid)
 	encodeItems(b, m.Compares, m.Reads, m.Writes)
 	b.U8(flagByte(m.Blocking))
@@ -277,7 +290,14 @@ func decodePrepareReq(r *wire.Reader) (*PrepareReq, bool) {
 	return m, blocking > 1
 }
 
+// encodeExecResp reserves the whole response before appending it, so the
+// images of a many-leaf read are copied into the frame once.
 func encodeExecResp(b *wire.Buffer, m *ExecResp) {
+	n := 1 + 4 + 4*len(m.Failed) + 4 + 13*len(m.Reads) // vote, counts, fixed fields
+	for i := range m.Reads {
+		n += len(m.Reads[i].Data)
+	}
+	b.Grow(n)
 	b.U8(uint8(m.Vote))
 	b.U32(uint32(len(m.Failed)))
 	for _, i := range m.Failed {

@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Key is an ordered byte-string key. The zero value is the empty key, which
@@ -110,6 +111,10 @@ func (w *Buffer) Bytes() []byte { return w.b }
 
 // Len returns the number of encoded bytes.
 func (w *Buffer) Len() int { return len(w.b) }
+
+// Grow makes room for n more bytes, so an encoder that knows its size up
+// front appends it without reallocating on the way.
+func (w *Buffer) Grow(n int) { w.b = slices.Grow(w.b, n) }
 
 // Write appends p unframed, which makes a Buffer an io.Writer. It never
 // fails.
