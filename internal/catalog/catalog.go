@@ -13,10 +13,18 @@
 // transaction already engages, and cached at proxies. The cost structure is
 // identical to the paper's replicated leaves (docs/ARCHITECTURE.md, "What
 // stays format-specific").
+//
+// Ancestry questions ("is version a an ancestor of b?", asked for every
+// visited node and redirect) are answered from a lineage per version: its
+// depth and jump pointers to the ancestors 2^i levels up. A lineage is
+// proxy-local, built once from the immutable Parent and Depth fields, and
+// never changes or leaves the proxy, so readers reach it without a lock and
+// a question costs O(log depth) pointer hops and no round trip.
 package catalog
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"minuet/internal/dyntx"
@@ -27,8 +35,9 @@ import (
 
 const entryMagic byte = 0xCA
 
-// Entry is a snapshot's catalog record. Sid, Root, Parent, and Depth are
-// immutable once written; BranchID mutates once (0 → first branch) and
+// Entry is a snapshot's catalog record. Sid, Parent, and Depth are
+// immutable once written; Root moves only while the snapshot is writable
+// (its tree grows a level), BranchID mutates once (0 → first branch) and
 // NumChildren grows up to the version tree's branching bound β.
 type Entry struct {
 	Sid         uint64
@@ -81,9 +90,9 @@ func Decode(data []byte) (Entry, error) {
 	return e, nil
 }
 
-// Catalog is a proxy-side view of one tree's snapshot catalog. Immutable
-// fields are cached forever; mutable fields (BranchID, NumChildren) are
-// refreshed on demand. Safe for concurrent use.
+// Catalog is a proxy-side view of one tree's snapshot catalog. Entries are
+// cached until invalidated and refreshed on demand; lineages, built from the
+// immutable fields, are cached forever. Safe for concurrent use.
 type Catalog struct {
 	c       *sinfonia.Client
 	treeIdx int
@@ -91,6 +100,8 @@ type Catalog struct {
 
 	mu      sync.RWMutex
 	entries map[uint64]Entry // guarded by mu
+
+	lineages sync.Map // sid → *lineage; written once per sid, never deleted
 }
 
 // New returns a catalog view reading from the given preferred replica.
@@ -137,72 +148,138 @@ func (cat *Catalog) Refresh(sid uint64) (Entry, error) {
 	return e, nil
 }
 
-// Invalidate drops sid from the cache.
+// Invalidate drops sid's entry from the cache. Its lineage stays: Parent
+// and Depth cannot change.
 func (cat *Catalog) Invalidate(sid uint64) {
 	cat.mu.Lock()
 	delete(cat.entries, sid)
 	cat.mu.Unlock()
 }
 
+// lineage is a version's place in the version tree: its depth and jump
+// pointers, up[i] being the ancestor 2^i levels above (up[0] the parent), so
+// len(up) is bits.Len32(depth). It never changes once stored.
+type lineage struct {
+	sid   uint64
+	depth uint32
+	up    []*lineage
+}
+
+// lift returns l's ancestor k levels up, in one hop per set bit of k. Call
+// only with k ≤ l.depth.
+func (l *lineage) lift(k uint32) *lineage {
+	for ; k != 0; k &= k - 1 {
+		l = l.up[bits.TrailingZeros32(k)]
+	}
+	return l
+}
+
+// lineage returns sid's lineage, building it — and those of any ancestors
+// not yet built — from catalog entries on first use.
+func (cat *Catalog) lineage(sid uint64) (*lineage, error) {
+	if l, ok := cat.lineages.Load(sid); ok {
+		return l.(*lineage), nil
+	}
+	var chain []Entry // sid, then its ancestors that have no lineage yet
+	var top *lineage  // the nearest ancestor that has one; nil: none
+	for cur := sid; top == nil; {
+		e, err := cat.Get(cur)
+		if err != nil {
+			return nil, err
+		}
+		if n := len(chain); n > 0 && e.Depth+1 != chain[n-1].Depth {
+			return nil, fmt.Errorf("catalog: snapshot %d at depth %d is the parent of %d at depth %d",
+				e.Sid, e.Depth, chain[n-1].Sid, chain[n-1].Depth)
+		}
+		chain = append(chain, e)
+		if e.Parent == 0 {
+			break
+		}
+		if l, ok := cat.lineages.Load(e.Parent); ok {
+			top = l.(*lineage)
+		}
+		cur = e.Parent
+	}
+	var want uint32 // the chain ends at the root or one level below top
+	if top != nil {
+		want = top.depth + 1
+	}
+	if e := chain[len(chain)-1]; e.Depth != want {
+		return nil, fmt.Errorf("catalog: snapshot %d at depth %d, want %d", e.Sid, e.Depth, want)
+	}
+	for i := len(chain) - 1; i >= 0; i-- {
+		l := &lineage{sid: chain[i].Sid, depth: chain[i].Depth}
+		if top != nil {
+			l.up = make([]*lineage, 1, bits.Len32(l.depth))
+			l.up[0] = top
+			for j := 1; j < cap(l.up); j++ {
+				l.up = append(l.up, l.up[j-1].up[j-1])
+			}
+		}
+		// A concurrent build of the same sid may have won: use its value,
+		// so that every lineage of a version is the one stored.
+		stored, _ := cat.lineages.LoadOrStore(l.sid, l)
+		top = stored.(*lineage)
+	}
+	return top, nil
+}
+
+// Depth returns sid's depth in the version tree (root snapshot = 0).
+func (cat *Catalog) Depth(sid uint64) (uint32, error) {
+	l, err := cat.lineage(sid)
+	if err != nil {
+		return 0, err
+	}
+	return l.depth, nil
+}
+
 // IsAncestorOrSelf reports whether snapshot a is an ancestor of (or equal
-// to) snapshot b in the version tree. Uses the immutable Parent/Depth
-// fields, so cached entries are always safe.
+// to) snapshot b in the version tree, lifting b to a's depth in O(log depth)
+// hops.
 func (cat *Catalog) IsAncestorOrSelf(a, b uint64) (bool, error) {
 	if a == b {
 		return true, nil
 	}
-	ea, err := cat.Get(a)
+	la, err := cat.lineage(a)
 	if err != nil {
 		return false, err
 	}
-	cur := b
-	for {
-		ec, err := cat.Get(cur)
-		if err != nil {
-			return false, err
-		}
-		if ec.Depth <= ea.Depth {
-			return cur == a, nil
-		}
-		if ec.Parent == 0 {
-			return false, nil
-		}
-		cur = ec.Parent
+	lb, err := cat.lineage(b)
+	if err != nil {
+		return false, err
 	}
+	return la.depth < lb.depth && lb.lift(lb.depth-la.depth) == la, nil
 }
 
 // LCA returns the lowest common ancestor of snapshots a and b.
 func (cat *Catalog) LCA(a, b uint64) (uint64, error) {
-	ea, err := cat.Get(a)
+	la, err := cat.lineage(a)
 	if err != nil {
 		return 0, err
 	}
-	eb, err := cat.Get(b)
+	lb, err := cat.lineage(b)
 	if err != nil {
 		return 0, err
 	}
-	for ea.Depth > eb.Depth {
-		if ea, err = cat.Get(ea.Parent); err != nil {
-			return 0, err
+	if la.depth > lb.depth {
+		la = la.lift(la.depth - lb.depth)
+	} else {
+		lb = lb.lift(lb.depth - la.depth)
+	}
+	if la == lb {
+		return la.sid, nil
+	}
+	// Same depth, different versions: take every jump that still lands on
+	// two different ancestors; the parent of where that ends is the LCA.
+	for i := len(la.up) - 1; i >= 0; i-- {
+		if i < len(la.up) && la.up[i] != lb.up[i] {
+			la, lb = la.up[i], lb.up[i]
 		}
 	}
-	for eb.Depth > ea.Depth {
-		if eb, err = cat.Get(eb.Parent); err != nil {
-			return 0, err
-		}
+	if len(la.up) == 0 {
+		return 0, fmt.Errorf("catalog: %d and %d share no ancestor", a, b)
 	}
-	for ea.Sid != eb.Sid {
-		if ea.Parent == 0 || eb.Parent == 0 {
-			return 0, fmt.Errorf("catalog: %d and %d share no ancestor", a, b)
-		}
-		if ea, err = cat.Get(ea.Parent); err != nil {
-			return 0, err
-		}
-		if eb, err = cat.Get(eb.Parent); err != nil {
-			return 0, err
-		}
-	}
-	return ea.Sid, nil
+	return la.up[0].sid, nil
 }
 
 // ChildToward returns the direct child c of ancestor a such that c is an
@@ -212,18 +289,20 @@ func (cat *Catalog) ChildToward(a, d uint64) (uint64, error) {
 	if a == d {
 		return 0, fmt.Errorf("catalog: %d is not a strict descendant of %d", d, a)
 	}
-	cur := d
-	for {
-		e, err := cat.Get(cur)
-		if err != nil {
-			return 0, err
-		}
-		if e.Parent == a {
-			return cur, nil
-		}
-		if e.Parent == 0 {
-			return 0, fmt.Errorf("catalog: %d is not a descendant of %d", d, a)
-		}
-		cur = e.Parent
+	la, err := cat.lineage(a)
+	if err != nil {
+		return 0, err
 	}
+	ld, err := cat.lineage(d)
+	if err != nil {
+		return 0, err
+	}
+	if ld.depth <= la.depth {
+		return 0, fmt.Errorf("catalog: %d is not a descendant of %d", d, a)
+	}
+	c := ld.lift(ld.depth - la.depth - 1)
+	if c.up[0] != la {
+		return 0, fmt.Errorf("catalog: %d is not a descendant of %d", d, a)
+	}
+	return c.sid, nil
 }

@@ -9,7 +9,7 @@ import (
 	"minuet/internal/space"
 )
 
-func newEnv(t *testing.T) (*sinfonia.Client, *Catalog) {
+func newEnv(t testing.TB) (*sinfonia.Client, *Catalog) {
 	t.Helper()
 	tr := netsim.NewLocal(0)
 	nodes := []sinfonia.NodeID{0, 1}
@@ -21,7 +21,7 @@ func newEnv(t *testing.T) (*sinfonia.Client, *Catalog) {
 }
 
 // writeEntry stores an entry on every memnode (as branch creation would).
-func writeEntry(t *testing.T, c *sinfonia.Client, treeIdx int, e Entry) {
+func writeEntry(t testing.TB, c *sinfonia.Client, treeIdx int, e Entry) {
 	t.Helper()
 	m := &sinfonia.Minitx{}
 	for _, n := range c.Nodes() {

@@ -102,13 +102,8 @@ type leafWalk struct {
 	run  []*nodeView // fetched leaves that follow leaf, unchecked; nil: not a node
 }
 
-// newLeafWalk starts a walk of tg at start. On a branching tree the walk
-// memoizes which versions are ancestors of tg's, so the catalog is walked
-// once per version met rather than once per node and redirect.
+// newLeafWalk starts a walk of tg at start.
 func (bt *BTree) newLeafWalk(t *dyntx.Txn, tg target, start wire.Key) leafWalk {
-	if bt.cfg.Branching {
-		tg.anc = make(map[uint64]bool)
-	}
 	return leafWalk{bt: bt, t: t, tg: tg, next: start}
 }
 

@@ -112,7 +112,7 @@ func (bt *BTree) loadNode(t *dyntx.Txn, p Ptr, how loadMode) (*nodeView, uint64,
 func (bt *BTree) checkNode(n *nodeView, tg *target) bool {
 	sid := tg.sid
 	if bt.cfg.Branching {
-		ok, err := bt.isAncestor(tg, n.Created)
+		ok, err := bt.cat.IsAncestorOrSelf(n.Created, sid)
 		return err == nil && ok
 	}
 	if n.Created > sid {
@@ -123,39 +123,25 @@ func (bt *BTree) checkNode(n *nodeView, tg *target) bool {
 	return n.Copied == NoSnap || n.Copied > sid
 }
 
-// isAncestor reports whether version a is an ancestor-or-self of tg.sid. A
-// version's ancestry never changes, so a target that carries a memo (a leaf
-// walk's) asks the catalog about each version once.
-func (bt *BTree) isAncestor(tg *target, a uint64) (bool, error) {
-	if ok, hit := tg.anc[a]; hit {
-		return ok, nil
-	}
-	ok, err := bt.cat.IsAncestorOrSelf(a, tg.sid)
-	if err == nil && tg.anc != nil {
-		tg.anc[a] = ok
-	}
-	return ok, err
-}
-
 // bestRedirect returns the deepest (most specific) redirect of n whose
 // snapshot is an ancestor-or-self of tg.sid, if any (§5.2).
 func (bt *BTree) bestRedirect(n *nodeView, tg *target) (Ptr, bool, error) {
 	best := -1
 	var bestDepth uint32
 	for i, r := range n.Redirects {
-		ok, err := bt.isAncestor(tg, r.Sid)
+		ok, err := bt.cat.IsAncestorOrSelf(r.Sid, tg.sid)
 		if err != nil {
 			return Ptr{}, false, err
 		}
 		if !ok {
 			continue
 		}
-		e, err := bt.cat.Get(r.Sid)
+		d, err := bt.cat.Depth(r.Sid)
 		if err != nil {
 			return Ptr{}, false, err
 		}
-		if best == -1 || e.Depth > bestDepth {
-			best, bestDepth = i, e.Depth
+		if best == -1 || d > bestDepth {
+			best, bestDepth = i, d
 		}
 	}
 	if best == -1 {

@@ -94,8 +94,9 @@ type BTree struct {
 	cache *nodeCache
 	local sinfonia.NodeID
 
-	tipMu sync.Mutex
-	tip   tipState // guarded by tipMu
+	tipMu  sync.Mutex
+	tip    tipState // guarded by tipMu
+	tipGen uint64   // guarded by tipMu; bumped by every invalidateTip
 
 	cat *catalog.Catalog // proxy view of the snapshot catalog; empty on a linear tree
 
@@ -277,12 +278,16 @@ func (bt *BTree) refSeq(p Ptr) dyntx.Ref {
 // --- tip snapshot cache ---------------------------------------------------
 
 // loadTip returns the cached tip state, fetching it from the local replica
-// on a cold or invalidated cache.
+// on a cold or invalidated cache. The fetch runs without tipMu, so a slow
+// replica stalls only the callers that miss; its result is cached only if
+// no invalidateTip ran meanwhile, so a fetch that raced a change of the tip
+// cannot be cached as valid (the caller's commit validates what it got).
 func (bt *BTree) loadTip() (tipState, error) {
 	bt.tipMu.Lock()
-	defer bt.tipMu.Unlock()
-	if bt.tip.valid {
-		return bt.tip, nil
+	tip, gen := bt.tip, bt.tipGen
+	bt.tipMu.Unlock()
+	if tip.valid {
+		return tip, nil
 	}
 	res, err := bt.c.Exec(&sinfonia.Minitx{Reads: []sinfonia.ReadItem{
 		{Node: bt.local, Addr: space.TreeCtlAddr(bt.idx) + space.CtlTipSnapID},
@@ -291,7 +296,7 @@ func (bt *BTree) loadTip() (tipState, error) {
 	if err != nil {
 		return tipState{}, err
 	}
-	bt.tip = tipState{
+	tip = tipState{
 		valid:   true,
 		sid:     decodeU64(res.Reads[0].Data),
 		sidVer:  res.Reads[0].Version,
@@ -300,13 +305,19 @@ func (bt *BTree) loadTip() (tipState, error) {
 		sidImg:  res.Reads[0].Data,
 		rootImg: res.Reads[1].Data,
 	}
-	return bt.tip, nil
+	bt.tipMu.Lock()
+	if bt.tipGen == gen {
+		bt.tip = tip
+	}
+	bt.tipMu.Unlock()
+	return tip, nil
 }
 
 // invalidateTip drops the cached tip state; the next operation refetches it.
 func (bt *BTree) invalidateTip() {
 	bt.tipMu.Lock()
 	bt.tip.valid = false
+	bt.tipGen++
 	bt.tipMu.Unlock()
 }
 
@@ -329,8 +340,6 @@ type target struct {
 	// dirty traversals alone (§4.2) and reject writes.
 	validate bool
 	ent      catalog.Entry // branching: the slot's entry, re-encoded by setRoot
-	// anc memoizes isAncestor for sid; nil: ask the catalog every time.
-	anc map[uint64]bool
 }
 
 // snapTarget addresses a frozen snapshot by its handle; no resolution (and no

@@ -83,18 +83,27 @@ func TestStatsCounting(t *testing.T) {
 	}
 }
 
+// TestDelayAccuracy: Delay never returns early, and the best of a few
+// trials is within 2 ms of the request. Judging the best trial keeps the
+// bound on Delay itself: one wake-up that a loaded host delays (the whole
+// suite's packages share the CPUs) is not Delay overshooting.
 func TestDelayAccuracy(t *testing.T) {
+	const trials = 5
 	for _, d := range []time.Duration{20 * time.Microsecond, 200 * time.Microsecond} {
-		//lint:ignore detcheck this test measures Wall.Sleep accuracy against the real clock by design
-		t0 := time.Now()
-		Delay(d)
-		//lint:ignore detcheck this test measures Wall.Sleep accuracy against the real clock by design
-		got := time.Since(t0)
-		if got < d {
-			t.Fatalf("Delay(%v) returned after %v", d, got)
+		best := time.Duration(1<<63 - 1)
+		for i := 0; i < trials; i++ {
+			//lint:ignore detcheck this test measures Wall.Sleep accuracy against the real clock by design
+			t0 := time.Now()
+			Delay(d)
+			//lint:ignore detcheck this test measures Wall.Sleep accuracy against the real clock by design
+			got := time.Since(t0)
+			if got < d {
+				t.Fatalf("Delay(%v) returned after %v", d, got)
+			}
+			best = min(best, got)
 		}
-		if got > d+2*time.Millisecond {
-			t.Fatalf("Delay(%v) badly overshot: %v", d, got)
+		if best > d+2*time.Millisecond {
+			t.Fatalf("Delay(%v) badly overshot: best of %d trials %v", d, trials, best)
 		}
 	}
 	Delay(0)  // must not block
