@@ -144,9 +144,10 @@ func TestCallAllocBudget(t *testing.T) {
 
 // TestMultiImageFrameEncodesOnce pins the allocations of encoding a frame
 // that carries many node images: a 16-leaf read response, as a snapshot scan
-// fetches, and a 64-write prepare, as a large batch sends. The encoders
-// reserve their whole size up front, so the images are copied into the frame
-// once; growing the buffer as it filled made 12 and 17 allocations.
+// fetches; a 64-write prepare, as a large batch sends; the backup mirror of
+// that batch's commit; and a memnode's state snapshot. The encoders reserve
+// their whole size up front, so the images are copied into the frame once;
+// growing the buffer as it filled made 12, 17, 17 and 15 allocations.
 func TestMultiImageFrameEncodesOnce(t *testing.T) {
 	img := bytes.Repeat([]byte{0xC4}, 4096)
 	resp := &sinfonia.ExecResp{}
@@ -154,10 +155,27 @@ func TestMultiImageFrameEncodesOnce(t *testing.T) {
 		resp.Reads = append(resp.Reads, sinfonia.ReadResult{Data: img, Version: 7, Exists: true})
 	}
 	prep := &sinfonia.PrepareReq{Txid: 9, Participants: []sinfonia.NodeID{0, 1}}
+	writes := func(n int) []sinfonia.WriteItem {
+		var ws []sinfonia.WriteItem
+		for i := range n {
+			ws = append(ws, sinfonia.WriteItem{Addr: sinfonia.Addr(4096 * (i + 1)), Version: uint64(i + 1), Data: img})
+		}
+		return ws
+	}
 	for i := range 64 {
 		prep.Writes = append(prep.Writes, sinfonia.WriteItem{Node: 1, Addr: sinfonia.Addr(4096 * (i + 1)), Data: img})
 	}
-	for _, m := range []any{resp, prep} {
+	// Record kinds 1, 2 and 3 are apply, stage and resolve.
+	redo := &sinfonia.ReplicaRedoReq{From: 1, Rec: sinfonia.RedoRecord{Kind: 1, Txid: 9, Writes: writes(64)}}
+	snap := &sinfonia.SnapshotStateResp{
+		Records: []sinfonia.RedoRecord{
+			{Kind: 3, Txid: 4, Flag: true},
+			{Kind: 1, Writes: writes(16)},
+			{Kind: 2, Txid: 10, Writes: writes(8), Locks: []sinfonia.Addr{4096, 8192}, Participants: []sinfonia.NodeID{0, 1}},
+		},
+		Mirrors: []sinfonia.ReplicaRedoReq{{From: 2, Rec: sinfonia.RedoRecord{Kind: 1, Writes: writes(16)}}},
+	}
+	for _, m := range []any{resp, prep, redo, snap} {
 		var frame *wire.Buffer
 		allocs := testing.AllocsPerRun(100, func() {
 			frame = newFrame()

@@ -198,9 +198,13 @@ func (m *Memnode) walAppendLocked(rec *RedoRecord) (uint64, error) {
 	if m.wal == nil {
 		return 0, nil
 	}
-	b := wire.NewBuffer(64)
-	encodeRedo(b, rec)
-	lsn, err := m.wal.Append(b.Bytes())
+	// Append copies the payload into the log before it returns, so one
+	// buffer serves every record; it keeps the size of the largest record
+	// this node has logged, at most wal.MaxRecordLen.
+	m.walBuf.Reset()
+	m.walBuf.Grow(redoLen(rec))
+	encodeRedo(&m.walBuf, rec)
+	lsn, err := m.wal.Append(m.walBuf.Bytes())
 	if err != nil {
 		m.failed = true
 		return 0, fmt.Errorf("memnode %d: wal append: %w", m.id, err)
@@ -244,7 +248,11 @@ func (m *Memnode) replayRecordLocked(p []byte) error {
 // outcomes, items, staged prepares. Caller holds m.mu.
 func (m *Memnode) encodeStateLocked() []byte {
 	recs := m.snapshotLocked(true)
-	b := wire.NewBuffer(1024)
+	n := 1 + 4
+	for i := range recs {
+		n += redoLen(&recs[i])
+	}
+	b := wire.NewBuffer(n)
 	b.U8(stateVersion)
 	b.U32(uint32(len(recs)))
 	for i := range recs {

@@ -8,6 +8,7 @@ import (
 
 	"minuet/internal/netsim"
 	"minuet/internal/wal"
+	"minuet/internal/wire"
 )
 
 // Memnode is a Sinfonia storage node: an in-memory, byte-addressable item
@@ -44,7 +45,8 @@ type Memnode struct {
 	// every later request is refused.
 	wal      *wal.Log
 	durOpts  DurOptions
-	failed   bool // guarded by mu
+	failed   bool        // guarded by mu
+	walBuf   wire.Buffer // guarded by mu; walAppendLocked's encoding, reused
 	ckptBusy atomic.Bool
 	bg       sync.WaitGroup // in-flight background checkpoint; Close waits
 

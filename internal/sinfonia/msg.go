@@ -330,6 +330,7 @@ func decodeExecResp(r *wire.Reader) (*ExecResp, bool) {
 }
 
 func encodeReplicaRedoReq(b *wire.Buffer, m *ReplicaRedoReq) {
+	b.Grow(4 + redoLen(&m.Rec))
 	b.U32(uint32(m.From))
 	encodeRedo(b, &m.Rec)
 }
@@ -389,6 +390,14 @@ func decodeStatsResp(r *wire.Reader) *StatsResp {
 }
 
 func encodeSnapshotStateResp(b *wire.Buffer, m *SnapshotStateResp) {
+	n := 4 + 4 + 4*len(m.Mirrors) // counts, each mirror's From
+	for i := range m.Records {
+		n += redoLen(&m.Records[i])
+	}
+	for i := range m.Mirrors {
+		n += redoLen(&m.Mirrors[i].Rec)
+	}
+	b.Grow(n)
 	b.U32(uint32(len(m.Records)))
 	for i := range m.Records {
 		encodeRedo(b, &m.Records[i])

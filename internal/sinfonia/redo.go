@@ -82,6 +82,16 @@ func encodeRedo(b *wire.Buffer, rec *RedoRecord) {
 	encodeNodes(b, rec.Participants)
 }
 
+// redoLen is the size of rec's encoding. Every encoder of a redo record
+// reserves it before appending, so the record's images are copied once.
+func redoLen(rec *RedoRecord) int {
+	n := minRedoLen + 20*len(rec.Writes) + 8*len(rec.Locks) + 4*len(rec.Participants)
+	for i := range rec.Writes {
+		n += len(rec.Writes[i].Data)
+	}
+	return n
+}
+
 // decodeRedo reads one record. Element counts are bounded by the input that
 // remains before anything is sized by them, images are copied out of the
 // input, and only the canonical encoding is accepted (known kind, flag 0 or

@@ -333,6 +333,9 @@ func FuzzRedoRecord(f *testing.F) {
 		if !bytes.Equal(b.Bytes(), consumed) {
 			t.Fatalf("re-encoding differs from the %d bytes consumed:\n got %x\nwant %x", len(consumed), b.Bytes(), consumed)
 		}
+		if n := redoLen(&rec); n != len(consumed) {
+			t.Fatalf("redoLen = %d, encoding is %d bytes", n, len(consumed))
+		}
 		again, err := decodeRedo(wire.NewReader(b.Bytes()))
 		if err != nil || !reflect.DeepEqual(again, rec) {
 			t.Fatalf("decode(encode(rec)) = %+v, %v; want %+v", again, err, rec)

@@ -290,7 +290,8 @@ func readCheckpoint(fs FS, seq uint64) (state []byte, ok bool, err error) {
 // Append writes one record to the active segment and returns its LSN. The
 // record is NOT durable until Commit(lsn) returns. Append order defines
 // replay order, so callers append under whatever lock orders their state
-// mutations.
+// mutations. The payload is copied into the file before Append returns, so
+// the caller may reuse it at once.
 func (l *Log) Append(payload []byte) (uint64, error) {
 	if int64(len(payload)) > MaxRecordLen {
 		return 0, fmt.Errorf("%w: %d-byte record (max %d)", ErrTooLarge, len(payload), int64(MaxRecordLen))

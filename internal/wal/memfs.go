@@ -25,10 +25,57 @@ type MemFS struct {
 	files map[string]*memFile // guarded by mu
 }
 
+// pageSize is the unit a memFile allocates in. Growing a file adds pages and
+// never moves the bytes already written, so a write costs the bytes it is
+// given whatever the size of the file.
+const pageSize = 64 << 10
+
+// memFile holds its bytes in pages of pageSize: byte i is at
+// pages[i/pageSize][i%pageSize]. Every page is whole, there are just enough
+// of them to hold size bytes, and the bytes of the last page past size are
+// zero, so a file extended past a truncation reads zeros there.
 type memFile struct {
 	mu     sync.Mutex
-	data   []byte // guarded by mu
-	synced int    // guarded by mu; durable prefix length
+	pages  [][]byte // guarded by mu
+	size   int      // guarded by mu
+	synced int      // guarded by mu; durable prefix length
+}
+
+// writeAtLocked copies p to offset off, adding zeroed pages to reach it.
+func (f *memFile) writeAtLocked(p []byte, off int) {
+	end := off + len(p)
+	for len(f.pages)*pageSize < end {
+		f.pages = append(f.pages, make([]byte, pageSize))
+	}
+	for len(p) > 0 {
+		n := copy(f.pages[off/pageSize][off%pageSize:], p)
+		p, off = p[n:], off+n
+	}
+	f.size = max(f.size, end)
+}
+
+// readAtLocked copies the bytes from offset off into p, stopping at size,
+// and returns how many it copied.
+func (f *memFile) readAtLocked(p []byte, off int) int {
+	n := 0
+	for n < len(p) && off < f.size {
+		c := copy(p[n:min(len(p), n+f.size-off)], f.pages[off/pageSize][off%pageSize:])
+		n, off = n+c, off+c
+	}
+	return n
+}
+
+// truncateLocked shrinks the file to size, dropping the pages past it and
+// zeroing the rest of the last one.
+func (f *memFile) truncateLocked(size int) {
+	keep := (size + pageSize - 1) / pageSize
+	clear(f.pages[keep:])
+	f.pages = f.pages[:keep]
+	if size%pageSize != 0 {
+		clear(f.pages[keep-1][size%pageSize:])
+	}
+	f.size = size
+	f.synced = min(f.synced, size)
 }
 
 // NewMemFS returns an empty in-memory filesystem.
@@ -63,14 +110,16 @@ func (m *MemFS) CrashCopy(mode TailMode) *MemFS {
 		keep := f.synced
 		switch mode {
 		case TailHalf:
-			keep += (len(f.data) - f.synced) / 2
+			keep += (f.size - f.synced) / 2
 		case TailAll:
-			keep = len(f.data)
+			keep = f.size
 		}
-		data := make([]byte, keep)
-		copy(data, f.data[:keep])
+		c := &memFile{synced: keep}
+		for i := 0; i < keep; i += pageSize {
+			c.writeAtLocked(f.pages[i/pageSize][:min(pageSize, keep-i)], i)
+		}
 		f.mu.Unlock()
-		out.files[name] = &memFile{data: data, synced: keep}
+		out.files[name] = c
 	}
 	return out
 }
@@ -146,22 +195,18 @@ type memHandle struct {
 func (h *memHandle) Write(p []byte) (int, error) {
 	h.f.mu.Lock()
 	defer h.f.mu.Unlock()
-	end := h.off + int64(len(p))
-	if grow := end - int64(len(h.f.data)); grow > 0 {
-		h.f.data = append(h.f.data, make([]byte, grow)...)
-	}
-	copy(h.f.data[h.off:end], p)
-	h.off = end
+	h.f.writeAtLocked(p, int(h.off))
+	h.off += int64(len(p))
 	return len(p), nil
 }
 
 func (h *memHandle) ReadAt(p []byte, off int64) (int, error) {
 	h.f.mu.Lock()
 	defer h.f.mu.Unlock()
-	if off >= int64(len(h.f.data)) {
+	if off >= int64(h.f.size) {
 		return 0, io.EOF
 	}
-	n := copy(p, h.f.data[off:])
+	n := h.f.readAtLocked(p, int(off))
 	if n < len(p) {
 		return n, io.EOF
 	}
@@ -171,17 +216,14 @@ func (h *memHandle) ReadAt(p []byte, off int64) (int, error) {
 func (h *memHandle) Size() (int64, error) {
 	h.f.mu.Lock()
 	defer h.f.mu.Unlock()
-	return int64(len(h.f.data)), nil
+	return int64(h.f.size), nil
 }
 
 func (h *memHandle) Truncate(size int64) error {
 	h.f.mu.Lock()
 	defer h.f.mu.Unlock()
-	if size < int64(len(h.f.data)) {
-		h.f.data = h.f.data[:size]
-		if h.f.synced > int(size) {
-			h.f.synced = int(size)
-		}
+	if size < int64(h.f.size) {
+		h.f.truncateLocked(int(size))
 	}
 	if h.off > size {
 		h.off = size
@@ -192,7 +234,7 @@ func (h *memHandle) Truncate(size int64) error {
 func (h *memHandle) Sync() error {
 	h.f.mu.Lock()
 	defer h.f.mu.Unlock()
-	h.f.synced = len(h.f.data)
+	h.f.synced = h.f.size
 	return nil
 }
 

@@ -112,6 +112,10 @@ func (w *Buffer) Bytes() []byte { return w.b }
 // Len returns the number of encoded bytes.
 func (w *Buffer) Len() int { return len(w.b) }
 
+// Reset empties the buffer and keeps its storage, so one Buffer can encode
+// one value after another. Bytes returned before are overwritten.
+func (w *Buffer) Reset() { w.b = w.b[:0] }
+
 // Grow makes room for n more bytes, so an encoder that knows its size up
 // front appends it without reallocating on the way.
 func (w *Buffer) Grow(n int) { w.b = slices.Grow(w.b, n) }

@@ -38,6 +38,26 @@ func TestBufferReaderRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBufferResetReusesStorage encodes into a Buffer, resets it, and
+// encodes again: the second value starts at offset 0 and, fitting the
+// storage the first one grew, allocates nothing.
+func TestBufferResetReusesStorage(t *testing.T) {
+	var w Buffer
+	w.Bytes32(bytes.Repeat([]byte{1}, 100))
+	first := &w.Bytes()[0]
+	allocs := testing.AllocsPerRun(10, func() {
+		w.Reset()
+		w.U64(7)
+		w.Bytes32([]byte("again"))
+	})
+	if allocs != 0 || w.Len() != 17 || &w.Bytes()[0] != first {
+		t.Fatalf("after Reset: %v allocs, %d bytes, same storage %v", allocs, w.Len(), &w.Bytes()[0] == first)
+	}
+	if r := NewReader(w.Bytes()); r.U64() != 7 || string(r.Bytes32()) != "again" || r.Remaining() != 0 {
+		t.Fatal("the value encoded after Reset does not read back")
+	}
+}
+
 // TestQuickIntegers round-trips random integers through the codec.
 func TestQuickIntegers(t *testing.T) {
 	f := func(a uint8, b uint16, c uint32, d uint64) bool {
